@@ -8,6 +8,7 @@
 // (distance-2) future request.
 #pragma once
 
+#include <array>
 #include <cassert>
 #include <cstdint>
 
@@ -22,6 +23,28 @@ constexpr std::uint32_t reverse_bits(std::uint32_t value,
     value >>= 1;
   }
   return out;
+}
+
+/// rev_6 of every slot index: table position p <-> buddy-space address.
+inline constexpr std::array<std::uint8_t, 64> kReverse6 = [] {
+  std::array<std::uint8_t, 64> out{};
+  for (std::uint32_t p = 0; p < out.size(); ++p)
+    out[p] = static_cast<std::uint8_t>(reverse_bits(p, 6));
+  return out;
+}();
+
+/// Permutes the bits of a 64-slot mask so that bit p moves to bit rev_6(p)
+/// (an involution). Each step is a delta swap exchanging two index bits:
+/// (0,5), (1,4) and (2,3).
+constexpr std::uint64_t reverse_slot_order(std::uint64_t x) noexcept {
+  const auto swap = [](std::uint64_t v, std::uint64_t low, unsigned delta) {
+    const std::uint64_t t = ((v >> delta) ^ v) & low;
+    return v ^ t ^ (t << delta);
+  };
+  x = swap(x, 0x00000000AAAAAAAAull, 31);  // index bits 0 <-> 5
+  x = swap(x, 0x0000CCCC0000CCCCull, 14);  // index bits 1 <-> 4
+  x = swap(x, 0x00F000F000F000F0ull, 4);   // index bits 2 <-> 3
+  return x;
 }
 
 /// True when v is a power of two (and nonzero).

@@ -1,8 +1,8 @@
 #include "arbtable/defrag.hpp"
 
-#include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
-#include <vector>
 
 #include "arbtable/entry_set.hpp"
 #include "arbtable/table_manager.hpp"
@@ -10,66 +10,53 @@
 namespace ibarb::arbtable {
 
 unsigned defragment_sequences(TableManager& manager) {
+  // The scattered baseline has no spaced structure to restore.
+  if (manager.cfg_.policy == FillPolicy::kScattered) return 0;
   auto& sequences = manager.sequences_;
   auto& table = manager.table_;
 
-  // Collect live spaced sequences, largest first; ties broken by current
-  // buddy address so already-packed layouts stay untouched (stability keeps
-  // the number of live reconfigurations minimal).
-  std::vector<SeqHandle> order;
-  std::vector<unsigned> scattered_blocks;  // buddy slots pinned by kScattered
-  for (SeqHandle h = 0; h < sequences.size(); ++h) {
-    const Sequence& s = sequences[h];
-    if (!s.live) continue;
-    if (s.distance == 0) {
-      return 0;  // scattered baseline in play: no defrag defined
-    }
-    order.push_back(h);
-  }
-  (void)scattered_blocks;
-  std::sort(order.begin(), order.end(), [&](SeqHandle a, SeqHandle b) {
-    const Sequence& sa = sequences[a];
-    const Sequence& sb = sequences[b];
-    if (sa.positions.size() != sb.positions.size())
-      return sa.positions.size() > sb.positions.size();
-    const EntrySet ea{sa.distance, sa.positions.empty() ? 0u : sa.positions[0]};
-    const EntrySet eb{sb.distance, sb.positions.empty() ? 0u : sb.positions[0]};
-    return ea.buddy_block_index() < eb.buddy_block_index();
-  });
-
+  // Visit live sequences largest first (distance 1 holds 64 slots), each
+  // size class in ascending buddy address, so already-packed layouts stay
+  // untouched (keeping the number of live reconfigurations minimal). Blocks
+  // of one class never share an address, so this order is total.
+  //
   // Assign target blocks first; apply moves in two phases (clear every
   // mover's old slots, then write every mover's new slots). One-phase
   // relocation would corrupt the table whenever a target region overlaps a
   // later mover's current slots.
   struct Move {
     SeqHandle handle;
-    EntrySet target;
+    std::uint64_t target;  ///< Slot mask of the target E_{i,j}.
   };
-  std::vector<Move> moving;
+  std::array<Move, iba::kArbTableEntries> moving;
+  unsigned moves = 0;
   unsigned cursor = 0;  // next free buddy-space address
-  for (const SeqHandle h : order) {
-    Sequence& seq = sequences[h];
-    const unsigned size = static_cast<unsigned>(seq.positions.size());
-    assert(cursor % size == 0 && "decreasing sizes keep the cursor aligned");
-    const unsigned new_block = cursor / size;
-    cursor += size;
-
-    const EntrySet target = EntrySet::from_buddy_block(seq.distance, new_block);
-    const unsigned old_offset = seq.positions.empty() ? 0 : seq.positions[0];
-    if (target.offset != old_offset) moving.push_back(Move{h, target});
+  for (unsigned cls = 0; cls < kDistanceClasses; ++cls) {
+    const unsigned size = iba::kArbTableEntries >> cls;
+    for (std::uint64_t starts = manager.starts_[cls]; starts != 0;
+         starts &= starts - 1) {
+      const auto start = static_cast<unsigned>(std::countr_zero(starts));
+      assert(cursor % size == 0 && "decreasing sizes keep the cursor aligned");
+      // A block starting at buddy address q is E_{cls, rev_6(q)}.
+      if (start != cursor)
+        moving[moves++] = Move{manager.owner_[start],
+                               kStrideMasks[cls] << kReverse6[cursor]};
+      cursor += size;
+    }
   }
 
-  for (const auto& mv : moving)
-    for (const auto p : sequences[mv.handle].positions)
-      table.set_high_entry(p, {});
-  for (const auto& mv : moving) {
-    Sequence& seq = sequences[mv.handle];
-    seq.positions = mv.target.positions();
-    for (const auto p : seq.positions)
-      table.set_high_entry(p, iba::ArbTableEntry{
-          seq.vl, static_cast<std::uint8_t>(seq.weight_per_entry)});
+  for (unsigned k = 0; k < moves; ++k) {
+    const SeqHandle h = moving[k].handle;
+    for (const auto p : sequences[h].positions()) table.set_high_entry(p, {});
+    manager.unindex_sequence(h);
   }
-  return static_cast<unsigned>(moving.size());
+  for (unsigned k = 0; k < moves; ++k) {
+    const SeqHandle h = moving[k].handle;
+    sequences[h].slots = moving[k].target;
+    manager.write_sequence(sequences[h]);
+    manager.index_sequence(h);
+  }
+  return moves;
 }
 
 }  // namespace ibarb::arbtable

@@ -1,30 +1,25 @@
 #include "arbtable/entry_set.hpp"
 
 #include <cassert>
+#include <vector>
 
 namespace ibarb::arbtable {
 
-std::vector<std::uint8_t> EntrySet::positions() const {
-  assert(valid());
-  std::vector<std::uint8_t> out;
-  out.reserve(size());
-  for (unsigned p = offset; p < iba::kArbTableEntries; p += distance)
-    out.push_back(static_cast<std::uint8_t>(p));
-  return out;
+std::uint64_t occupancy_mask(const iba::ArbTable& table) {
+  std::uint64_t mask = 0;
+  for (unsigned p = 0; p < iba::kArbTableEntries; ++p)
+    mask |= static_cast<std::uint64_t>(table[p].active()) << p;
+  return mask;
 }
 
 bool set_is_free(const iba::ArbTable& table, const EntrySet& set) {
   assert(set.valid());
-  for (unsigned p = set.offset; p < iba::kArbTableEntries; p += set.distance)
-    if (table[p].active()) return false;
-  return true;
+  return set_is_free(occupancy_mask(table), set);
 }
 
 unsigned free_entries(const iba::ArbTable& table) {
-  unsigned n = 0;
-  for (const auto& e : table)
-    if (!e.active()) ++n;
-  return n;
+  return iba::kArbTableEntries -
+         static_cast<unsigned>(std::popcount(occupancy_mask(table)));
 }
 
 unsigned max_gap_for_vl(const iba::ArbTable& table, iba::VirtualLane vl) {

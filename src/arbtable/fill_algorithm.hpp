@@ -32,18 +32,32 @@ enum class FillPolicy : std::uint8_t {
 const char* to_string(FillPolicy policy);
 
 /// Offsets of E_{i,j} candidates in the order a policy inspects them.
-/// For kScattered the concept does not apply (empty result).
+/// For kScattered the concept does not apply (empty result). This is the
+/// reference statement of each order; find_free_set reaches the same first
+/// free set through mask arithmetic without building it.
 std::vector<unsigned> scan_order(unsigned distance, FillPolicy policy,
                                  util::Xoshiro256* rng = nullptr);
 
-/// Finds the first free set of the given distance under `policy`.
-/// `rng` is only consulted by kRandom. Returns std::nullopt when no free set
-/// exists (for kScattered: when fewer than 64/distance entries are free).
+/// Finds the first free set of the given distance under `policy`, where
+/// `occupied` is the table's occupancy mask (bit p = slot p is in use).
+/// `rng` is only consulted by kRandom, which draws the same permutation as
+/// scan_order. Returns std::nullopt when no free set exists (always for
+/// kScattered, which has no spaced structure).
+std::optional<EntrySet> find_free_set(std::uint64_t occupied,
+                                      unsigned distance, FillPolicy policy,
+                                      util::Xoshiro256* rng = nullptr);
+
+/// Same, on a table's entries.
 std::optional<EntrySet> find_free_set(const iba::ArbTable& table,
                                       unsigned distance, FillPolicy policy,
                                       util::Xoshiro256* rng = nullptr);
 
-/// For kScattered: the first `count` free positions in table order.
+/// For kScattered: the mask of the first `count` free slots in table order,
+/// or std::nullopt when fewer than `count` are free.
+std::optional<std::uint64_t> find_scattered(std::uint64_t occupied,
+                                            unsigned count);
+
+/// Same, on a table's entries, as the ascending slot list.
 std::optional<std::vector<std::uint8_t>> find_scattered(
     const iba::ArbTable& table, unsigned count);
 

@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <span>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "arbtable/defrag.hpp"
 
@@ -24,56 +27,73 @@ void TableManager::configure_low_priority(
 }
 
 bool TableManager::render_low_table() {
-  iba::ArbTable fresh{};
-  std::size_t slot = 0;
-  for (const auto& [vl, weight] : low_static_) {
-    if (slot >= fresh.size()) return false;
-    fresh[slot++] = iba::ArbTableEntry{vl, weight};
-  }
+  std::size_t needed = low_static_.size();
+  for (const auto weight : low_dynamic_weight_)
+    needed += (weight + iba::kMaxEntryWeight - 1) / iba::kMaxEntryWeight;
+  if (needed > iba::kArbTableEntries) return false;
+
+  // Through the const view: the mutable one would dirty the table's caches.
+  const auto& low = std::as_const(table_).low();
+  unsigned slot = 0;
+  const auto put = [&](iba::ArbTableEntry e) {
+    if (!(low[slot] == e)) table_.set_low_entry(slot, e);
+    ++slot;
+  };
+  for (const auto& [vl, weight] : low_static_) put({vl, weight});
   for (unsigned vl = 0; vl < low_dynamic_weight_.size(); ++vl) {
-    unsigned remaining = low_dynamic_weight_[vl];
-    while (remaining > 0) {
-      if (slot >= fresh.size()) return false;
-      const auto chunk =
-          static_cast<std::uint8_t>(std::min(remaining, iba::kMaxEntryWeight));
-      fresh[slot++] =
-          iba::ArbTableEntry{static_cast<iba::VirtualLane>(vl), chunk};
+    for (unsigned remaining = low_dynamic_weight_[vl]; remaining > 0;) {
+      const unsigned chunk = std::min(remaining, iba::kMaxEntryWeight);
+      put({static_cast<iba::VirtualLane>(vl),
+           static_cast<std::uint8_t>(chunk)});
       remaining -= chunk;
     }
   }
-  for (unsigned slot_index = 0; slot_index < fresh.size(); ++slot_index)
-    table_.set_low_entry(slot_index, fresh[slot_index]);
+  for (; slot < low_used_; ++slot) table_.set_low_entry(slot, {});
+  low_used_ = static_cast<unsigned>(needed);
   return true;
 }
 
-std::optional<SeqHandle> TableManager::try_share(iba::VirtualLane vl,
-                                                 const Requirement& req,
-                                                 double mbps) {
-  for (SeqHandle h = 0; h < sequences_.size(); ++h) {
-    Sequence& seq = sequences_[h];
-    if (!seq.live || seq.vl != vl) continue;
+void TableManager::index_sequence(SeqHandle handle) {
+  const Sequence& seq = sequences_[handle];
+  occupied_ |= seq.slots;
+  vl_handles_[seq.vl] |= std::uint64_t{1} << handle;
+  if (seq.distance != 0) {
+    const unsigned start = kReverse6[std::countr_zero(seq.slots)];
+    starts_[std::countr_zero(seq.distance)] |= std::uint64_t{1} << start;
+    owner_[start] = handle;
+  }
+}
+
+void TableManager::unindex_sequence(SeqHandle handle) {
+  const Sequence& seq = sequences_[handle];
+  occupied_ &= ~seq.slots;
+  vl_handles_[seq.vl] &= ~(std::uint64_t{1} << handle);
+  if (seq.distance != 0) {
+    const unsigned start = kReverse6[std::countr_zero(seq.slots)];
+    starts_[std::countr_zero(seq.distance)] &= ~(std::uint64_t{1} << start);
+  }
+}
+
+std::optional<SeqHandle> TableManager::find_share(
+    iba::VirtualLane vl, const Requirement& req) const {
+  // Ascending handle order: the lowest compatible live handle wins.
+  for (std::uint64_t live = vl_handles_[vl]; live != 0; live &= live - 1) {
+    const auto h = static_cast<SeqHandle>(std::countr_zero(live));
+    const Sequence& seq = sequences_[h];
     // Spaced sequences share per distance class; scattered (baseline)
     // sequences share per entry count.
     const bool compatible =
-        seq.distance != 0
-            ? seq.distance == req.distance
-            : seq.positions.size() == req.entries;
-    if (!compatible) continue;
-    if (seq.weight_per_entry + req.weight_per_entry > iba::kMaxEntryWeight)
-      continue;
-    seq.weight_per_entry += req.weight_per_entry;
-    seq.connections += 1;
-    seq.reserved_mbps += mbps;
-    write_sequence(seq);
-    reserved_mbps_ += mbps;
-    ++stats_.shares;
-    return h;
+        seq.distance != 0 ? seq.distance == req.distance
+                          : seq.positions().size() == req.entries;
+    if (compatible &&
+        seq.weight_per_entry + req.weight_per_entry <= iba::kMaxEntryWeight)
+      return h;
   }
   return std::nullopt;
 }
 
 SeqHandle TableManager::create_sequence(iba::VirtualLane vl, unsigned distance,
-                                        std::vector<std::uint8_t> positions,
+                                        std::uint64_t slots,
                                         const Requirement& req, double mbps) {
   SeqHandle h;
   if (!free_handles_.empty()) {
@@ -83,15 +103,17 @@ SeqHandle TableManager::create_sequence(iba::VirtualLane vl, unsigned distance,
     h = static_cast<SeqHandle>(sequences_.size());
     sequences_.emplace_back();
   }
+  assert(h < iba::kArbTableEntries && "a live sequence holds >= 1 slot");
   Sequence& seq = sequences_[h];
   seq.vl = vl;
   seq.distance = distance;
-  seq.positions = std::move(positions);
+  seq.slots = slots;
   seq.weight_per_entry = req.weight_per_entry;
   seq.connections = 1;
   seq.reserved_mbps = mbps;
   seq.live = true;
   write_sequence(seq);
+  index_sequence(h);
   reserved_mbps_ += mbps;
   ++stats_.allocations;
   return h;
@@ -99,15 +121,17 @@ SeqHandle TableManager::create_sequence(iba::VirtualLane vl, unsigned distance,
 
 void TableManager::write_sequence(const Sequence& seq) {
   assert(seq.weight_per_entry <= iba::kMaxEntryWeight);
-  for (const auto p : seq.positions)
-    table_.set_high_entry(p, iba::ArbTableEntry{
-        seq.vl, static_cast<std::uint8_t>(seq.weight_per_entry)});
+  const iba::ArbTableEntry entry{
+      seq.vl, static_cast<std::uint8_t>(seq.weight_per_entry)};
+  for (const auto p : seq.positions()) table_.set_high_entry(p, entry);
 }
 
-void TableManager::erase_sequence(Sequence& seq) {
-  for (const auto p : seq.positions) table_.set_high_entry(p, {});
+void TableManager::erase_sequence(SeqHandle handle) {
+  Sequence& seq = sequences_[handle];
+  for (const auto p : seq.positions()) table_.set_high_entry(p, {});
+  unindex_sequence(handle);
   seq.live = false;
-  seq.positions.clear();
+  seq.slots = 0;
 }
 
 std::optional<SeqHandle> TableManager::allocate(iba::VirtualLane vl,
@@ -119,19 +143,27 @@ std::optional<SeqHandle> TableManager::allocate(iba::VirtualLane vl,
     ++stats_.reject_bandwidth;
     return std::nullopt;
   }
-  if (const auto shared = try_share(vl, req, mbps)) return shared;
+  if (const auto shared = find_share(vl, req)) {
+    Sequence& seq = sequences_[*shared];
+    seq.weight_per_entry += req.weight_per_entry;
+    seq.connections += 1;
+    seq.reserved_mbps += mbps;
+    write_sequence(seq);
+    reserved_mbps_ += mbps;
+    ++stats_.shares;
+    return shared;
+  }
 
   if (cfg_.policy == FillPolicy::kScattered) {
-    if (auto picks = find_scattered(table_.high(), req.entries)) {
-      return create_sequence(vl, /*distance=*/0, std::move(*picks), req, mbps);
-    }
+    if (const auto picks = find_scattered(occupied_, req.entries))
+      return create_sequence(vl, /*distance=*/0, *picks, req, mbps);
     ++stats_.reject_entries;
     return std::nullopt;
   }
 
   if (const auto set =
-          find_free_set(table_.high(), req.distance, cfg_.policy, &rng_)) {
-    return create_sequence(vl, set->distance, set->positions(), req, mbps);
+          find_free_set(occupied_, req.distance, cfg_.policy, &rng_)) {
+    return create_sequence(vl, set->distance, set->mask(), req, mbps);
   }
   ++stats_.reject_entries;
   return std::nullopt;
@@ -151,7 +183,7 @@ void TableManager::release(SeqHandle handle, const Requirement& req,
 
   if (seq.connections == 0) {
     assert(seq.weight_per_entry == 0);
-    erase_sequence(seq);
+    erase_sequence(handle);
     free_handles_.push_back(handle);
     if (cfg_.defrag_on_release) defragment();
   } else {
@@ -187,14 +219,15 @@ void TableManager::remove_low_weight(iba::VirtualLane vl, unsigned weight,
   low_reserved_mbps_ -= mbps;
 }
 
-unsigned TableManager::free_entries() const {
-  return arbtable::free_entries(table_.high());
+unsigned TableManager::free_entries() const noexcept {
+  return iba::kArbTableEntries -
+         static_cast<unsigned>(std::popcount(occupied_));
 }
 
-unsigned TableManager::live_sequences() const {
+unsigned TableManager::live_sequences() const noexcept {
   unsigned n = 0;
-  for (const auto& s : sequences_)
-    if (s.live) ++n;
+  for (const auto handles : vl_handles_)
+    n += static_cast<unsigned>(std::popcount(handles));
   return n;
 }
 
@@ -206,32 +239,25 @@ void TableManager::defragment() {
 bool TableManager::can_admit(iba::VirtualLane vl, const Requirement& req,
                              double mbps) const {
   if (reserved_mbps_ + mbps > reservable_mbps() * (1.0 + 1e-12)) return false;
-  for (const auto& seq : sequences_) {
-    if (!seq.live || seq.vl != vl) continue;
-    const bool compatible =
-        seq.distance != 0
-            ? seq.distance == req.distance
-            : seq.positions.size() == req.entries;
-    if (!compatible) continue;
-    if (seq.weight_per_entry + req.weight_per_entry <= iba::kMaxEntryWeight)
-      return true;
-  }
+  if (find_share(vl, req)) return true;
   if (cfg_.policy == FillPolicy::kScattered)
-    return find_scattered(table_.high(), req.entries).has_value();
+    return find_scattered(occupied_, req.entries).has_value();
   // Probe the exact scan allocate() would run, on a copy of the RNG so the
   // dry-run never perturbs the stream (only kRandom consults it).
   util::Xoshiro256 probe = rng_;
-  return find_free_set(table_.high(), req.distance, cfg_.policy, &probe)
+  return find_free_set(occupied_, req.distance, cfg_.policy, &probe)
       .has_value();
 }
 
 bool TableManager::audit_free_set_optimality(std::string* why) const {
   if (cfg_.policy != FillPolicy::kBitReversal || !cfg_.defrag_on_release)
     return true;
-  const unsigned free = free_entries();
+  // Audits the table entries themselves, not the manager's own masks.
+  const std::uint64_t occupied = occupancy_mask(table_.high());
+  const unsigned free =
+      iba::kArbTableEntries - static_cast<unsigned>(std::popcount(occupied));
   for (unsigned d = 1; d <= kMaxDistance; d *= 2) {
-    const bool found =
-        find_free_set(table_.high(), d, cfg_.policy).has_value();
+    const bool found = find_free_set(occupied, d, cfg_.policy).has_value();
     const bool theorem = free >= iba::kArbTableEntries / d;
     if (found != theorem) {
       if (why != nullptr)
@@ -270,7 +296,11 @@ void TableManager::save_state(util::BinWriter& w) const {
   for (const auto& seq : sequences_) {
     w.put_u8(seq.vl);
     w.put_u32(seq.distance);
-    w.put_bytes(seq.positions);
+    std::array<std::uint8_t, iba::kArbTableEntries> positions;
+    std::size_t n = 0;
+    for (const auto p : seq.positions())
+      positions[n++] = static_cast<std::uint8_t>(p);
+    w.put_bytes(std::span(positions.data(), n));
     w.put_u32(seq.weight_per_entry);
     w.put_u32(seq.connections);
     w.put_double(seq.reserved_mbps);
@@ -299,18 +329,44 @@ void TableManager::load_state(util::BinReader& r) {
   for (auto& s : rng_state) s = r.get_u64();
   rng_.set_state(rng_state);
 
-  sequences_.assign(r.get_length(), Sequence{});
+  const auto malformed = [](const char* what) {
+    return std::runtime_error(std::string("malformed snapshot: ") + what);
+  };
+  const auto count = r.get_length();
+  // Every live sequence holds a slot and handles are minted only when none
+  // is free, so a manager never has more handles than table slots.
+  if (count > iba::kArbTableEntries) throw malformed("too many sequences");
+  sequences_.assign(count, Sequence{});
   for (auto& seq : sequences_) {
     seq.vl = r.get_u8();
+    if (seq.vl >= iba::kMaxVirtualLanes) throw malformed("VL out of range");
     seq.distance = r.get_u32();
-    seq.positions = r.get_bytes();
+    int last = -1;
+    for (const auto p : r.get_bytes()) {
+      if (p >= iba::kArbTableEntries || p <= last)
+        throw malformed("positions out of range or not ascending");
+      seq.slots |= std::uint64_t{1} << p;
+      last = p;
+    }
     seq.weight_per_entry = r.get_u32();
     seq.connections = r.get_u32();
     seq.reserved_mbps = r.get_double();
     seq.live = r.get_bool();
+    if (!seq.live) continue;
+    // The indexes below key on these; check_invariants audits the rest.
+    if (seq.slots == 0) throw malformed("live sequence without slots");
+    if ((seq.distance == 0) != (cfg_.policy == FillPolicy::kScattered))
+      throw malformed("sequence kind does not match the fill policy");
+    if (seq.distance != 0 &&
+        (!is_pow2(seq.distance) || seq.distance > kMaxDistance))
+      throw malformed("sequence distance not a valid power of two");
   }
   free_handles_.resize(r.get_length());
-  for (auto& h : free_handles_) h = r.get_u32();
+  for (auto& h : free_handles_) {
+    h = r.get_u32();
+    if (h >= sequences_.size() || sequences_[h].live)
+      throw malformed("free handle out of range or live");
+  }
   if (r.get_u64() != low_dynamic_weight_.size())
     throw std::runtime_error("snapshot low-table weight count mismatch");
   for (auto& lw : low_dynamic_weight_) lw = r.get_u32();
@@ -330,8 +386,14 @@ void TableManager::load_state(util::BinReader& r) {
   // the restore auditor) proves the rebuild matches the saved world.
   for (unsigned p = 0; p < iba::kArbTableEntries; ++p)
     table_.set_high_entry(p, {});
-  for (const auto& seq : sequences_)
-    if (seq.live) write_sequence(seq);
+  occupied_ = 0;
+  starts_ = {};
+  vl_handles_ = {};
+  for (SeqHandle h = 0; h < sequences_.size(); ++h) {
+    if (!sequences_[h].live) continue;
+    write_sequence(sequences_[h]);
+    index_sequence(h);
+  }
   if (!render_low_table())
     throw std::runtime_error("restored low table does not fit");
 }
@@ -343,7 +405,7 @@ bool TableManager::check_invariants(std::string* why) const {
   };
 
   iba::ArbTable expected{};
-  std::array<bool, iba::kArbTableEntries> used{};
+  std::uint64_t used = 0;
   for (const auto& seq : sequences_) {
     if (!seq.live) continue;
     if (seq.connections == 0) return fail("live sequence with 0 connections");
@@ -353,25 +415,39 @@ bool TableManager::check_invariants(std::string* why) const {
     if (seq.distance != 0) {
       if (!is_pow2(seq.distance) || seq.distance > kMaxDistance)
         return fail("sequence distance not a valid power of two");
-      if (seq.positions.size() != iba::kArbTableEntries / seq.distance)
+      if (seq.positions().size() != iba::kArbTableEntries / seq.distance)
         return fail("sequence entry count mismatch");
-      const unsigned offset = seq.positions.empty() ? 0 : seq.positions[0];
-      for (std::size_t k = 0; k < seq.positions.size(); ++k)
-        if (seq.positions[k] != offset + k * seq.distance)
-          return fail("sequence positions not equally spaced");
+      const auto offset =
+          static_cast<unsigned>(std::countr_zero(seq.slots));
+      if (offset >= seq.distance ||
+          seq.slots != EntrySet{seq.distance, offset}.mask())
+        return fail("sequence positions not equally spaced");
     }
-    for (const auto p : seq.positions) {
-      if (p >= iba::kArbTableEntries) return fail("position out of range");
-      if (used[p]) return fail("overlapping sequences");
-      used[p] = true;
+    if ((used & seq.slots) != 0) return fail("overlapping sequences");
+    used |= seq.slots;
+    for (const auto p : seq.positions())
       expected[p] = iba::ArbTableEntry{
           seq.vl, static_cast<std::uint8_t>(seq.weight_per_entry)};
-    }
   }
   for (unsigned p = 0; p < iba::kArbTableEntries; ++p)
     if (!(expected[p] == table_.high()[p]))
       return fail("table weight does not match sequence bookkeeping at slot " +
                   std::to_string(p));
+
+  std::array<std::uint64_t, kDistanceClasses> starts{};
+  std::array<std::uint64_t, iba::kMaxVirtualLanes> vl_handles{};
+  for (SeqHandle h = 0; h < sequences_.size(); ++h) {
+    const Sequence& seq = sequences_[h];
+    if (!seq.live) continue;
+    vl_handles[seq.vl] |= std::uint64_t{1} << h;
+    if (seq.distance == 0) continue;
+    const unsigned start = kReverse6[std::countr_zero(seq.slots)];
+    starts[std::countr_zero(seq.distance)] |= std::uint64_t{1} << start;
+    if (owner_[start] != h) return fail("buddy-start owner index drift");
+  }
+  if (used != occupied_) return fail("occupancy mask drift");
+  if (starts != starts_) return fail("buddy-start mask drift");
+  if (vl_handles != vl_handles_) return fail("per-VL handle index drift");
 
   double sum_mbps = low_reserved_mbps_;
   for (const auto& seq : sequences_)

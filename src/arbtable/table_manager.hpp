@@ -6,8 +6,22 @@
 // admission is bounded by bandwidth rather than by the 64 entries. When a
 // sequence's accumulated weight drops to zero its entries are freed and the
 // defragmenter restores the invariant the filling algorithm relies on.
+//
+// Bookkeeping is fixed-size and table-shaped, so admission, release and
+// defragmentation never touch the heap once the handle vectors have grown:
+//  * each sequence holds its slots as a 64-bit mask (bit p = slot p);
+//  * occupied_ is the OR of every live sequence's mask — the fill scan works
+//    on it instead of on the table entries;
+//  * starts_[log2 d] marks, in buddy space (entry_set.hpp), the address
+//    rev_6(offset) where each live spaced sequence of distance d begins,
+//    and owner_ names the handle found there — the defragmenter walks these
+//    instead of sorting;
+//  * vl_handles_[vl] marks the live handles on each VL, which is all the
+//    sharing lookup needs. Handles stay below 64: every live sequence holds
+//    at least one slot and a new handle is minted only when none is free.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -29,11 +43,14 @@ using SeqHandle = std::uint32_t;
 struct Sequence {
   iba::VirtualLane vl = 0;
   unsigned distance = 0;                 ///< Power of two; 0 for scattered.
-  std::vector<std::uint8_t> positions;   ///< Table slots, ascending.
+  std::uint64_t slots = 0;               ///< Table slots, bit p = slot p.
   unsigned weight_per_entry = 0;         ///< Accumulated across sharers.
   unsigned connections = 0;              ///< Sharing count.
   double reserved_mbps = 0.0;            ///< Accumulated bandwidth.
   bool live = false;
+
+  /// The table slots in ascending order.
+  SlotRange positions() const noexcept { return SlotRange(slots); }
 };
 
 class TableManager {
@@ -96,8 +113,8 @@ class TableManager {
   double reservable_mbps() const noexcept {
     return cfg_.link_data_mbps * cfg_.reservable_fraction;
   }
-  unsigned free_entries() const;
-  unsigned live_sequences() const;
+  unsigned free_entries() const noexcept;
+  unsigned live_sequences() const noexcept;
 
   const Sequence& sequence(SeqHandle handle) const {
     return sequences_.at(handle);
@@ -105,7 +122,9 @@ class TableManager {
 
   /// Audits internal consistency: the high table's weights must equal the
   /// sum over live sequences, positions must not overlap, per-entry weights
-  /// must respect the 255 cap, spaced sequences must match their E_{i,j}.
+  /// must respect the 255 cap, spaced sequences must match their E_{i,j},
+  /// and the occupancy, buddy-start and per-VL masks must match the live
+  /// sequences they index.
   /// On failure `why` (if given) describes the first violation.
   bool check_invariants(std::string* why = nullptr) const;
 
@@ -141,17 +160,24 @@ class TableManager {
  private:
   friend unsigned defragment_sequences(TableManager& manager);
 
-  std::optional<SeqHandle> try_share(iba::VirtualLane vl,
-                                     const Requirement& req, double mbps);
+  /// Lowest live handle on `vl` that (vl, req) may share, or std::nullopt.
+  std::optional<SeqHandle> find_share(iba::VirtualLane vl,
+                                      const Requirement& req) const;
   SeqHandle create_sequence(iba::VirtualLane vl, unsigned distance,
-                            std::vector<std::uint8_t> positions,
-                            const Requirement& req, double mbps);
+                            std::uint64_t slots, const Requirement& req,
+                            double mbps);
   void write_sequence(const Sequence& seq);
-  void erase_sequence(Sequence& seq);
+  void erase_sequence(SeqHandle handle);
+
+  /// Adds (removes) a live sequence to (from) occupied_, starts_, owner_ and
+  /// vl_handles_.
+  void index_sequence(SeqHandle handle);
+  void unindex_sequence(SeqHandle handle);
 
   /// Re-renders the low table from the static best-effort entries plus the
-  /// dynamic per-VL weights. Returns false (leaving the table unchanged)
-  /// when more than 64 entries would be needed.
+  /// dynamic per-VL weights, writing only the slots that change. Returns
+  /// false (leaving the table unchanged) when more than 64 entries would be
+  /// needed.
   bool render_low_table();
 
   Config cfg_;
@@ -159,8 +185,13 @@ class TableManager {
   iba::VlArbitrationTable table_;
   std::vector<std::pair<iba::VirtualLane, std::uint8_t>> low_static_;
   std::array<unsigned, iba::kMaxVirtualLanes> low_dynamic_weight_{};
+  unsigned low_used_ = 0;  ///< Low-table slots the last render filled.
   std::vector<Sequence> sequences_;
   std::vector<SeqHandle> free_handles_;
+  std::uint64_t occupied_ = 0;
+  std::array<std::uint64_t, kDistanceClasses> starts_{};
+  std::array<SeqHandle, iba::kArbTableEntries> owner_{};
+  std::array<std::uint64_t, iba::kMaxVirtualLanes> vl_handles_{};
   double reserved_mbps_ = 0.0;      ///< High + low reservations together.
   double low_reserved_mbps_ = 0.0;  ///< Legacy low-table share of the above.
   Stats stats_;

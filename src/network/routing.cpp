@@ -70,20 +70,11 @@ Routes RoutesBuilder::build() && {
 
 std::vector<PortRef> Routes::path(iba::NodeId src_host,
                                   iba::NodeId dst_host) const {
-  assert(graph_ != nullptr);
   std::vector<PortRef> out;
-  out.push_back(PortRef{src_host, 0});
-  iba::NodeId at = graph_->host_uplink(src_host).node;
-  while (true) {
-    const auto port = out_port(at, dst_host);
-    out.push_back(PortRef{at, port});
-    const auto peer = graph_->peer(at, port);
-    assert(peer.has_value());
-    if (peer->node == dst_host) break;
-    assert(graph_->is_switch(peer->node));
-    at = peer->node;
-    assert(out.size() <= graph_->node_count() && "routing loop");
-  }
+  for_each_hop(src_host, dst_host, [&out](const PortRef& port) {
+    out.push_back(port);
+    return true;
+  });
   return out;
 }
 

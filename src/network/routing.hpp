@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -76,6 +77,29 @@ class Routes {
   /// Output ports traversed from source host to destination host, in order:
   /// the host's own port 0 first, then one output port per switch crossed.
   std::vector<PortRef> path(iba::NodeId src_host, iba::NodeId dst_host) const;
+
+  /// Walks the same ports as path() without allocating, calling
+  /// `visit(const PortRef&)` on each in order; the walk stops early when
+  /// `visit` returns false. Returns true when every port was visited.
+  template <class Visit>
+  bool for_each_hop(iba::NodeId src_host, iba::NodeId dst_host,
+                    Visit&& visit) const {
+    assert(graph_ != nullptr);
+    if (!visit(PortRef{src_host, 0})) return false;
+    iba::NodeId at = graph_->host_uplink(src_host).node;
+    [[maybe_unused]] std::size_t visited = 1;
+    while (true) {
+      const auto port = out_port(at, dst_host);
+      if (!visit(PortRef{at, port})) return false;
+      const auto peer = graph_->peer(at, port);
+      assert(peer.has_value());
+      if (peer->node == dst_host) return true;
+      assert(graph_->is_switch(peer->node));
+      at = peer->node;
+      ++visited;
+      assert(visited <= graph_->node_count() && "routing loop");
+    }
+  }
 
   /// Switches crossed between the two hosts (path length minus the host).
   /// Walks the table directly — no allocation.

@@ -14,7 +14,7 @@
 
 namespace ibarb::obs {
 
-thread_local std::size_t t_series_lane = 0;
+constinit thread_local std::size_t t_series_lane = 0;
 
 bool is_quarantined_name(std::string_view name) noexcept {
   return name.rfind("profile.", 0) == 0 || name.rfind("shard.", 0) == 0;

@@ -54,7 +54,7 @@ bool is_quarantined_name(std::string_view name) noexcept;
 /// Lane 0 is the default; shard workers set it to their shard id for the
 /// duration of a parallel window so concurrent record_delivery calls never
 /// touch the same window map.
-extern thread_local std::size_t t_series_lane;
+extern constinit thread_local std::size_t t_series_lane;
 
 /// 64-bucket base-2 histogram with exact integer counts. Bucket i holds
 /// values whose bit_width is i (bucket 0 = the value 0, bucket 1 = 1,

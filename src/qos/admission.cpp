@@ -6,14 +6,6 @@
 
 namespace ibarb::qos {
 
-namespace {
-
-std::uint64_t port_key(const network::PortRef& port) {
-  return static_cast<std::uint64_t>(port.node) * 256 + port.port;
-}
-
-}  // namespace
-
 AdmissionControl::AdmissionControl(const network::FabricGraph& graph,
                                    const network::Routes& routes,
                                    std::vector<SlProfile> catalogue,
@@ -22,44 +14,73 @@ AdmissionControl::AdmissionControl(const network::FabricGraph& graph,
       cfg_(cfg) {
   // Eagerly create a manager for every wired output port so program() gives
   // all ports their low-priority (best-effort) configuration even before any
-  // reservation lands on them.
+  // reservation lands on them. Nodes and ports ascend, so managers_ comes out
+  // in key order.
+  const auto low = low_priority_config(catalogue_);
+  port_base_.reserve(graph_.node_count() + 1);
   for (iba::NodeId node = 0; node < graph_.node_count(); ++node) {
+    port_base_.push_back(static_cast<std::uint32_t>(port_slot_.size()));
     const unsigned ports = graph_.is_switch(node) ? graph_.port_count(node) : 1;
     for (unsigned p = 0; p < ports; ++p) {
-      if (graph_.peer(node, static_cast<iba::PortIndex>(p)))
-        manager_for(network::PortRef{node, static_cast<iba::PortIndex>(p)});
+      const auto port = static_cast<iba::PortIndex>(p);
+      if (!graph_.peer(node, port)) {
+        port_slot_.push_back(kNoManager);
+        continue;
+      }
+      const auto key = static_cast<std::uint64_t>(node) * 256 + port;
+      arbtable::TableManager::Config mc;
+      mc.link_data_mbps = iba::link_mbps(graph_.link(node, port).rate);
+      mc.reservable_fraction = cfg_.reservable_fraction;
+      mc.policy = cfg_.policy;
+      mc.defrag_on_release = cfg_.defrag_on_release;
+      mc.seed = cfg_.seed ^ key;
+      port_slot_.push_back(static_cast<std::uint32_t>(managers_.size()));
+      auto& manager =
+          managers_.emplace_back(PortManager{key, arbtable::TableManager(mc)})
+              .manager;
+      // Every port serves the best-effort family from its low table and
+      // applies the configured high-priority limit.
+      manager.configure_low_priority(low);
+      manager.set_limit_of_high_priority(cfg_.limit_of_high_priority);
     }
   }
+  port_base_.push_back(static_cast<std::uint32_t>(port_slot_.size()));
+}
+
+std::uint32_t AdmissionControl::manager_index(
+    const network::PortRef& port) const noexcept {
+  if (port.node >= graph_.node_count()) return kNoManager;
+  const std::uint32_t at = port_base_[port.node] + port.port;
+  if (at >= port_base_[port.node + 1]) return kNoManager;
+  return port_slot_[at];
 }
 
 arbtable::TableManager& AdmissionControl::manager_for(
     const network::PortRef& port) {
-  const auto key = port_key(port);
-  const auto it = managers_.find(key);
-  if (it != managers_.end()) return it->second;
-
-  arbtable::TableManager::Config mc;
-  mc.link_data_mbps = iba::link_mbps(graph_.link(port.node, port.port).rate);
-  mc.reservable_fraction = cfg_.reservable_fraction;
-  mc.policy = cfg_.policy;
-  mc.defrag_on_release = cfg_.defrag_on_release;
-  mc.seed = cfg_.seed ^ key;
-  auto [pos, inserted] = managers_.emplace(key, arbtable::TableManager(mc));
-  assert(inserted);
-  // Every port serves the best-effort family from its low table and applies
-  // the configured high-priority limit.
-  const auto low = low_priority_config(catalogue_);
-  pos->second.configure_low_priority(low);
-  pos->second.set_limit_of_high_priority(cfg_.limit_of_high_priority);
-  return pos->second;
+  const auto index = manager_index(port);
+  if (index == kNoManager)
+    throw std::logic_error("route crosses an unwired output port");
+  return managers_[index].manager;
 }
 
 const arbtable::TableManager& AdmissionControl::port_manager(
     iba::NodeId node, iba::PortIndex port) const {
-  const auto it = managers_.find(port_key(network::PortRef{node, port}));
-  if (it == managers_.end())
+  const auto index = manager_index(network::PortRef{node, port});
+  if (index == kNoManager)
     throw std::out_of_range("no reservations on this port yet");
-  return it->second;
+  return managers_[index].manager;
+}
+
+void AdmissionControl::release_hops(const std::vector<HopReservation>& hops) {
+  for (const auto& hop : hops) {
+    auto& manager = manager_for(hop.port);
+    if (hop.low_table) {
+      manager.remove_low_weight(hop.vl, hop.requirement.total_weight,
+                                hop.mbps);
+    } else {
+      manager.release(hop.handle, hop.requirement, hop.mbps);
+    }
+  }
 }
 
 std::optional<ConnectionId> AdmissionControl::request(
@@ -71,66 +92,51 @@ std::optional<ConnectionId> AdmissionControl::request(
   const bool legacy_db = cfg_.scheme == Scheme::kLegacy &&
                          profile->category == TrafficCategory::kDb;
 
-  const auto path = routes_.path(req.src_host, req.dst_host);
-  Connection conn;
-  conn.request = req;
-
-  bool ok = true;
-  for (const auto& port : path) {
-    auto& manager = manager_for(port);
-    const auto requirement = arbtable::compute_requirement(
-        req.wire_mbps, manager.config().link_data_mbps, req.max_distance);
-    if (!requirement) {
-      ok = false;
-      break;
-    }
-    HopReservation hop;
-    hop.port = port;
-    hop.requirement = *requirement;
-    hop.mbps = req.wire_mbps;
-    hop.vl = profile->vl;
-    if (legacy_db) {
-      // Prior-work scheme: DB gets only accumulated low-table weight
-      // (latency structure irrelevant — no guarantee is possible there).
-      hop.low_table = true;
-      if (!manager.add_low_weight(profile->vl, requirement->total_weight,
-                                  req.wire_mbps)) {
-        ok = false;
-        break;
-      }
-    } else {
-      const auto handle =
-          manager.allocate(profile->vl, *requirement, req.wire_mbps);
-      if (!handle) {
-        ok = false;
-        break;
-      }
-      hop.handle = *handle;
-    }
-    conn.hops.push_back(hop);
-  }
+  pending_hops_.clear();
+  const bool ok = routes_.for_each_hop(
+      req.src_host, req.dst_host, [&](const network::PortRef& port) {
+        auto& manager = manager_for(port);
+        const auto requirement = arbtable::compute_requirement(
+            req.wire_mbps, manager.config().link_data_mbps, req.max_distance);
+        if (!requirement) return false;
+        HopReservation hop;
+        hop.port = port;
+        hop.requirement = *requirement;
+        hop.mbps = req.wire_mbps;
+        hop.vl = profile->vl;
+        if (legacy_db) {
+          // Prior-work scheme: DB gets only accumulated low-table weight
+          // (latency structure irrelevant — no guarantee is possible there).
+          hop.low_table = true;
+          if (!manager.add_low_weight(profile->vl, requirement->total_weight,
+                                      req.wire_mbps))
+            return false;
+        } else {
+          const auto handle =
+              manager.allocate(profile->vl, *requirement, req.wire_mbps);
+          if (!handle) return false;
+          hop.handle = *handle;
+        }
+        pending_hops_.push_back(hop);
+        return true;
+      });
 
   if (!ok) {
     // Roll back the hops already reserved.
-    for (const auto& hop : conn.hops) {
-      auto& manager = manager_for(hop.port);
-      if (hop.low_table) {
-        manager.remove_low_weight(hop.vl, hop.requirement.total_weight,
-                                  hop.mbps);
-      } else {
-        manager.release(hop.handle, hop.requirement, hop.mbps);
-      }
-    }
+    release_hops(pending_hops_);
     ++rejected_;
     return std::nullopt;
   }
 
+  Connection conn;
+  conn.request = req;
+  conn.hops = pending_hops_;
   conn.id = next_id_++;
   conn.live = true;
   conn.category = profile->category;
   conn.deadline =
       end_to_end_guarantee(req.max_distance,
-                           static_cast<unsigned>(path.size()),
+                           static_cast<unsigned>(conn.hops.size()),
                            cfg_.max_packet_wire_bytes);
   connections_.emplace(conn.id, std::move(conn));
   ++accepted_;
@@ -143,41 +149,38 @@ std::optional<ConnectionId> AdmissionControl::request_best_effort(
   if (profile == nullptr || profile->max_distance != 0)
     throw std::invalid_argument("SL is not a best-effort class");
 
-  const auto path = routes_.path(req.src_host, req.dst_host);
-  Connection conn;
-  conn.request = req;
-
-  bool ok = true;
-  for (const auto& port : path) {
-    auto& manager = manager_for(port);
-    // Distance is irrelevant for the low table: the requirement only shapes
-    // the accumulated weight and the bandwidth accounting.
-    const auto requirement = arbtable::compute_requirement(
-        req.wire_mbps, manager.config().link_data_mbps,
-        iba::kArbTableEntries);
-    if (!requirement ||
-        !manager.add_low_weight(profile->vl, requirement->total_weight,
-                                req.wire_mbps)) {
-      ok = false;
-      break;
-    }
-    HopReservation hop;
-    hop.port = port;
-    hop.requirement = *requirement;
-    hop.mbps = req.wire_mbps;
-    hop.vl = profile->vl;
-    hop.low_table = true;
-    conn.hops.push_back(hop);
-  }
+  pending_hops_.clear();
+  const bool ok = routes_.for_each_hop(
+      req.src_host, req.dst_host, [&](const network::PortRef& port) {
+        auto& manager = manager_for(port);
+        // Distance is irrelevant for the low table: the requirement only
+        // shapes the accumulated weight and the bandwidth accounting.
+        const auto requirement = arbtable::compute_requirement(
+            req.wire_mbps, manager.config().link_data_mbps,
+            iba::kArbTableEntries);
+        if (!requirement ||
+            !manager.add_low_weight(profile->vl, requirement->total_weight,
+                                    req.wire_mbps))
+          return false;
+        HopReservation hop;
+        hop.port = port;
+        hop.requirement = *requirement;
+        hop.mbps = req.wire_mbps;
+        hop.vl = profile->vl;
+        hop.low_table = true;
+        pending_hops_.push_back(hop);
+        return true;
+      });
 
   if (!ok) {
-    for (const auto& hop : conn.hops)
-      manager_for(hop.port).remove_low_weight(
-          hop.vl, hop.requirement.total_weight, hop.mbps);
+    release_hops(pending_hops_);
     ++rejected_;
     return std::nullopt;
   }
 
+  Connection conn;
+  conn.request = req;
+  conn.hops = pending_hops_;
   conn.id = next_id_++;
   conn.live = true;
   conn.category = profile->category;
@@ -253,18 +256,16 @@ bool AdmissionControl::can_admit_path(const ConnectionRequest& req) const {
       profile->category == TrafficCategory::kDb)
     return false;  // the low-table path has no Theorem-1 guarantee to audit
 
-  const auto path = routes_.path(req.src_host, req.dst_host);
-  for (const auto& port : path) {
-    const auto it = managers_.find(port_key(port));
-    if (it == managers_.end()) return false;
-    const auto& manager = it->second;
-    const auto requirement = arbtable::compute_requirement(
-        req.wire_mbps, manager.config().link_data_mbps, req.max_distance);
-    if (!requirement) return false;
-    if (!manager.can_admit(profile->vl, *requirement, req.wire_mbps))
-      return false;
-  }
-  return true;
+  return routes_.for_each_hop(
+      req.src_host, req.dst_host, [&](const network::PortRef& port) {
+        const auto index = manager_index(port);
+        if (index == kNoManager) return false;
+        const auto& manager = managers_[index].manager;
+        const auto requirement = arbtable::compute_requirement(
+            req.wire_mbps, manager.config().link_data_mbps, req.max_distance);
+        return requirement &&
+               manager.can_admit(profile->vl, *requirement, req.wire_mbps);
+      });
 }
 
 std::uint64_t AdmissionControl::live_count() const noexcept {
@@ -278,15 +279,7 @@ void AdmissionControl::release(ConnectionId id) {
   const auto it = connections_.find(id);
   if (it == connections_.end() || !it->second.live)
     throw std::invalid_argument("unknown or already-released connection");
-  for (const auto& hop : it->second.hops) {
-    auto& manager = manager_for(hop.port);
-    if (hop.low_table) {
-      manager.remove_low_weight(hop.vl, hop.requirement.total_weight,
-                                hop.mbps);
-    } else {
-      manager.release(hop.handle, hop.requirement, hop.mbps);
-    }
-  }
+  release_hops(it->second.hops);
   it->second.live = false;
   it->second.hops.clear();
 }
@@ -410,10 +403,15 @@ void AdmissionControl::load_state(util::BinReader& r) {
     throw std::runtime_error("snapshot port-manager count mismatch");
   for (std::uint64_t i = 0; i < manager_count; ++i) {
     const auto key = r.get_u64();
-    const auto it = managers_.find(key);
-    if (it == managers_.end())
+    const auto index =
+        key / 256 < graph_.node_count()
+            ? manager_index(network::PortRef{
+                  static_cast<iba::NodeId>(key / 256),
+                  static_cast<iba::PortIndex>(key % 256)})
+            : kNoManager;
+    if (index == kNoManager)
       throw std::runtime_error("snapshot references an unwired port");
-    it->second.load_state(r);
+    managers_[index].manager.load_state(r);
   }
   connections_.clear();
   const auto live = r.get_length();

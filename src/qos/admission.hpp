@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "arbtable/table_manager.hpp"
@@ -148,15 +149,34 @@ class AdmissionControl {
   bool audit_full(std::string* why = nullptr) const;
 
  private:
+  struct PortManager {
+    std::uint64_t key;  ///< node * 256 + port.
+    arbtable::TableManager manager;
+  };
+
+  /// Position of a port's manager in managers_, or kNoManager.
+  std::uint32_t manager_index(const network::PortRef& port) const noexcept;
   arbtable::TableManager& manager_for(const network::PortRef& port);
+
+  /// Undoes the reservations in `hops` (a refused request's partial path, or
+  /// a released connection's whole path).
+  void release_hops(const std::vector<HopReservation>& hops);
 
   const network::FabricGraph& graph_;
   const network::Routes& routes_;
   std::vector<SlProfile> catalogue_;
   Config cfg_;
 
-  /// Key: node * 256 + port.
-  std::map<std::uint64_t, arbtable::TableManager> managers_;
+  /// One manager per wired output port, in ascending key order — the order
+  /// program(), save_state() and telemetry walk.
+  std::vector<PortManager> managers_;
+  /// Flat port index: port_slot_[port_base_[node] + port] is the position of
+  /// that port's manager in managers_, or kNoManager when it has none.
+  static constexpr std::uint32_t kNoManager = 0xFFFFFFFFu;
+  std::vector<std::uint32_t> port_base_;
+  std::vector<std::uint32_t> port_slot_;
+  /// Hops of the request being placed; reused so a refusal allocates nothing.
+  std::vector<HopReservation> pending_hops_;
   std::map<ConnectionId, Connection> connections_;
   ConnectionId next_id_ = 1;
   std::uint64_t accepted_ = 0;

@@ -12,7 +12,7 @@
 
 namespace ibarb::sim {
 
-thread_local ShardCtx* t_shard = nullptr;
+constinit thread_local ShardCtx* t_shard = nullptr;
 
 namespace {
 

@@ -214,8 +214,9 @@ struct ShardCtx {
 };
 
 /// Current worker's shard context; null on the sequential path, between
-/// windows, and on the orchestrating thread.
-extern thread_local ShardCtx* t_shard;
+/// windows, and on the orchestrating thread. constinit: other translation
+/// units read it directly rather than through a TLS init wrapper.
+extern constinit thread_local ShardCtx* t_shard;
 
 class ShardEngine {
  public:

@@ -22,6 +22,17 @@ TEST(BitReversal, SingleBit) {
   EXPECT_EQ(reverse_bits(1, 1), 1u);
 }
 
+TEST(BitReversal, SlotOrderReversalMovesEachBitToItsRev6) {
+  for (unsigned p = 0; p < 64; ++p) {
+    EXPECT_EQ(kReverse6[p], reverse_bits(p, 6));
+    EXPECT_EQ(reverse_slot_order(std::uint64_t{1} << p),
+              std::uint64_t{1} << reverse_bits(p, 6))
+        << "slot " << p;
+  }
+  const std::uint64_t mixed = 0x9E3779B97F4A7C15ull;
+  EXPECT_EQ(reverse_slot_order(reverse_slot_order(mixed)), mixed);
+}
+
 TEST(BitReversal, IsAnInvolution) {
   for (unsigned bits = 1; bits <= 6; ++bits)
     for (unsigned v = 0; v < (1u << bits); ++v)

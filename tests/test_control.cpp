@@ -145,6 +145,79 @@ TEST(TableManagerSnapshot, ConfigMismatchThrows) {
   EXPECT_THROW(other.load_state(r), std::runtime_error);
 }
 
+/// One sequence record in TableManager::save_state's layout.
+struct SeqRecord {
+  std::uint8_t vl = 3;
+  std::uint32_t distance = 64;
+  std::vector<std::uint8_t> positions{5};
+  bool live = true;
+};
+
+/// A snapshot payload for `cfg` holding `seqs` and `free_handles`, with
+/// every other field empty.
+std::vector<std::uint8_t> manager_blob(
+    const arbtable::TableManager::Config& cfg,
+    const std::vector<SeqRecord>& seqs,
+    const std::vector<std::uint32_t>& free_handles = {}) {
+  util::BinWriter fresh;
+  arbtable::TableManager(cfg).save_state(fresh);
+  util::BinWriter w;
+  util::BinReader header(fresh.bytes());
+  for (int k = 0; k < 5; ++k) w.put_u64(header.get_u64());  // fingerprint, RNG
+  w.put_u64(seqs.size());
+  for (const auto& s : seqs) {
+    w.put_u8(s.vl);
+    w.put_u32(s.distance);
+    w.put_bytes(s.positions);
+    w.put_u32(s.live ? 1 : 0);  // weight per entry
+    w.put_u32(s.live ? 1 : 0);  // connections
+    w.put_double(0.0);
+    w.put_bool(s.live);
+  }
+  w.put_u64(free_handles.size());
+  for (const auto h : free_handles) w.put_u32(h);
+  w.put_u64(iba::kMaxVirtualLanes);
+  for (unsigned vl = 0; vl < iba::kMaxVirtualLanes; ++vl) w.put_u32(0);
+  w.put_double(0.0);
+  w.put_double(0.0);
+  for (int k = 0; k < 7; ++k) w.put_u64(0);  // stats
+  return w.bytes();
+}
+
+TEST(TableManagerSnapshot, MalformedSequencesAreRejected) {
+  arbtable::TableManager::Config cfg;
+  cfg.link_data_mbps = 2000.0;
+  const auto load = [&](const std::vector<std::uint8_t>& blob) {
+    arbtable::TableManager m(cfg);
+    util::BinReader r(blob);
+    m.load_state(r);
+    std::string why;
+    EXPECT_TRUE(m.check_invariants(&why)) << why;
+  };
+  EXPECT_NO_THROW(load(manager_blob(cfg, {SeqRecord{}})));
+
+  SeqRecord bad_slot;
+  bad_slot.positions = {64};
+  SeqRecord descending;
+  descending.distance = 32;
+  descending.positions = {33, 1};
+  SeqRecord bad_vl;
+  bad_vl.vl = iba::kMaxVirtualLanes;
+  SeqRecord scattered;  // distance 0 under a spaced fill policy
+  scattered.distance = 0;
+  for (const auto& seq : {bad_slot, descending, bad_vl, scattered})
+    EXPECT_THROW(load(manager_blob(cfg, {seq})), std::runtime_error);
+
+  const std::vector<SeqRecord> too_many(iba::kArbTableEntries + 1,
+                                        SeqRecord{.live = false});
+  EXPECT_THROW(load(manager_blob(cfg, too_many)), std::runtime_error);
+  // Free handles must name existing, dead sequences.
+  EXPECT_THROW(load(manager_blob(cfg, {SeqRecord{}}, {0})),
+               std::runtime_error);
+  EXPECT_THROW(load(manager_blob(cfg, {SeqRecord{}}, {7})),
+               std::runtime_error);
+}
+
 // --------------------------------------------------------------------------
 // Full-world harness
 

@@ -11,8 +11,8 @@ TEST(EntrySet, PositionsAreEquallySpaced) {
   const EntrySet e{8, 3};
   const auto pos = e.positions();
   ASSERT_EQ(pos.size(), 8u);
-  for (std::size_t k = 0; k < pos.size(); ++k)
-    EXPECT_EQ(pos[k], 3u + 8u * k);
+  unsigned k = 0;
+  for (const auto p : pos) EXPECT_EQ(p, 3u + 8u * k++);
 }
 
 TEST(EntrySet, SizeIsTableOverDistance) {

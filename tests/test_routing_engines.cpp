@@ -11,6 +11,8 @@
 
 #include <limits>
 #include <queue>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -323,15 +325,45 @@ void expect_delivers(const Routes& r, std::size_t max_pairs = 4096) {
   }
 }
 
+constexpr std::string_view kSpecs[] = {
+    "irregular:switches=16,seed=11", "irregular:switches=32,seed=3",
+    "single", "line:switches=5", "mesh2d:cols=4,rows=3",
+    "mesh2d:cols=5,rows=4", "torus2d:cols=4,rows=4",
+    "torus2d:cols=5,rows=3", "torus3d:x=3,y=3,z=3", "torus3d:x=3,y=4,z=5",
+    "torus3d:x=8,y=8,z=8,hosts=2", "fattree:k=4,n=2", "fattree:k=4,n=3",
+    "fattree:k=16,n=3", "fattree2:spines=4,leaves=8", "dragonfly:a=4,h=2",
+    "dragonfly:a=4,h=2,g=9,p=2", "dragonfly:a=8,h=4,g=33,p=4"};
+constexpr std::string_view kEngines[] = {"updown", "minimal-vl-escape",
+                                         "fattree-dmodk"};
+
+/// One matrix cell as indices into kSpecs / kEngines. gtest prints a
+/// parameter without operator<< as its raw bytes, and ctest discovery puts
+/// that text into the test name; string pointers there would change with
+/// every build and every run (ASLR), plain indices do not.
 struct Combo {
-  const char* spec;
-  const char* engine;
+  std::size_t spec;
+  std::size_t engine;
+  std::string_view spec_name() const { return kSpecs[spec]; }
+  std::string_view engine_name() const { return kEngines[engine]; }
 };
+
+template <std::size_t N>
+consteval std::size_t index_of(const std::string_view (&table)[N],
+                               std::string_view key) {
+  for (std::size_t i = 0; i < N; ++i)
+    if (table[i] == key) return i;
+  throw "not in table";  // a compile error in a consteval call
+}
+
+consteval Combo combo(std::string_view spec, std::string_view engine) {
+  return {index_of(kSpecs, spec), index_of(kEngines, engine)};
+}
 
 class EngineMatrix : public ::testing::TestWithParam<Combo> {};
 
 TEST_P(EngineMatrix, CdgAcyclicAndDelivers) {
-  const auto& [spec, engine] = GetParam();
+  const std::string spec(GetParam().spec_name());
+  const std::string engine(GetParam().engine_name());
   const auto g = TopologySpec::parse(spec).build();
   const auto routes = compute_routes(g, engine);
   EXPECT_EQ(routes.engine(), engine);
@@ -344,33 +376,33 @@ INSTANTIATE_TEST_SUITE_P(
     Registry, EngineMatrix,
     ::testing::Values(
         // updown accepts every family.
-        Combo{"irregular:switches=16,seed=11", "updown"},
-        Combo{"irregular:switches=32,seed=3", "updown"},
-        Combo{"single", "updown"}, Combo{"line:switches=5", "updown"},
-        Combo{"mesh2d:cols=4,rows=3", "updown"},
-        Combo{"torus2d:cols=4,rows=4", "updown"},
-        Combo{"torus3d:x=3,y=3,z=3", "updown"},
-        Combo{"fattree:k=4,n=2", "updown"},
-        Combo{"fattree2:spines=4,leaves=8", "updown"},
-        Combo{"dragonfly:a=4,h=2", "updown"},
+        combo("irregular:switches=16,seed=11", "updown"),
+        combo("irregular:switches=32,seed=3", "updown"),
+        combo("single", "updown"), combo("line:switches=5", "updown"),
+        combo("mesh2d:cols=4,rows=3", "updown"),
+        combo("torus2d:cols=4,rows=4", "updown"),
+        combo("torus3d:x=3,y=3,z=3", "updown"),
+        combo("fattree:k=4,n=2", "updown"),
+        combo("fattree2:spines=4,leaves=8", "updown"),
+        combo("dragonfly:a=4,h=2", "updown"),
         // minimal-vl-escape: the mesh/torus/dragonfly structures.
-        Combo{"mesh2d:cols=5,rows=4", "minimal-vl-escape"},
-        Combo{"torus2d:cols=4,rows=4", "minimal-vl-escape"},
-        Combo{"torus2d:cols=5,rows=3", "minimal-vl-escape"},
-        Combo{"torus3d:x=3,y=4,z=5", "minimal-vl-escape"},
-        Combo{"torus3d:x=8,y=8,z=8,hosts=2", "minimal-vl-escape"},
-        Combo{"dragonfly:a=4,h=2,g=9,p=2", "minimal-vl-escape"},
+        combo("mesh2d:cols=5,rows=4", "minimal-vl-escape"),
+        combo("torus2d:cols=4,rows=4", "minimal-vl-escape"),
+        combo("torus2d:cols=5,rows=3", "minimal-vl-escape"),
+        combo("torus3d:x=3,y=4,z=5", "minimal-vl-escape"),
+        combo("torus3d:x=8,y=8,z=8,hosts=2", "minimal-vl-escape"),
+        combo("dragonfly:a=4,h=2,g=9,p=2", "minimal-vl-escape"),
         // ISSUE 9 acceptance: the 1k-host dragonfly.
-        Combo{"dragonfly:a=8,h=4,g=33,p=4", "minimal-vl-escape"},
+        combo("dragonfly:a=8,h=4,g=33,p=4", "minimal-vl-escape"),
         // fattree-dmodk: k-ary n-trees and 2-level spine/leaf.
-        Combo{"fattree:k=4,n=2", "fattree-dmodk"},
-        Combo{"fattree:k=4,n=3", "fattree-dmodk"},
-        Combo{"fattree2:spines=4,leaves=8", "fattree-dmodk"},
+        combo("fattree:k=4,n=2", "fattree-dmodk"),
+        combo("fattree:k=4,n=3", "fattree-dmodk"),
+        combo("fattree2:spines=4,leaves=8", "fattree-dmodk"),
         // ISSUE 9 acceptance: the 4k-host fat-tree.
-        Combo{"fattree:k=16,n=3", "fattree-dmodk"}),
+        combo("fattree:k=16,n=3", "fattree-dmodk")),
     [](const auto& info) {
-      std::string name = std::string(info.param.spec) + "_" +
-                         info.param.engine;
+      std::string name = std::string(info.param.spec_name()) + "_" +
+                         std::string(info.param.engine_name());
       for (auto& c : name)
         if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
       return name;

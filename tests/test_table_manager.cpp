@@ -195,7 +195,7 @@ TEST(TableManager, ScatteredPolicyAllocatesAnyFreeSlots) {
   const auto h = m.allocate(3, r, 10.0);
   ASSERT_TRUE(h.has_value());
   EXPECT_EQ(m.sequence(*h).distance, 0u);
-  EXPECT_EQ(m.sequence(*h).positions.size(), 8u);
+  EXPECT_EQ(m.sequence(*h).positions().size(), 8u);
   EXPECT_EQ(m.free_entries(), 56u);
   EXPECT_TRUE(m.check_invariants());
 }
