@@ -10,15 +10,11 @@
 // explains how to read it).
 //
 // Harness sections (report figures):
-//  * queue      — the event queue alone, under a fig4-shaped event stream
-//                 (steady-state depth ~20k, the paper network's live event
-//                 count), measured for both implementations. The headline
-//                 `speedup` is wheel events/sec over the pre-PR binary-heap
-//                 baseline on this workload.
+//  * queue      — the timing-wheel event queue alone, under a fig4-shaped
+//                 event stream (steady-state depth ~20k, the paper network's
+//                 live event count).
 //  * sim_fig4   — the full fig4-style experiment (16-switch irregular fabric,
-//                 Table-1 workload, small MTU), simulation phase only, for
-//                 both queue implementations. End-to-end numbers: includes
-//                 all non-queue work, so the ratio here is smaller.
+//                 Table-1 workload, small MTU), simulation phase only.
 //  * arbiter    — arbitration decisions/sec on dense and sparse tables.
 //  * series     — the SeriesRecorder hot path: deliveries/sec through
 //                 record_delivery + windowed commits, in a regime without
@@ -237,8 +233,8 @@ struct QueueResult {
   std::uint64_t checksum = 0;  ///< Order-sensitive digest of popped events.
 };
 
-QueueResult measure_queue_once(sim::EventQueueImpl impl, std::size_t depth,
-                               std::uint64_t events, std::uint64_t seed) {
+QueueResult measure_queue_once(std::size_t depth, std::uint64_t events,
+                               std::uint64_t seed) {
   QueueResult res;
   // Gaps are pre-drawn into a ring so the timed loops measure the queue, not
   // the random-number generator; the ring fits in L2 and is read in order.
@@ -251,7 +247,7 @@ QueueResult measure_queue_once(sim::EventQueueImpl impl, std::size_t depth,
   }
   std::size_t ring = 0;
   const auto next_delta = [&] { return deltas[ring++ & (kRing - 1)]; };
-  sim::EventQueue q(impl);
+  sim::EventQueue q;
   iba::Cycle now = 0;
 
   const auto make_event = [&](iba::Cycle t) {
@@ -289,12 +285,11 @@ QueueResult measure_queue_once(sim::EventQueueImpl impl, std::size_t depth,
 /// Best of `reps` runs: wall-clock microbenchmarks are noisy downward only
 /// (scheduling, frequency ramps), so the fastest run is the least-disturbed
 /// estimate. The pop-order checksum must agree across every run.
-QueueResult measure_queue(sim::EventQueueImpl impl, std::size_t depth,
-                          std::uint64_t events, std::uint64_t seed,
-                          unsigned reps) {
-  QueueResult best = measure_queue_once(impl, depth, events, seed);
+QueueResult measure_queue(std::size_t depth, std::uint64_t events,
+                          std::uint64_t seed, unsigned reps) {
+  QueueResult best = measure_queue_once(depth, events, seed);
   for (unsigned r = 1; r < reps; ++r) {
-    const QueueResult run = measure_queue_once(impl, depth, events, seed);
+    const QueueResult run = measure_queue_once(depth, events, seed);
     if (run.checksum != best.checksum) {
       std::cerr << "error: queue replay checksum varies across runs\n";
       std::exit(2);
@@ -312,8 +307,7 @@ struct SimResult {
   double events_per_sec = 0.0;
 };
 
-SimResult measure_sim(const bench::PaperRunConfig& cfg, const char* queue_env) {
-  setenv("IBARB_EVENT_QUEUE", queue_env, 1);
+SimResult measure_sim(const bench::PaperRunConfig& cfg) {
   bench::PaperRun run(cfg, bench::PaperRun::DeferSim{});
   const auto t0 = std::chrono::steady_clock::now();
   run.run();
@@ -321,7 +315,6 @@ SimResult measure_sim(const bench::PaperRunConfig& cfg, const char* queue_env) {
   res.seconds = seconds_since(t0);
   res.events = run.summary.events;
   res.events_per_sec = static_cast<double>(res.events) / res.seconds;
-  unsetenv("IBARB_EVENT_QUEUE");
   return res;
 }
 
@@ -556,7 +549,7 @@ ChannelBenchResult measure_shard_channel(std::uint64_t items) {
   // Promote: the inbox sorted by final (time, key), then keyed insertion
   // into the event queue and a full in-order drain (the next window's pops).
   {
-    sim::EventQueue q(sim::EventQueueImpl::kWheel);
+    sim::EventQueue q;
     std::vector<sim::Push> journal(kBurst);
     std::vector<sim::Push*> inbox(kBurst);
     util::Xoshiro256 rng(31);
@@ -702,21 +695,14 @@ int run_json_harness(int argc, const char* const* argv) {
 
   std::cerr << "[bench_micro] queue replay (depth " << depth << ", "
             << queue_events << " events, best of " << queue_reps
-            << ") x2 impls...\n";
-  const QueueResult wheel = measure_queue(sim::EventQueueImpl::kWheel, depth,
-                                          queue_events, /*seed=*/2027,
-                                          queue_reps);
-  const QueueResult heap = measure_queue(sim::EventQueueImpl::kBinaryHeap,
-                                         depth, queue_events, /*seed=*/2027,
-                                         queue_reps);
-  const bool order_match = wheel.checksum == heap.checksum;
+            << ")...\n";
+  const QueueResult queue =
+      measure_queue(depth, queue_events, /*seed=*/2027, queue_reps);
 
-  SimResult sim_wheel, sim_heap;
+  SimResult sim_run;
   if (!skip_sim) {
-    std::cerr << "[bench_micro] fig4-style sim, wheel queue...\n";
-    sim_wheel = measure_sim(sim_cfg, "wheel");
-    std::cerr << "[bench_micro] fig4-style sim, heap queue...\n";
-    sim_heap = measure_sim(sim_cfg, "heap");
+    std::cerr << "[bench_micro] fig4-style sim...\n";
+    sim_run = measure_sim(sim_cfg);
   }
 
   std::cerr << "[bench_micro] arbiter decision rates...\n";
@@ -773,42 +759,22 @@ int run_json_harness(int argc, const char* const* argv) {
   report.config("switches", static_cast<std::uint64_t>(sim_cfg.switches));
   report.config("skip_sim", skip_sim);
   report.figure("queue", [&](util::JsonWriter& w) {
-    const auto queue_obj = [&w](const QueueResult& r) {
-      w.begin_object();
-      w.kv("events_per_sec", r.events_per_sec);
-      w.kv("push_ns", r.push_ns);
-      w.kv("pop_ns", r.pop_ns);
-      w.end_object();
-    };
     w.begin_object();
     w.kv("workload", "fig4-shaped event stream");
     w.kv("depth", static_cast<std::uint64_t>(depth));
     w.kv("events", queue_events);
-    w.key("wheel");
-    queue_obj(wheel);
-    w.key("heap");
-    queue_obj(heap);
-    w.kv("speedup", wheel.events_per_sec / heap.events_per_sec);
-    w.kv("pop_order_identical", order_match);
+    w.kv("events_per_sec", queue.events_per_sec);
+    w.kv("push_ns", queue.push_ns);
+    w.kv("pop_ns", queue.pop_ns);
     w.end_object();
   });
   if (!skip_sim) {
     report.figure("sim_fig4", [&](util::JsonWriter& w) {
-      const auto sim_obj = [&w](const SimResult& r) {
-        w.begin_object();
-        w.kv("events", r.events);
-        w.kv("seconds", r.seconds);
-        w.kv("events_per_sec", r.events_per_sec);
-        w.end_object();
-      };
       w.begin_object();
       w.kv("switches", static_cast<std::uint64_t>(sim_cfg.switches));
-      w.key("wheel");
-      sim_obj(sim_wheel);
-      w.key("heap");
-      sim_obj(sim_heap);
-      w.kv("speedup", sim_wheel.events_per_sec / sim_heap.events_per_sec);
-      w.kv("events_identical", sim_wheel.events == sim_heap.events);
+      w.kv("events", sim_run.events);
+      w.kv("seconds", sim_run.seconds);
+      w.kv("events_per_sec", sim_run.events_per_sec);
       w.end_object();
     });
   }
@@ -891,15 +857,10 @@ int run_json_harness(int argc, const char* const* argv) {
     std::cout << "wrote " << out_path << "\n";
   }
 
-  std::cout << "queue   wheel " << wheel.events_per_sec / 1e6 << " Mev/s, heap "
-            << heap.events_per_sec / 1e6
-            << " Mev/s, speedup " << wheel.events_per_sec / heap.events_per_sec
-            << "x, order " << (order_match ? "identical" : "DIVERGED") << "\n";
+  std::cout << "queue   " << queue.events_per_sec / 1e6 << " Mev/s, push "
+            << queue.push_ns << " ns, pop " << queue.pop_ns << " ns\n";
   if (!skip_sim)
-    std::cout << "sim     wheel " << sim_wheel.events_per_sec / 1e6
-              << " Mev/s, heap " << sim_heap.events_per_sec / 1e6
-              << " Mev/s, speedup "
-              << sim_wheel.events_per_sec / sim_heap.events_per_sec << "x\n";
+    std::cout << "sim     " << sim_run.events_per_sec / 1e6 << " Mev/s\n";
   std::cout << "arbiter dense " << dense_rate / 1e6 << " Mdec/s, sparse "
             << sparse_rate / 1e6 << " Mdec/s\n";
   std::cout << "series  flat " << series_flat.deliveries_per_sec / 1e6
@@ -918,7 +879,7 @@ int run_json_harness(int argc, const char* const* argv) {
             << snap_large.connections << " conns "
             << snap_large.bytes / 1024 << " KiB save " << snap_large.save_ms
             << " ms restore " << snap_large.restore_ms << " ms\n";
-  return order_match ? 0 : 2;
+  return 0;
 }
 
 }  // namespace

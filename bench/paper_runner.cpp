@@ -4,7 +4,6 @@
 
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <sstream>
 
 namespace ibarb::bench {
@@ -90,16 +89,6 @@ unsigned shards_from_env() {
   return static_cast<unsigned>(n);
 }
 
-sim::EventQueueImpl queue_impl_from_env() {
-  // IBARB_EVENT_QUEUE=heap|wheel lets CI diff the two queue implementations
-  // through an unmodified bench binary. Anything else (including unset)
-  // means the default wheel.
-  const char* v = std::getenv("IBARB_EVENT_QUEUE");
-  if (v != nullptr && std::strcmp(v, "heap") == 0)
-    return sim::EventQueueImpl::kBinaryHeap;
-  return sim::EventQueueImpl::kWheel;
-}
-
 PaperRun::PaperRun(PaperRunConfig c) : PaperRun(c, DeferSim{}) { run(); }
 
 PaperRun::PaperRun(PaperRunConfig c, DeferSim) : cfg(c) {
@@ -120,7 +109,6 @@ PaperRun::PaperRun(PaperRunConfig c, DeferSim) : cfg(c) {
   sc.max_payload_bytes = iba::mtu_bytes(cfg.mtu);
   sc.buffer_packets = cfg.buffer_packets;
   sc.seed = cfg.seed;
-  sc.queue_impl = queue_impl_from_env();
   sc.shards = cfg.shards != 0 ? cfg.shards : shards_from_env();
   sc.crossbar_impl =
       cfg.crossbar ? *cfg.crossbar : sched::crossbar_impl_from_env();

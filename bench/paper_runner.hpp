@@ -68,11 +68,6 @@ struct PaperRunConfig {
 /// --warmup --quick) on top of the defaults.
 PaperRunConfig config_from_cli(const util::Cli& cli, PaperRunConfig base = {});
 
-/// IBARB_EVENT_QUEUE=heap|wheel selects the event-queue implementation
-/// through an unmodified bench binary (CI diffs the two); anything else,
-/// including unset, means the default wheel.
-sim::EventQueueImpl queue_impl_from_env();
-
 /// IBARB_SHARDS=N selects the parallel-core shard count through an
 /// unmodified bench binary (CI reruns the suite sharded); unset, empty, or
 /// unparsable means 1 (sequential).

@@ -204,10 +204,4 @@ class RoutesBuilder {
 /// unknown engine name.
 Routes compute_routes(const FabricGraph& g, std::string_view engine = "updown");
 
-/// Pre-registry spelling of `compute_routes(g, "updown")`; migrate.
-[[deprecated("use compute_routes(g, \"updown\")")]]
-inline Routes compute_updown_routes(const FabricGraph& g) {
-  return compute_routes(g, "updown");
-}
-
 }  // namespace ibarb::network

@@ -15,7 +15,7 @@ constexpr unsigned kUnreached = std::numeric_limits<unsigned>::max();
 // ---------------------------------------------------------------------------
 // updown — the paper's deadlock-free up*/down* pass for irregular networks.
 //
-// This is the pre-registry `compute_updown_routes` body, reorganized around
+// This is the pre-registry up*/down* routing body, reorganized around
 // one observation that makes it (and the CSR table) scale: the per-
 // destination computation only ever depended on the destination host's
 // switch, so it now runs once per destination *switch* instead of once per
@@ -214,7 +214,7 @@ class MinimalVlEscapeEngine final : public RoutingEngine {
  private:
   /// Shared mesh/torus dimension-order pass. Switch with coordinates
   /// (c[0], c[1], ...) has dense index sum(c[d] * stride[d]); ports are
-  /// (2d) = -dim d, (2d+1) = +dim d — matching make_mesh2d/torus wiring
+  /// (2d) = -dim d, (2d+1) = +dim d — matching gen::mesh2d/torus wiring
   /// (0=W, 1=E, 2=N, 3=S, then -z, +z).
   static Routes route_torus(const FabricGraph& g,
                             std::vector<std::uint32_t> dim, bool wrap) {
@@ -380,7 +380,7 @@ class FattreeDmodkEngine final : public RoutingEngine {
       throw std::runtime_error("topology hint dims do not match fabric");
 
     // Dense index: spines 0..spines-1 then leaves; leaf port t reaches
-    // spine t, spine port l reaches leaf l (make_fat_tree wiring).
+    // spine t, spine port l reaches leaf l (gen::fat_tree2 wiring).
     for (std::uint32_t lt = 0; lt < leaves; ++lt) {
       const std::uint32_t t = spines + lt;
       for (std::uint32_t sp = 0; sp < spines; ++sp)

@@ -10,8 +10,7 @@
 //
 // Prefer building through the spec registry (network/registry.hpp,
 // `TopologySpec::parse("dragonfly:a=8,h=4").build()`); the free functions
-// here are the typed layer underneath it. The unqualified `make_*` names
-// are deprecated shims for out-of-tree callers.
+// here are the typed layer underneath it.
 #pragma once
 
 #include <cstdint>
@@ -94,45 +93,5 @@ FabricGraph dragonfly(unsigned a, unsigned h, unsigned groups,
 
 /// Graphviz dot rendering of a fabric (switches as boxes, hosts as dots).
 std::string to_dot(const FabricGraph& graph);
-
-// --- Deprecated pre-registry spellings (one release of grace) -------------
-
-[[deprecated("use gen::irregular or TopologySpec")]]
-inline FabricGraph make_irregular(const IrregularSpec& spec) {
-  return gen::irregular(spec);
-}
-
-[[deprecated("use gen::single_switch or TopologySpec")]]
-inline FabricGraph make_single_switch(unsigned hosts, unsigned ports = 8,
-                                      iba::LinkRate rate = iba::LinkRate::k1x) {
-  return gen::single_switch(hosts, ports, rate);
-}
-
-[[deprecated("use gen::line or TopologySpec")]]
-inline FabricGraph make_line(unsigned switches, unsigned hosts_per_switch = 1,
-                             iba::LinkRate rate = iba::LinkRate::k1x) {
-  return gen::line(switches, hosts_per_switch, rate);
-}
-
-[[deprecated("use gen::mesh2d or TopologySpec")]]
-inline FabricGraph make_mesh2d(unsigned cols, unsigned rows,
-                               unsigned hosts_per_switch = 1,
-                               iba::LinkRate rate = iba::LinkRate::k1x) {
-  return gen::mesh2d(cols, rows, hosts_per_switch, rate);
-}
-
-[[deprecated("use gen::torus2d or TopologySpec")]]
-inline FabricGraph make_torus2d(unsigned cols, unsigned rows,
-                                unsigned hosts_per_switch = 1,
-                                iba::LinkRate rate = iba::LinkRate::k1x) {
-  return gen::torus2d(cols, rows, hosts_per_switch, rate);
-}
-
-[[deprecated("use gen::fat_tree2 or TopologySpec")]]
-inline FabricGraph make_fat_tree(unsigned spines, unsigned leaves,
-                                 unsigned hosts_per_leaf,
-                                 iba::LinkRate rate = iba::LinkRate::k1x) {
-  return gen::fat_tree2(spines, leaves, hosts_per_leaf, rate);
-}
 
 }  // namespace ibarb::network

@@ -125,8 +125,7 @@ class CrossbarScheduler {
   Stats stats_;
 };
 
-/// Factory (the SimConfig::queue_impl pattern): one scheduler per switch,
-/// sized for `ports` crossbar ports.
+/// Factory: one scheduler per switch, sized for `ports` crossbar ports.
 std::unique_ptr<CrossbarScheduler> make_crossbar(CrossbarImpl impl,
                                                  unsigned ports);
 

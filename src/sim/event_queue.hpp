@@ -3,33 +3,25 @@
 // Ties at the same cycle are served in insertion order (monotonic sequence
 // number), which makes every simulation bit-reproducible for a given seed.
 //
-// Two interchangeable implementations share one slab pool of Event storage
+// The queue is a bucketed timing wheel of 2^16 one-cycle buckets covering
+// the sliding window [base, base + 2^16), over a slab pool of Event storage
 // (events are moved in on push and moved out on pop — never copied, and the
-// structures themselves only shuffle 4-byte pool indices):
-//
-//  * kWheel (default) — a bucketed timing wheel of 2^16 one-cycle buckets
-//    covering the sliding window [base, base + 2^16). Every bucket is a FIFO
-//    of pool indices; because the window is no wider than the wheel, a bucket
-//    holds at most one distinct timestamp at a time, so FIFO order *is*
-//    sequence order. A hierarchical three-level occupancy bitmap finds the
-//    next non-empty bucket in O(1). Events beyond the horizon (or, defensively,
-//    behind `base`) overflow into a binary min-heap ordered by (time, seq);
-//    pop is a two-way merge of the wheel head and the heap head under the
-//    exact (time, seq) key, so the global order is identical to a single
-//    totally-ordered queue. See docs/PERF.md for the determinism argument.
-//
-//  * kBinaryHeap — the pre-wheel behaviour (a std::priority_queue of whole
-//    Events ordered by (time, seq), which re-copies ~sizeof(Event) bytes per
-//    sift level on every push and pop), kept selectable at runtime for
-//    differential tests and old-vs-new benchmarks. Its one change from the
-//    pre-wheel code: pop() moves the top event out instead of copying it.
+// structures themselves only shuffle 4-byte pool indices). Every bucket is a
+// FIFO of pool indices; because the window is no wider than the wheel, a
+// bucket holds at most one distinct timestamp at a time, so FIFO order *is*
+// sequence order. A hierarchical three-level occupancy bitmap finds the next
+// non-empty bucket in O(1). Events beyond the horizon (or, defensively,
+// behind `base`) overflow into a binary min-heap ordered by (time, seq); pop
+// is a two-way merge of the wheel head and the heap head under the exact
+// (time, seq) key, so the global order is identical to a single
+// totally-ordered queue. tests/test_event_queue.cpp checks that order
+// against a sorted reference model; docs/PERF.md has the argument.
 #pragma once
 
 #include <array>
 #include <bit>
 #include <cassert>
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "iba/packet.hpp"
@@ -64,9 +56,11 @@ struct Event {
   iba::Packet packet;     ///< Payload for kLinkDeliver / kXferComplete.
 };
 
+/// The one event-queue implementation. The enum, SimConfig::queue_impl and
+/// the EventQueue(EventQueueImpl) constructor remain only because the
+/// benchmark sources (perfbench/) name them; there is nothing to select.
 enum class EventQueueImpl : std::uint8_t {
-  kWheel,       ///< Bucketed timing wheel + overflow heap (default).
-  kBinaryHeap,  ///< Legacy binary heap (reference/differential baseline).
+  kWheel,  ///< Bucketed timing wheel + overflow heap.
 };
 
 class EventQueue {
@@ -78,34 +72,23 @@ class EventQueue {
   struct Stats {
     std::uint64_t pushes = 0;
     std::uint64_t pops = 0;
-    /// Wheel mode only: events pushed beyond the 2^16-cycle horizon.
+    /// Events pushed beyond the 2^16-cycle horizon.
     std::uint64_t overflow_pushes = 0;
     std::uint64_t peak_size = 0;
-    /// Wheel mode only: bin i counts pushes whose distance-to-window-start
-    /// had bit_width i (bin 0 = "due now", last bin = saturated).
+    /// Bin i counts pushes whose distance-to-window-start had bit_width i
+    /// (bin 0 = "due now", last bin = saturated).
     std::array<std::uint64_t, kResidencyBins> residency_log2{};
   };
 
-  explicit EventQueue(EventQueueImpl impl = EventQueueImpl::kWheel)
-      : impl_(impl) {
-    if (impl_ == EventQueueImpl::kWheel) {
-      buckets_.resize(kWheelBuckets);
-      bits0_.assign(kWheelBuckets / 64, 0);
-      bits1_.assign(kWheelBuckets / (64 * 64), 0);
-    }
-  }
-
-  EventQueueImpl impl() const noexcept { return impl_; }
+  /// The argument names the only implementation (see EventQueueImpl).
+  explicit EventQueue(EventQueueImpl = EventQueueImpl::kWheel)
+      : buckets_(kWheelBuckets),
+        bits0_(kWheelBuckets / 64, 0),
+        bits1_(kWheelBuckets / (64 * 64), 0) {}
 
   void push(Event e) {
     e.seq = next_seq_++;
     ++stats_.pushes;
-    if (impl_ == EventQueueImpl::kBinaryHeap) {
-      heap_.push(std::move(e));
-      ++size_;
-      if (size_ > stats_.peak_size) stats_.peak_size = size_;
-      return;
-    }
     const iba::Cycle t = e.time;
     const std::uint64_t seq = e.seq;
     const std::uint32_t idx = alloc_slot(std::move(e));
@@ -147,12 +130,6 @@ class EventQueue {
   /// tail-append fast path dominates.
   void push_keyed(Event e, iba::Cycle origin, bool count_stats) {
     if (count_stats) ++stats_.pushes;
-    if (impl_ == EventQueueImpl::kBinaryHeap) {
-      heap_.push(std::move(e));
-      ++size_;
-      if (size_ > stats_.peak_size) stats_.peak_size = size_;
-      return;
-    }
     const iba::Cycle t = e.time;
     const std::uint64_t seq = e.seq;
     const std::uint32_t idx = alloc_slot(std::move(e));
@@ -215,7 +192,6 @@ class EventQueue {
   void count_bypass(iba::Cycle t, iba::Cycle origin) {
     ++stats_.pushes;
     ++stats_.pops;
-    if (impl_ == EventQueueImpl::kBinaryHeap) return;  // heap: no residency
     const iba::Cycle dist = t >= origin ? t - origin : 0;
     if (dist < kWheelBuckets) {
       const auto bin = static_cast<std::size_t>(std::bit_width(dist));
@@ -229,10 +205,7 @@ class EventQueue {
   bool empty() const noexcept { return size_ == 0; }
   std::size_t size() const noexcept { return size_; }
 
-  const Event& top() const {
-    if (impl_ == EventQueueImpl::kBinaryHeap) return heap_.top();
-    return pool_[peek().idx];
-  }
+  const Event& top() const { return pool_[peek().idx]; }
 
   const Stats& stats() const noexcept { return stats_; }
 
@@ -248,15 +221,6 @@ class EventQueue {
 
  private:
   Event pop_impl() {
-    if (impl_ == EventQueueImpl::kBinaryHeap) {
-      // priority_queue exposes the top read-only; moving out of it is safe
-      // (pop() only shuffles elements, never reads the payload) and skips one
-      // whole-Event copy per pop.
-      Event e = std::move(const_cast<Event&>(heap_.top()));
-      heap_.pop();
-      --size_;
-      return e;
-    }
     const Peek p = peek();
     peek_valid_ = false;
     if (p.from_wheel) {
@@ -295,7 +259,7 @@ class EventQueue {
     return idx;
   }
 
-  // --- Overflow / legacy binary heap over (time, seq, pool index) ----------
+  // --- Overflow binary heap over (time, seq, pool index) -------------------
 
   struct HeapNode {
     iba::Cycle time;
@@ -431,23 +395,12 @@ class EventQueue {
     return Peek{wi, true, b};
   }
 
-  // --- Legacy binary-heap mode --------------------------------------------
-
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const noexcept {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-
-  EventQueueImpl impl_;
-  std::priority_queue<Event, std::vector<Event>, Later> heap_;  ///< kBinaryHeap.
   std::vector<Event> pool_;
   std::vector<std::uint32_t> next_;  ///< Per-slot intrusive bucket link.
   std::vector<std::uint32_t> free_;
-  std::vector<HeapNode> overflow_;  ///< Far-future/past events (kWheel).
+  std::vector<HeapNode> overflow_;  ///< Far-future/past events.
 
-  std::vector<Bucket> buckets_;      ///< Empty in kBinaryHeap mode.
+  std::vector<Bucket> buckets_;
   std::vector<std::uint64_t> bits0_; ///< One bit per bucket.
   std::vector<std::uint64_t> bits1_; ///< One bit per bits0_ word.
   std::uint64_t bits2_ = 0;          ///< One bit per bits1_ word.

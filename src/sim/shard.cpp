@@ -120,7 +120,7 @@ ShardEngine::ShardEngine(Simulator& sim, Partition part,
       spin_waits_(std::thread::hardware_concurrency() >= parties_) {
   shards_.reserve(part_.shards);
   for (unsigned s = 0; s < part_.shards; ++s) {
-    auto ctx = std::make_unique<ShardCtx>(sim_.cfg_.queue_impl);
+    auto ctx = std::make_unique<ShardCtx>();
     ctx->id = s;
     if (sim_.cfg_.profile) ctx->profiler = std::make_unique<obs::PhaseProfiler>();
     shards_.push_back(std::move(ctx));

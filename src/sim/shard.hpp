@@ -209,8 +209,6 @@ struct ShardCtx {
   std::uint64_t channel_depth_peak = 0;  ///< Max one-channel drain, lifetime.
   std::uint64_t window_channel_depth = 0;  ///< Same, this window only.
   std::uint64_t barrier_wait_ns = 0;   ///< Wall-clock barrier waits.
-
-  explicit ShardCtx(EventQueueImpl impl) : queue(impl) {}
 };
 
 /// Current worker's shard context; null on the sequential path, between

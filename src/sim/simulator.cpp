@@ -17,7 +17,6 @@ namespace {
 /// LID convention used across the library: host LID = node id + 1 (LID 0 is
 /// reserved/invalid in IBA). The subnet manager mirrors this assignment.
 iba::Lid lid_of(iba::NodeId host) { return static_cast<iba::Lid>(host + 1); }
-iba::NodeId node_of(iba::Lid lid) { return static_cast<iba::NodeId>(lid - 1); }
 
 /// True while the calling thread executes a shard window (sim/shard.cpp).
 bool in_parallel() { return t_shard != nullptr; }
@@ -134,12 +133,16 @@ class XbarView final : public sched::CrossbarPorts {
 
 Simulator::Simulator(const network::FabricGraph& graph,
                      const network::Routes& routes, SimConfig cfg)
-    : graph_(graph), routes_(routes), cfg_(cfg), queue_(cfg.queue_impl),
-      trace_(cfg.trace_capacity) {
+    : graph_(graph), cfg_(cfg), trace_(cfg.trace_capacity) {
   buffer_capacity_bytes_ =
       cfg_.buffer_packets *
       (cfg_.max_payload_bytes + iba::kPacketOverheadBytes);
 
+  // Switches forward by LID-indexed tables; LIDs are 16 bits wide.
+  if (graph_.node_count() > 0xFFFE)
+    throw std::invalid_argument(
+        "Simulator: " + std::to_string(graph_.node_count()) +
+        " nodes exceed the 16-bit LID space (LID = node id + 1)");
   index_.assign(graph_.node_count(), 0);
   std::uint32_t flat = 0;
 
@@ -165,6 +168,9 @@ Simulator::Simulator(const network::FabricGraph& graph,
       index_[id] = static_cast<std::uint32_t>(switches_.size());
       SwitchState sw;
       sw.node = id;
+      sw.lft.assign(graph_.node_count() + 1, network::kNoRoute);
+      for (const auto h : routes.host_ids())
+        sw.lft[lid_of(h)] = routes.out_port(id, h);
       const unsigned ports = graph_.port_count(id);
       sw.in.resize(ports);
       sw.out.resize(ports);
@@ -475,18 +481,25 @@ void Simulator::set_forwarding(iba::NodeId sw,
                                std::vector<iba::PortIndex> lft) {
   if (!graph_.is_switch(sw))
     throw std::invalid_argument("forwarding tables live in switches");
-  switches_[index_[sw]].lft = std::move(lft);
+  SwitchState& state = switches_[index_[sw]];
+  const std::string where = "set_forwarding: switch " + std::to_string(sw);
+  if (lft.size() != graph_.node_count() + 1)
+    throw std::invalid_argument(
+        where + ": table has " + std::to_string(lft.size()) +
+        " entries, need one per LID 0.." + std::to_string(graph_.node_count()));
+  for (const auto h : graph_.hosts()) {
+    const auto port = lft[lid_of(h)];
+    if (port >= state.out.size() || !state.out[port].wired)
+      throw std::invalid_argument(
+          where + ": LID " + std::to_string(lid_of(h)) + " maps to port " +
+          std::to_string(port) + ", not a wired port of the switch");
+  }
+  state.lft = std::move(lft);
 }
 
 iba::PortIndex Simulator::route_port(const SwitchState& sw,
                                      iba::Lid dst) const {
-  if (!sw.lft.empty()) {
-    assert(dst < sw.lft.size());
-    const auto port = sw.lft[dst];
-    assert(port != 0xFF && "destination LID not programmed in the LFT");
-    return port;
-  }
-  return routes_.out_port(sw.node, node_of(dst));
+  return sw.lft[dst];
 }
 
 std::uint32_t Simulator::flat_port_id(iba::NodeId node,

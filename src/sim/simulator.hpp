@@ -56,11 +56,10 @@ struct SimConfig {
   /// excluded from series sampling and from every byte-compare in CI.
   bool profile = false;
   std::uint64_t seed = 1;
-  /// Event-queue implementation. kBinaryHeap keeps the pre-wheel queue
-  /// selectable for differential tests and old-vs-new benchmarks; both
-  /// produce the exact same (time, seq) event order.
+  /// Event-queue implementation. The timing wheel is the only one; the
+  /// field remains because the benchmark sources (perfbench/) set it.
   EventQueueImpl queue_impl = EventQueueImpl::kWheel;
-  /// Crossbar matching policy, factory-selected like queue_impl (env
+  /// Crossbar matching policy, built by sched::make_crossbar (env
   /// IBARB_CROSSBAR, flag --crossbar). kWrr reproduces the pre-refactor
   /// grant sequence — and so the whole event order — bit-for-bit.
   sched::CrossbarImpl crossbar_impl = sched::CrossbarImpl::kWrr;
@@ -134,6 +133,9 @@ class Simulator {
   friend class ShardEngine;  ///< Parallel window engine (sim/shard.hpp).
 
  public:
+  /// `routes` seeds every switch's linear forwarding table and is not kept:
+  /// from then on the switches forward by their own tables, which
+  /// set_forwarding() overwrites.
   Simulator(const network::FabricGraph& graph, const network::Routes& routes,
             SimConfig cfg);
   ~Simulator();  ///< Out-of-line: ShardEngine is incomplete here.
@@ -161,9 +163,11 @@ class Simulator {
   void set_port_reserved_mbps(iba::NodeId node, iba::PortIndex port,
                               double mbps);
 
-  /// Installs a switch's linear forwarding table (indexed by LID). When a
-  /// switch has an LFT the data path consults it instead of the shared
-  /// Routes object — this is what the subnet manager programs via MADs.
+  /// Installs a switch's linear forwarding table (indexed by LID, LID =
+  /// node id + 1) — what the subnet manager programs via MADs. Throws
+  /// std::invalid_argument, naming the switch and the LID, unless the table
+  /// has node_count() + 1 entries and maps every host LID to a wired port
+  /// of the switch. Entries for other LIDs are never read.
   void set_forwarding(iba::NodeId sw, std::vector<iba::PortIndex> lft);
 
   /// Registers a traffic flow; returns its connection index (also its index
@@ -351,7 +355,6 @@ class Simulator {
   void schedule_flow(std::uint32_t flow_index, iba::Cycle not_before);
 
   const network::FabricGraph& graph_;
-  const network::Routes& routes_;
   SimConfig cfg_;
   std::uint32_t buffer_capacity_bytes_ = 0;
 

@@ -70,9 +70,9 @@ struct SwitchState {
   iba::NodeId node = iba::kInvalidNode;
   std::vector<InputPort> in;
   std::vector<OutputPort> out;
-  /// Linear forwarding table indexed by destination LID (programmed by the
-  /// subnet manager via Set(LinearForwardingTable) MADs). Empty = fall back
-  /// to the shared Routes object (convenient for unit tests).
+  /// Linear forwarding table indexed by destination LID: the output port for
+  /// every host LID. Seeded from Routes at construction and overwritten by
+  /// the subnet manager's Set(LinearForwardingTable) MADs.
   std::vector<iba::PortIndex> lft;
 };
 

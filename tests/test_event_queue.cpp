@@ -86,24 +86,24 @@ TEST(EventQueue, PacketPayloadSurvives) {
   EXPECT_EQ(out.packet.payload_bytes, 256u);
 }
 
-// --- Differential suite: wheel vs legacy heap vs a reference model ---------
+// --- Differential suite: the queue vs a sorted reference model -------------
 //
-// Both implementations must produce the exact same (time, insertion-order)
-// event sequence under any interleaving of pushes and pops — that equality is
-// what lets benches diff old-vs-new queue runs byte-for-byte.
+// The queue must produce the exact (time, insertion-order) event sequence of
+// a totally ordered queue under any interleaving of pushes and pops, and
+// stamp each event's `seq` with its push index — the order every simulation
+// result depends on.
 
-/// Runs the same operation script against both implementations and a sorted
-/// reference, then checks all three agree on every popped (time, aux) pair.
-/// A script step with `pop == false` pushes an event at `time`; `pop == true`
-/// pops (skipped when empty).
+/// Runs an operation script against the queue and a sorted reference, then
+/// checks they agree on every popped (time, aux) pair and that each popped
+/// `seq` is the reference's push stamp. A script step with `pop == false`
+/// pushes an event at `time`; `pop == true` pops (skipped when empty).
 struct Step {
   bool pop = false;
   iba::Cycle time = 0;
 };
 
 void run_differential(const std::vector<Step>& script) {
-  EventQueue wheel(EventQueueImpl::kWheel);
-  EventQueue heap(EventQueueImpl::kBinaryHeap);
+  EventQueue queue;
   std::vector<std::pair<iba::Cycle, std::uint32_t>> reference;  // unpopped
   std::uint32_t stamp = 0;
   std::size_t checked = 0;
@@ -112,39 +112,33 @@ void run_differential(const std::vector<Step>& script) {
     if (!s.pop) {
       Event e = at(s.time);
       e.aux = stamp++;
-      wheel.push(e);
-      heap.push(e);
+      queue.push(e);
       reference.emplace_back(s.time, e.aux);
       continue;
     }
     if (reference.empty()) {
-      EXPECT_TRUE(wheel.empty());
-      EXPECT_TRUE(heap.empty());
+      EXPECT_TRUE(queue.empty());
       continue;
     }
     // Reference order: earliest time, ties by insertion stamp. aux stamps
     // increase monotonically, so min over (time, aux) is exactly that.
     const auto it = std::min_element(reference.begin(), reference.end());
-    const Event w = wheel.pop();
-    const Event h = heap.pop();
-    ASSERT_EQ(w.time, it->first) << "wheel time diverged at pop " << checked;
-    ASSERT_EQ(w.aux, it->second) << "wheel order diverged at pop " << checked;
-    ASSERT_EQ(h.time, it->first) << "heap time diverged at pop " << checked;
-    ASSERT_EQ(h.aux, it->second) << "heap order diverged at pop " << checked;
-    ASSERT_EQ(w.seq, h.seq) << "sequence stamps diverged at pop " << checked;
+    const Event e = queue.pop();
+    ASSERT_EQ(e.time, it->first) << "time diverged at pop " << checked;
+    ASSERT_EQ(e.aux, it->second) << "order diverged at pop " << checked;
+    ASSERT_EQ(e.seq, it->second) << "sequence stamp wrong at pop " << checked;
     reference.erase(it);
     ++checked;
   }
   while (!reference.empty()) {
     const auto it = std::min_element(reference.begin(), reference.end());
-    const Event w = wheel.pop();
-    const Event h = heap.pop();
-    ASSERT_EQ(w.aux, it->second);
-    ASSERT_EQ(h.aux, it->second);
+    const Event e = queue.pop();
+    ASSERT_EQ(e.time, it->first);
+    ASSERT_EQ(e.aux, it->second);
+    ASSERT_EQ(e.seq, it->second);
     reference.erase(it);
   }
-  EXPECT_TRUE(wheel.empty());
-  EXPECT_TRUE(heap.empty());
+  EXPECT_TRUE(queue.empty());
 }
 
 TEST(EventQueueDifferential, RandomizedPushPop) {

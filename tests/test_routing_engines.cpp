@@ -1,5 +1,5 @@
 // The routing-engine registry (ISSUE 9): the `updown` engine must be
-// table-for-table identical to the pre-registry compute_updown_routes pass
+// table-for-table identical to the pre-registry up*/down* routing pass
 // (transliterated below as the oracle), every registered engine must leave
 // the channel-dependency graph of every topology it accepts cycle-free
 // (Dally/Seitz deadlock freedom), and structure-aware engines must refuse
@@ -26,7 +26,7 @@ namespace {
 constexpr unsigned kUnreached = std::numeric_limits<unsigned>::max();
 
 // --- Oracle: the pre-registry up*/down* pass, kept verbatim ---------------
-// This is the exact algorithm `compute_updown_routes` ran before the engine
+// This is the exact algorithm the up*/down* routing pass ran before the engine
 // registry existed (root = highest-degree switch, BFS levels, per-sink
 // down-BFS + up-Dijkstra, all-down preferred when optimal). The refactor
 // promised table-for-table identity; this copy is the proof's fixed point.
@@ -177,18 +177,6 @@ TEST(UpdownEngine, TableForTableIdenticalToLegacyPassStructured) {
   expect_identical_to_legacy(gen::fat_tree2(4, 8, 4));
   expect_identical_to_legacy(gen::kary_fattree(4, 2));
   expect_identical_to_legacy(gen::dragonfly(4, 2, 9, 2));
-}
-
-TEST(UpdownEngine, DeprecatedShimStillForwards) {
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const auto g = gen::single_switch(4);
-  const auto via_shim = compute_updown_routes(g);
-#pragma GCC diagnostic pop
-  const auto via_registry = compute_routes(g, "updown");
-  for (const auto h : g.hosts())
-    EXPECT_EQ(via_shim.out_port(g.switches()[0], h),
-              via_registry.out_port(g.switches()[0], h));
 }
 
 // --- Registry surface ----------------------------------------------------

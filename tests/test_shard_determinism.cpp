@@ -1,8 +1,7 @@
 // The parallel core's determinism contract (ISSUE 7, docs/PARALLEL.md):
 // running the same experiment with any --shards value yields byte-identical
 // results — same RunSummary, same per-SL aggregations, same telemetry
-// envelope (queue.*, xbar.*, credit.* counters included), under both event
-// queue implementations. Observers (series sampling, packet tracing, the
+// envelope (queue.*, xbar.*, credit.* counters included). Observers (series sampling, packet tracing, the
 // profiler) ride the parallel path on per-shard planes and must stay
 // byte-invariant too. The remaining hazards (fault hooks, delivery
 // listeners, pending controls, purge barriers) fall back to the sequential
@@ -10,7 +9,6 @@
 // instead of crashing.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -95,18 +93,6 @@ TEST(ShardDeterminism, ShardedRunsMatchSequentialBitForBit) {
     SCOPED_TRACE("shards 1 vs 4");
     expect_bit_identical(*s1, *s4);
   }
-}
-
-TEST(ShardDeterminism, HeapEventQueueMatchesToo) {
-  // The replayed key order must be total under the binary-heap comparator
-  // as well (the wheel buckets by time first; the heap compares (time, seq)
-  // directly — both must see the exact sequential order).
-  ASSERT_EQ(setenv("IBARB_EVENT_QUEUE", "heap", 1), 0);
-  const auto s1 = run_paper_experiment(quick_cfg(1));
-  const auto s4 = run_paper_experiment(quick_cfg(4));
-  unsetenv("IBARB_EVENT_QUEUE");
-  EXPECT_EQ(s4->sim->effective_shards(), 4u);
-  expect_bit_identical(*s1, *s4);
 }
 
 TEST(ShardDeterminism, ObserversRideTheParallelPathAndStayInvariant) {

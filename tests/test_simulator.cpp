@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "network/topology.hpp"
 
 namespace ibarb::sim {
@@ -223,6 +227,61 @@ TEST(Simulator, RejectsBadFlows) {
   EXPECT_THROW(sim.add_flow(zero), std::invalid_argument);
   auto sw = cbr(g.switches()[0], hosts[1], 0, 256, 100);
   EXPECT_THROW(sim.add_flow(sw), std::invalid_argument);
+}
+
+/// The what() of the std::invalid_argument `fn` throws; empty if none.
+template <class Fn>
+std::string invalid_argument_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return {};
+}
+
+TEST(Simulator, SetForwardingRejectsMalformedTables) {
+  const auto g = network::gen::single_switch(2);
+  const auto routes = network::compute_routes(g);
+  Simulator sim(g, routes, SimConfig{});
+  const auto sw = g.switches()[0];
+  const auto hosts = g.hosts();
+  const std::string sw_name = "switch " + std::to_string(sw);
+  const auto lid = [](iba::NodeId h) { return static_cast<iba::Lid>(h + 1); };
+
+  // One entry per LID 0..node_count(); only host LIDs need a port.
+  std::vector<iba::PortIndex> good(g.node_count() + 1, 0xFF);
+  for (const auto h : hosts) good[lid(h)] = routes.out_port(sw, h);
+  EXPECT_NO_THROW(sim.set_forwarding(sw, good));
+
+  const auto short_table =
+      std::vector<iba::PortIndex>(good.begin(), good.end() - 1);
+  EXPECT_NE(invalid_argument_of([&] { sim.set_forwarding(sw, short_table); })
+                .find(sw_name),
+            std::string::npos);
+  EXPECT_THROW(sim.set_forwarding(sw, {}), std::invalid_argument);
+
+  const std::string host_lid = "LID " + std::to_string(lid(hosts[1]));
+  for (const iba::PortIndex bad : {iba::PortIndex{0xFF},   // unprogrammed
+                                   iba::PortIndex{8},      // beyond the ports
+                                   iba::PortIndex{5}}) {   // unwired
+    auto table = good;
+    table[lid(hosts[1])] = bad;
+    const auto what =
+        invalid_argument_of([&] { sim.set_forwarding(sw, table); });
+    SCOPED_TRACE(what);
+    EXPECT_NE(what.find(sw_name), std::string::npos);
+    EXPECT_NE(what.find(host_lid), std::string::npos);
+  }
+
+  EXPECT_THROW(sim.set_forwarding(hosts[0], good), std::invalid_argument);
+
+  // The rejected tables left the accepted one in place: traffic flows.
+  program_all(sim, g, table_for({{0, 255}}));
+  const auto flow = sim.add_flow(cbr(hosts[0], hosts[1], 0, 256, 2000));
+  sim.metrics().start_window(0);
+  sim.run_until(100000);
+  EXPECT_GT(sim.metrics().connections[flow].rx_packets, 40u);
 }
 
 TEST(Simulator, PoissonFlowApproximatesRate) {

@@ -116,9 +116,9 @@ namespace ibarb::subnet {
 namespace {
 
 TEST(SubnetManager, ProgramsLftsThatRouteTraffic) {
-  // configure_fabric installs per-switch LFTs via MAD round trips; traffic
-  // must still reach every destination using them (the simulator consults
-  // the LFT, not the Routes object, once programmed).
+  // configure_fabric installs per-switch LFTs via MAD round trips, which
+  // replace the tables the simulator seeded from Routes; traffic must still
+  // reach every destination using them.
   const auto g = network::gen::line(3, 1);
   SubnetManager sm(g);
   qos::AdmissionControl admission(g, sm.routes(), qos::paper_catalogue(), {});
