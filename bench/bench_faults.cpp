@@ -357,7 +357,7 @@ RunResult run_one(const BenchConfig& bc, std::uint64_t run_seed, bool faulty,
   }
 
   std::string why;
-  if (!admission.audit_tables(&why))
+  if (!admission.check_all_invariants(&why))
     throw std::runtime_error("post-storm table audit failed: " + why);
   return res;
 }

@@ -708,15 +708,15 @@ int run_json_harness(int argc, const char* const* argv) {
   std::cerr << "[bench_micro] arbiter decision rates...\n";
   iba::VlArbitrationTable dense;
   for (unsigned i = 0; i < iba::kArbTableEntries; ++i)
-    dense.set_high_entry(
-        i, iba::ArbTableEntry{static_cast<iba::VirtualLane>(i % 10),
-                              static_cast<std::uint8_t>(100 + i % 50)});
+    dense.high()[i] =
+        iba::ArbTableEntry{static_cast<iba::VirtualLane>(i % 10),
+                           static_cast<std::uint8_t>(100 + i % 50)};
   iba::ReadyBytes dense_ready{};
   for (unsigned vl = 0; vl < 10; vl += 2) dense_ready[vl] = 282;
 
   iba::VlArbitrationTable sparse;
   for (unsigned i = 0; i < iba::kArbTableEntries; i += 16)
-    sparse.set_high_entry(i, iba::ArbTableEntry{3, 10});
+    sparse.high()[i] = iba::ArbTableEntry{3, 10};
   iba::ReadyBytes sparse_ready{};
   sparse_ready[3] = 4122;
 

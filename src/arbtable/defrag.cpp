@@ -47,7 +47,7 @@ unsigned defragment_sequences(TableManager& manager) {
 
   for (unsigned k = 0; k < moves; ++k) {
     const SeqHandle h = moving[k].handle;
-    for (const auto p : sequences[h].positions()) table.set_high_entry(p, {});
+    for (const auto p : sequences[h].positions()) table.high()[p] = {};
     manager.unindex_sequence(h);
   }
   for (unsigned k = 0; k < moves; ++k) {

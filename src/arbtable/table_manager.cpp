@@ -32,13 +32,9 @@ bool TableManager::render_low_table() {
     needed += (weight + iba::kMaxEntryWeight - 1) / iba::kMaxEntryWeight;
   if (needed > iba::kArbTableEntries) return false;
 
-  // Through the const view: the mutable one would dirty the table's caches.
-  const auto& low = std::as_const(table_).low();
+  auto& low = table_.low();
   unsigned slot = 0;
-  const auto put = [&](iba::ArbTableEntry e) {
-    if (!(low[slot] == e)) table_.set_low_entry(slot, e);
-    ++slot;
-  };
+  const auto put = [&](iba::ArbTableEntry e) { low[slot++] = e; };
   for (const auto& [vl, weight] : low_static_) put({vl, weight});
   for (unsigned vl = 0; vl < low_dynamic_weight_.size(); ++vl) {
     for (unsigned remaining = low_dynamic_weight_[vl]; remaining > 0;) {
@@ -48,7 +44,7 @@ bool TableManager::render_low_table() {
       remaining -= chunk;
     }
   }
-  for (; slot < low_used_; ++slot) table_.set_low_entry(slot, {});
+  for (; slot < low_used_; ++slot) low[slot] = {};
   low_used_ = static_cast<unsigned>(needed);
   return true;
 }
@@ -123,12 +119,12 @@ void TableManager::write_sequence(const Sequence& seq) {
   assert(seq.weight_per_entry <= iba::kMaxEntryWeight);
   const iba::ArbTableEntry entry{
       seq.vl, static_cast<std::uint8_t>(seq.weight_per_entry)};
-  for (const auto p : seq.positions()) table_.set_high_entry(p, entry);
+  for (const auto p : seq.positions()) table_.high()[p] = entry;
 }
 
 void TableManager::erase_sequence(SeqHandle handle) {
   Sequence& seq = sequences_[handle];
-  for (const auto p : seq.positions()) table_.set_high_entry(p, {});
+  for (const auto p : seq.positions()) table_.high()[p] = {};
   unindex_sequence(handle);
   seq.live = false;
   seq.slots = 0;
@@ -384,8 +380,7 @@ void TableManager::load_state(util::BinReader& r) {
   // cleared then repainted by its owning sequence, and the low table is
   // re-rendered from static + dynamic weights. check_invariants() (run by
   // the restore auditor) proves the rebuild matches the saved world.
-  for (unsigned p = 0; p < iba::kArbTableEntries; ++p)
-    table_.set_high_entry(p, {});
+  table_.high() = {};
   occupied_ = 0;
   starts_ = {};
   vl_handles_ = {};

@@ -175,9 +175,9 @@ class TableManager {
   void unindex_sequence(SeqHandle handle);
 
   /// Re-renders the low table from the static best-effort entries plus the
-  /// dynamic per-VL weights, writing only the slots that change. Returns
-  /// false (leaving the table unchanged) when more than 64 entries would be
-  /// needed.
+  /// dynamic per-VL weights: writes the slots it renders and clears the
+  /// rest of the previous render. Returns false (leaving the table
+  /// unchanged) when more than 64 entries would be needed.
   bool render_low_table();
 
   Config cfg_;

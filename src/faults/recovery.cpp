@@ -323,7 +323,7 @@ void RecoveryCoordinator::repair(iba::Cycle fault_time) {
 void RecoveryCoordinator::audit() {
 #ifndef NDEBUG
   std::string why;
-  assert(admission_.audit_tables(&why) && "post-recovery table audit");
+  assert(admission_.check_all_invariants(&why) && "post-recovery table audit");
 #endif
 }
 

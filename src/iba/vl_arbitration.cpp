@@ -1,50 +1,32 @@
 #include "iba/vl_arbitration.hpp"
 
-#include <cassert>
-
 namespace ibarb::iba {
 
-VlArbitrationTable::Aggregates VlArbitrationTable::scan(
-    const ArbTable& t) noexcept {
-  Aggregates a;
-  for (const auto& e : t) {
-    if (!e.active()) continue;
-    a.vl_weight[e.vl] += e.weight;
-    ++a.vl_entries[e.vl];
-    a.total += e.weight;
-    ++a.active;
-    a.vl_mask |= static_cast<std::uint16_t>(1u << e.vl);
-  }
-  return a;
+unsigned VlArbitrationTable::vl_weight(const ArbTable& t,
+                                       VirtualLane vl) noexcept {
+  unsigned sum = 0;
+  for (const auto& e : t)
+    if (e.vl == vl) sum += e.weight;
+  return sum;
 }
 
-void VlArbitrationTable::set_entry(ArbTable& t, Aggregates& agg,
-                                   unsigned index, ArbTableEntry e) noexcept {
-  if (cache_valid_) {
-    const ArbTableEntry old = t[index];
-    if (old.active()) {
-      agg.vl_weight[old.vl] -= old.weight;
-      agg.total -= old.weight;
-      --agg.active;
-      if (--agg.vl_entries[old.vl] == 0)
-        agg.vl_mask &= static_cast<std::uint16_t>(~(1u << old.vl));
-    }
-    if (e.active()) {
-      agg.vl_weight[e.vl] += e.weight;
-      agg.total += e.weight;
-      ++agg.active;
-      if (agg.vl_entries[e.vl]++ == 0)
-        agg.vl_mask |= static_cast<std::uint16_t>(1u << e.vl);
-    }
-  }
-  t[index] = e;
-  assert(cache_in_sync() &&
-         "incremental aggregate update diverged from a full scan");
+unsigned VlArbitrationTable::total_weight(const ArbTable& t) noexcept {
+  unsigned sum = 0;
+  for (const auto& e : t) sum += e.weight;
+  return sum;
 }
 
-bool VlArbitrationTable::cache_in_sync() const noexcept {
-  if (!cache_valid_) return true;
-  return agg_high_ == scan(high_) && agg_low_ == scan(low_);
+unsigned VlArbitrationTable::active_entries(const ArbTable& t) noexcept {
+  unsigned n = 0;
+  for (const auto& e : t) n += e.active() ? 1u : 0u;
+  return n;
+}
+
+std::uint16_t VlArbitrationTable::vl_mask(const ArbTable& t) noexcept {
+  unsigned mask = 0;
+  for (const auto& e : t)
+    if (e.active() && e.vl < kMaxVirtualLanes) mask |= 1u << e.vl;
+  return static_cast<std::uint16_t>(mask);
 }
 
 bool VlArbitrationTable::valid() const noexcept {

@@ -6,14 +6,10 @@
 // lives in iba/arbiter.hpp and the algorithms that decide its contents (the
 // paper's contribution) live under src/arbtable/.
 //
-// Aggregate queries (per-VL weight sums, totals, active-entry counts, the
-// per-VL activity mask) are cached instead of rescanned per call. Mutation
-// through set_high_entry/set_low_entry maintains the caches incrementally in
-// O(1); mutation through the non-const high()/low() references (kept for the
-// fill/defrag algorithms and tests, which rewrite entries wholesale) marks
-// the caches dirty and the next aggregate query rebuilds them with one O(64)
-// scan per table. Debug builds cross-check every incremental update against
-// the old full scans; cache_in_sync() exposes the same audit to tests.
+// The table is plain data, as the subnet manager writes it: entries are
+// written through high()[p] / low()[p], and the aggregate queries (per-VL
+// weight sums, totals, active-entry counts, per-VL activity masks) each scan
+// the 64 entries they summarise.
 #pragma once
 
 #include <array>
@@ -43,113 +39,48 @@ class VlArbitrationTable {
  public:
   VlArbitrationTable() = default;
 
-  /// Mutable access marks the aggregate caches dirty (the caller may write
-  /// any entry through the reference); they are rebuilt lazily on the next
-  /// aggregate query. Prefer set_high_entry/set_low_entry for single-entry
-  /// writes — those keep the caches incrementally up to date.
-  ArbTable& high() noexcept {
-    cache_valid_ = false;
-    return high_;
-  }
+  ArbTable& high() noexcept { return high_; }
   const ArbTable& high() const noexcept { return high_; }
-  ArbTable& low() noexcept {
-    cache_valid_ = false;
-    return low_;
-  }
+  ArbTable& low() noexcept { return low_; }
   const ArbTable& low() const noexcept { return low_; }
-
-  /// Single-entry writes with O(1) incremental cache maintenance.
-  void set_high_entry(unsigned index, ArbTableEntry e) noexcept {
-    set_entry(high_, agg_high_, index, e);
-  }
-  void set_low_entry(unsigned index, ArbTableEntry e) noexcept {
-    set_entry(low_, agg_low_, index, e);
-  }
 
   std::uint8_t limit_of_high_priority() const noexcept { return limit_; }
   void set_limit_of_high_priority(std::uint8_t v) noexcept { limit_ = v; }
 
-  /// Sum of active weights for one VL in the high (or low) table. Used by
-  /// admission control to audit reservations.
+  /// Sum of active weights for one VL in the high (or low) table.
   unsigned vl_weight_high(VirtualLane vl) const noexcept {
-    refresh();
-    return agg_high_.vl_weight[vl];
+    return vl_weight(high_, vl);
   }
   unsigned vl_weight_low(VirtualLane vl) const noexcept {
-    refresh();
-    return agg_low_.vl_weight[vl];
+    return vl_weight(low_, vl);
   }
 
   /// Total active weight in each table.
-  unsigned total_weight_high() const noexcept {
-    refresh();
-    return agg_high_.total;
-  }
-  unsigned total_weight_low() const noexcept {
-    refresh();
-    return agg_low_.total;
-  }
+  unsigned total_weight_high() const noexcept { return total_weight(high_); }
+  unsigned total_weight_low() const noexcept { return total_weight(low_); }
 
   unsigned active_entries_high() const noexcept {
-    refresh();
-    return agg_high_.active;
+    return active_entries(high_);
   }
-  unsigned active_entries_low() const noexcept {
-    refresh();
-    return agg_low_.active;
-  }
+  unsigned active_entries_low() const noexcept { return active_entries(low_); }
 
-  /// Bit v set when VL v has at least one active entry in the table.
-  std::uint16_t vl_mask_high() const noexcept {
-    refresh();
-    return agg_high_.vl_mask;
-  }
-  std::uint16_t vl_mask_low() const noexcept {
-    refresh();
-    return agg_low_.vl_mask;
-  }
-
-  /// Audit: every cached aggregate equals a fresh O(64) scan. A dirty cache
-  /// is vacuously in sync (it claims nothing until rebuilt).
-  bool cache_in_sync() const noexcept;
+  /// Bit v set when data VL v (< 16) has at least one active entry.
+  std::uint16_t vl_mask_high() const noexcept { return vl_mask(high_); }
+  std::uint16_t vl_mask_low() const noexcept { return vl_mask(low_); }
 
   /// Structural validity: entries reference data VLs only (VL15 never
   /// appears in arbitration tables — it is arbitrated implicitly above them).
   bool valid() const noexcept;
 
  private:
-  struct Aggregates {
-    std::array<std::uint32_t, kMaxVirtualLanes> vl_weight{};
-    std::array<std::uint16_t, kMaxVirtualLanes> vl_entries{};
-    std::uint32_t total = 0;
-    std::uint32_t active = 0;
-    std::uint16_t vl_mask = 0;
-
-    friend bool operator==(const Aggregates&, const Aggregates&) = default;
-  };
-
-  static Aggregates scan(const ArbTable& t) noexcept;
-
-  void set_entry(ArbTable& t, Aggregates& agg, unsigned index,
-                 ArbTableEntry e) noexcept;
-
-  /// Rebuilds both caches if any mutable-reference access dirtied them.
-  /// Caches are mutable so const aggregate queries stay O(1); like the rest
-  /// of the class this is not safe for concurrent use of one instance (each
-  /// sweep run owns its tables).
-  void refresh() const noexcept {
-    if (cache_valid_) return;
-    agg_high_ = scan(high_);
-    agg_low_ = scan(low_);
-    cache_valid_ = true;
-  }
+  static unsigned vl_weight(const ArbTable& t, VirtualLane vl) noexcept;
+  static unsigned total_weight(const ArbTable& t) noexcept;
+  static unsigned active_entries(const ArbTable& t) noexcept;
+  static std::uint16_t vl_mask(const ArbTable& t) noexcept;
 
   ArbTable high_{};
   ArbTable low_{};
   std::uint8_t limit_ = kUnlimitedHighPriority;
-  mutable Aggregates agg_high_{};
-  mutable Aggregates agg_low_{};
-  mutable bool cache_valid_ = true;  ///< All-zero aggregates match an empty table.
 };
 
 }  // namespace ibarb::iba

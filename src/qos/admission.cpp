@@ -299,21 +299,8 @@ bool AdmissionControl::check_all_invariants(std::string* why) const {
   return true;
 }
 
-bool AdmissionControl::audit_tables(std::string* why) const {
-  if (!check_all_invariants(why)) return false;
-  for (const auto& [key, manager] : managers_) {
-    if (!manager.table().cache_in_sync()) {
-      if (why != nullptr)
-        *why = "arbiter aggregate cache out of sync on port key " +
-               std::to_string(key);
-      return false;
-    }
-  }
-  return true;
-}
-
 bool AdmissionControl::audit_full(std::string* why) const {
-  if (!audit_tables(why)) return false;
+  if (!check_all_invariants(why)) return false;
   for (const auto& [key, manager] : managers_) {
     if (!manager.audit_free_set_optimality(why)) {
       if (why != nullptr)

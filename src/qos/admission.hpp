@@ -134,16 +134,12 @@ class AdmissionControl {
   /// mismatched topology or config fingerprints.
   void load_state(util::BinReader& r);
 
-  /// Consistency audit over every port manager (tests).
+  /// Consistency audit over every port manager
+  /// (TableManager::check_invariants). Debug builds run this after every
+  /// fault-driven or dynamic-scenario release.
   bool check_all_invariants(std::string* why = nullptr) const;
 
-  /// Deeper debug audit: check_all_invariants plus the cached arbiter
-  /// aggregate cross-check (VlArbitrationTable::cache_in_sync) on every
-  /// port table. Debug builds run this after every fault-driven or
-  /// dynamic-scenario release.
-  bool audit_tables(std::string* why = nullptr) const;
-
-  /// The churn-service audit: audit_tables plus the Theorem-1 free-set
+  /// The churn-service audit: check_all_invariants plus the Theorem-1 free-set
   /// optimality check (TableManager::audit_free_set_optimality) on every
   /// port. Run after every restore and every batch of churn.
   bool audit_full(std::string* why = nullptr) const;

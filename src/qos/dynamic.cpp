@@ -45,9 +45,9 @@ void DynamicScenario::process(const PendingEvent& ev) {
 #ifndef NDEBUG
   {
     // Post-release audit: the defragmenter must have restored the entry-set
-    // invariant and the cached arbiter aggregates must still cross-check.
+    // invariant.
     std::string why;
-    assert(admission_.audit_tables(&why) && "post-release table audit");
+    assert(admission_.check_all_invariants(&why) && "post-release table audit");
   }
 #endif
   admission_.program(sim_);  // defragmentation may have moved sequences

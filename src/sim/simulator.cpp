@@ -21,6 +21,15 @@ iba::Lid lid_of(iba::NodeId host) { return static_cast<iba::Lid>(host + 1); }
 /// True while the calling thread executes a shard window (sim/shard.cpp).
 bool in_parallel() { return t_shard != nullptr; }
 
+/// Out of line and cold so that output_port, which the datapath calls per
+/// packet, stays small enough to inline.
+[[noreturn, gnu::cold, gnu::noinline]] void throw_bad_host_port(
+    iba::NodeId host, iba::PortIndex port) {
+  throw std::invalid_argument("host " + std::to_string(host) +
+                              " has only output port 0, not port " +
+                              std::to_string(port));
+}
+
 }  // namespace
 
 /// Adapts one switch's port state to the sched::CrossbarPorts view. The
@@ -77,7 +86,7 @@ class XbarView final : public sched::CrossbarPorts {
     if (head.management) return true;
     const OutputPort& op = sw_.out[out];
     const iba::VirtualLane out_vl = op.sl_map.map(head.sl);
-    return (op.arbiter.table().vl_mask_high() >> out_vl) & 1u;
+    return (op.arbiter.high_vl_mask() >> out_vl) & 1u;
   }
 
   void grant(iba::PortIndex in, iba::VirtualLane vl,
@@ -450,13 +459,27 @@ void Simulator::record_trace(iba::Cycle time, TraceEvent event,
 
 OutputPort& Simulator::output_port(iba::NodeId node, iba::PortIndex port) {
   if (graph_.is_switch(node)) return switches_[index_[node]].out.at(port);
-  assert(port == 0);
+  if (port != 0) [[unlikely]] throw_bad_host_port(node, port);
   return hosts_[index_[node]].out;
 }
 
 void Simulator::set_output_arbitration(iba::NodeId node, iba::PortIndex port,
                                        const iba::VlArbitrationTable& table) {
-  output_port(node, port).arbiter.set_table(table);
+  OutputPort& op = output_port(node, port);
+  // The arbiter indexes per-VL state by an entry's VL, so an active entry
+  // on a non-data VL (VL15 or a reserved value) must never reach it.
+  for (const bool high : {true, false}) {
+    const iba::ArbTable& t = high ? table.high() : table.low();
+    for (unsigned slot = 0; slot < t.size(); ++slot)
+      if (t[slot].active() && t[slot].vl >= iba::kManagementVl)
+        throw std::invalid_argument(
+            "set_output_arbitration: node " + std::to_string(node) +
+            " port " + std::to_string(port) + ": " +
+            (high ? "high" : "low") + "-priority slot " +
+            std::to_string(slot) + " holds VL " + std::to_string(t[slot].vl) +
+            "; only data VLs 0..14 may be active");
+  }
+  op.arbiter.set_table(table);
 }
 
 void Simulator::set_sl_to_vl(iba::NodeId node, iba::PortIndex port,

@@ -147,7 +147,10 @@ class Simulator {
   // --- Configuration (the subnet-management plane) -----------------------
 
   /// Programs the VLArbitrationTable of one output port. For hosts, `port`
-  /// must be 0 (the injection interface).
+  /// must be 0 (the injection interface). Throws std::invalid_argument,
+  /// naming the node, the port and the slot, when an active entry is on a
+  /// VL other than data VLs 0..14; this and the per-port setters below also
+  /// throw it for a host port other than 0.
   void set_output_arbitration(iba::NodeId node, iba::PortIndex port,
                               const iba::VlArbitrationTable& table);
 

@@ -192,6 +192,9 @@ std::optional<iba::VlArbitrationTable> vlarb_from_smps(
       return std::nullopt;
     const bool high = smp.attribute_modifier >= 3;
     const unsigned half = (smp.attribute_modifier - 1) % 2;
+    // The VL byte's upper nibble is reserved: 0x21 is not VL 33.
+    for (std::size_t i = 0; i < kVlArbEntriesPerBlock; ++i)
+      if (smp.payload[2 * i] >= iba::kMaxVirtualLanes) return std::nullopt;
     read_vlarb_block(std::span<const std::uint8_t, kSmpPayloadBytes>(
                          smp.payload.data(), kSmpPayloadBytes),
                      half, high ? table.high() : table.low());

@@ -96,7 +96,8 @@ void read_vlarb_block(std::span<const std::uint8_t, kSmpPayloadBytes> payload,
 std::vector<DrSmp> vlarb_program_smps(const iba::VlArbitrationTable& table);
 
 /// Reassembles a VLArbitrationTable from its four programming SMPs (any
-/// order); returns std::nullopt if blocks are missing or malformed.
+/// order); returns std::nullopt if blocks are missing or malformed, or if
+/// any entry's VL byte sets its reserved upper nibble.
 std::optional<iba::VlArbitrationTable> vlarb_from_smps(
     std::span<const DrSmp> smps);
 

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "arbtable/entry_set.hpp"
 #include "network/topology.hpp"
+#include "qos/traffic_classes.hpp"
+#include "subnet/subnet_manager.hpp"
+#include "util/rng.hpp"
 
 namespace ibarb::qos {
 namespace {
@@ -185,6 +191,68 @@ TEST(Admission, EightyPercentCapAcrossManyConnections) {
   }
   EXPECT_LE(total, 0.8 * 2000.0 + 1e-9);
   EXPECT_GT(total, 0.8 * 2000.0 - 8.0);  // fills right up to the cap
+}
+
+TEST(Admission, SurvivesFaultStyleChurn) {
+  // The recovery coordinator's mutation pattern: release a batch of
+  // connections (defrag fires per release), re-admit over possibly different
+  // paths with graceful degradation shedding best-effort load in between.
+  // Every port's invariants must hold after every single step.
+  const auto graph = network::gen::fat_tree2(2, 3, 2);
+  subnet::SubnetManager sm(graph);
+  AdmissionControl::Config ac;
+  ac.seed = 9;
+  AdmissionControl admission(graph, sm.routes(), paper_catalogue(), ac);
+  const auto hosts = graph.hosts();
+
+  util::Xoshiro256 rng(53);
+  std::vector<ConnectionId> guaranteed;
+  std::vector<ConnectionId> besteffort;
+  const auto random_pair = [&](ConnectionRequest& r) {
+    r.src_host = hosts[rng.below(hosts.size())];
+    do {
+      r.dst_host = hosts[rng.below(hosts.size())];
+    } while (r.dst_host == r.src_host);
+  };
+
+  for (int step = 0; step < 400; ++step) {
+    const auto dice = rng.below(10);
+    if (dice < 3 && !guaranteed.empty()) {
+      const auto k = rng.below(guaranteed.size());
+      admission.release(guaranteed[k]);
+      guaranteed[k] = guaranteed.back();
+      guaranteed.pop_back();
+    } else if (dice < 5 && !besteffort.empty()) {
+      const auto k = rng.below(besteffort.size());
+      if (admission.is_live(besteffort[k]))  // may have been shed already
+        admission.release(besteffort[k]);
+      besteffort[k] = besteffort.back();
+      besteffort.pop_back();
+    } else if (dice < 8) {
+      ConnectionRequest r;
+      random_pair(r);
+      r.sl = static_cast<iba::ServiceLevel>(rng.below(10));
+      r.max_distance = find_sl(admission.catalogue(), r.sl)->max_distance;
+      r.wire_mbps = 5 + static_cast<double>(rng.below(40));
+      const auto result = admission.request_degrading(r);
+      if (result.id) guaranteed.push_back(*result.id);
+    } else {
+      ConnectionRequest r;
+      random_pair(r);
+      r.sl = static_cast<iba::ServiceLevel>(10 + rng.below(3));
+      r.wire_mbps = 10 + static_cast<double>(rng.below(80));
+      if (const auto id = admission.request_best_effort(r))
+        besteffort.push_back(*id);
+    }
+    std::string why;
+    ASSERT_TRUE(admission.check_all_invariants(&why))
+        << "step " << step << ": " << why;
+  }
+  for (const auto id : guaranteed) admission.release(id);
+  for (const auto id : besteffort)
+    if (admission.is_live(id)) admission.release(id);
+  std::string why;
+  EXPECT_TRUE(admission.check_all_invariants(&why)) << why;
 }
 
 }  // namespace

@@ -253,7 +253,7 @@ TEST(FaultRecovery, LinkFlapTriggersResweepRerouteAndRepair) {
                 rs.rerouted > 0);
   }
   std::string why;
-  EXPECT_TRUE(rig.admission.audit_tables(&why)) << why;
+  EXPECT_TRUE(rig.admission.check_all_invariants(&why)) << why;
 }
 
 TEST(FaultRecovery, PurgeBarrierDropsStragglersUntilCleared) {
@@ -403,7 +403,7 @@ std::string storm_fingerprint(std::uint64_t seed) {
   // The storm must not have broken the degradation contract or the tables.
   EXPECT_EQ(rs.guarantee_revocations, 0u);
   std::string why;
-  EXPECT_TRUE(rig.admission.audit_tables(&why)) << why;
+  EXPECT_TRUE(rig.admission.check_all_invariants(&why)) << why;
   return out.str();
 }
 
@@ -475,7 +475,7 @@ TEST(GracefulDegradation, ShedsBestEffortFirstAndNeverGuaranteed) {
       << "degradation revoked a guaranteed connection";
   EXPECT_TRUE(admission.is_live(*result.id));
   std::string why;
-  EXPECT_TRUE(admission.audit_tables(&why)) << why;
+  EXPECT_TRUE(admission.check_all_invariants(&why)) << why;
 }
 
 }  // namespace

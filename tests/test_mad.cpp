@@ -182,5 +182,22 @@ TEST(VlArbCodec, WrongAttributeRejected) {
   EXPECT_FALSE(vlarb_from_smps(smps).has_value());
 }
 
+TEST(VlArbCodec, ReservedVlNibbleRejected) {
+  // VL bytes 0..15 decode; a set upper nibble (reserved) does not, whatever
+  // the entry's weight, so 0x21 never becomes VL 33.
+  iba::VlArbitrationTable table;
+  table.low()[5] = iba::ArbTableEntry{15, 0};
+  auto smps = vlarb_program_smps(table);
+  ASSERT_TRUE(vlarb_from_smps(smps).has_value());
+  for (const std::uint8_t vl : {0x10, 0x21, 0xF0}) {
+    for (const unsigned block : {0u, 3u}) {
+      auto bad = smps;
+      bad[block].payload[2 * 7] = vl;
+      EXPECT_FALSE(vlarb_from_smps(bad).has_value())
+          << "VL byte " << unsigned{vl} << " in block " << block + 1;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ibarb::subnet

@@ -284,6 +284,57 @@ TEST(Simulator, SetForwardingRejectsMalformedTables) {
   EXPECT_GT(sim.metrics().connections[flow].rx_packets, 40u);
 }
 
+TEST(Simulator, SetOutputArbitrationRejectsInvalidTables) {
+  const auto g = network::gen::single_switch(2);
+  const auto routes = network::compute_routes(g);
+  Simulator sim(g, routes, SimConfig{});
+  const auto sw = g.switches()[0];
+  const auto hosts = g.hosts();
+  program_all(sim, g, table_for({{0, 255}}));
+
+  struct Bad {
+    bool high;
+    unsigned slot;
+    iba::VirtualLane vl;
+  };
+  for (const Bad bad : {Bad{true, 7, iba::kManagementVl}, Bad{false, 40, 33},
+                        Bad{true, 63, 200}, Bad{false, 0, 16}}) {
+    auto t = table_for({{0, 255}});
+    (bad.high ? t.high() : t.low())[bad.slot] = iba::ArbTableEntry{bad.vl, 1};
+    const auto what =
+        invalid_argument_of([&] { sim.set_output_arbitration(sw, 1, t); });
+    SCOPED_TRACE(what);
+    EXPECT_NE(what.find("node " + std::to_string(sw) + " port 1"),
+              std::string::npos);
+    EXPECT_NE(what.find(std::string(bad.high ? "high" : "low") +
+                        "-priority slot " + std::to_string(bad.slot)),
+              std::string::npos);
+    EXPECT_NE(what.find("VL " + std::to_string(bad.vl)), std::string::npos);
+  }
+  // An inactive entry's VL is never read.
+  auto idle = table_for({{0, 255}});
+  idle.low()[3] = iba::ArbTableEntry{33, 0};
+  EXPECT_NO_THROW(sim.set_output_arbitration(sw, 1, idle));
+
+  // Hosts have one output port, 0; every per-port setter says so.
+  const auto good = table_for({{0, 255}});
+  const std::string host_name = "host " + std::to_string(hosts[0]);
+  EXPECT_NE(invalid_argument_of([&] {
+              sim.set_output_arbitration(hosts[0], 1, good);
+            }).find(host_name),
+            std::string::npos);
+  EXPECT_THROW(sim.set_sl_to_vl(hosts[0], 2, iba::SlToVlMappingTable{}),
+               std::invalid_argument);
+  EXPECT_THROW(sim.set_port_reserved_mbps(hosts[0], 1, 10.0),
+               std::invalid_argument);
+
+  // The rejected tables left the accepted ones in place: traffic flows.
+  const auto flow = sim.add_flow(cbr(hosts[0], hosts[1], 0, 256, 2000));
+  sim.metrics().start_window(0);
+  sim.run_until(100000);
+  EXPECT_GT(sim.metrics().connections[flow].rx_packets, 40u);
+}
+
 TEST(Simulator, PoissonFlowApproximatesRate) {
   const auto g = network::gen::single_switch(2);
   const auto routes = network::compute_routes(g);

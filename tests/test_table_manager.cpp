@@ -346,5 +346,65 @@ TEST(TableManager, InvariantCheckerCatchesCorruption) {
   EXPECT_FALSE(why.empty());
 }
 
+TEST(TableManager, ChurnWithDefrag) {
+  // Random allocate/release churn with defragmentation on every release,
+  // over a static low table: the invariants hold after every step and a
+  // full teardown leaves the high table empty.
+  TableManager::Config c;
+  c.reservable_fraction = 1.0;
+  c.defrag_on_release = true;
+  TableManager m(c);
+  m.configure_low_priority(
+      std::vector<std::pair<iba::VirtualLane, std::uint8_t>>{{14, 32},
+                                                             {13, 16}});
+
+  util::Xoshiro256 rng(47);
+  constexpr unsigned kDistances[] = {2, 4, 8, 16, 32, 64};
+  struct Live {
+    SeqHandle h;
+    Requirement r;
+  };
+  std::vector<Live> live;
+  for (int i = 0; i < 600; ++i) {
+    if (!live.empty() && rng.chance(0.45)) {
+      const auto k = rng.below(live.size());
+      m.release(live[k].h, live[k].r, 0.001);  // may trigger defragmentation
+      live[k] = live.back();
+      live.pop_back();
+    } else {
+      const auto vl = static_cast<iba::VirtualLane>(rng.below(8));
+      Requirement r;
+      r.distance = kDistances[rng.below(6)];
+      r.entries = iba::kArbTableEntries / r.distance;
+      r.weight_per_entry = 1 + static_cast<unsigned>(rng.below(60));
+      r.total_weight = r.entries * r.weight_per_entry;
+      if (const auto h = m.allocate(vl, r, 0.001)) live.push_back(Live{*h, r});
+    }
+    std::string why;
+    ASSERT_TRUE(m.check_invariants(&why)) << "after churn step " << i << ": "
+                                          << why;
+  }
+  for (const auto& l : live) m.release(l.h, l.r, 0.001);
+  EXPECT_TRUE(m.check_invariants());
+  EXPECT_EQ(m.table().active_entries_high(), 0u);
+  EXPECT_EQ(m.table().total_weight_low(), 48u);
+}
+
+TEST(TableManager, DynamicLowTableWeights) {
+  TableManager::Config c;
+  c.reservable_fraction = 1.0;
+  TableManager m(c);
+  ASSERT_TRUE(m.add_low_weight(4, 100, 1.0));
+  EXPECT_EQ(m.table().vl_weight_low(4), 100u);
+  ASSERT_TRUE(m.add_low_weight(5, 300, 1.0));  // spans two 255-capped entries
+  EXPECT_EQ(m.table().vl_weight_low(5), 300u);
+  EXPECT_EQ(m.table().active_entries_low(), 3u);
+  m.remove_low_weight(5, 300, 1.0);
+  EXPECT_EQ(m.table().vl_weight_low(5), 0u);
+  EXPECT_EQ(m.table().vl_weight_low(4), 100u);
+  EXPECT_EQ(m.table().active_entries_low(), 1u);
+  EXPECT_TRUE(m.check_invariants());
+}
+
 }  // namespace
 }  // namespace ibarb::arbtable

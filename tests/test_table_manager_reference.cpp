@@ -85,7 +85,7 @@ class ReferenceManager {
     reserved_mbps_ -= mbps;
     ++stats_.releases;
     if (seq.connections == 0) {
-      for (const auto p : seq.positions) table_.set_high_entry(p, {});
+      for (const auto p : seq.positions) table_.high()[p] = {};
       seq.live = false;
       seq.positions.clear();
       free_handles_.push_back(handle);
@@ -247,8 +247,8 @@ class ReferenceManager {
 
   void write(const Seq& seq) {
     for (const auto p : seq.positions)
-      table_.set_high_entry(p, iba::ArbTableEntry{
-          seq.vl, static_cast<std::uint8_t>(seq.weight_per_entry)});
+      table_.high()[p] = iba::ArbTableEntry{
+          seq.vl, static_cast<std::uint8_t>(seq.weight_per_entry)};
   }
 
   /// Sort live spaced sequences by size (descending) then buddy address,
@@ -282,7 +282,7 @@ class ReferenceManager {
     }
     for (const auto& [h, offset] : moving)
       for (const auto p : sequences_[h].positions)
-        table_.set_high_entry(p, {});
+        table_.high()[p] = {};
     for (const auto& [h, offset] : moving) {
       sequences_[h].positions = spaced(sequences_[h].distance, offset);
       write(sequences_[h]);
@@ -309,7 +309,7 @@ class ReferenceManager {
       }
     }
     for (unsigned p = 0; p < fresh.size(); ++p)
-      table_.set_low_entry(p, fresh[p]);
+      table_.low()[p] = fresh[p];
     return true;
   }
 

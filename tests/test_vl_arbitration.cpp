@@ -7,6 +7,9 @@
 namespace ibarb::iba {
 namespace {
 
+// The table is plain data: two 64-entry tables and LimitOfHighPriority.
+static_assert(sizeof(VlArbitrationTable) == 2 * sizeof(ArbTable) + 1);
+
 TEST(VlArbitrationTable, StartsEmptyAndValid) {
   VlArbitrationTable t;
   EXPECT_EQ(t.total_weight_high(), 0u);
