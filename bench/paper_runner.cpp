@@ -2,9 +2,13 @@
 
 #include "network/routing_engine.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <string_view>
 
 namespace ibarb::bench {
 
@@ -80,13 +84,20 @@ std::string resolve_routing(const PaperRunConfig& cfg) {
 
 unsigned shards_from_env() {
   // IBARB_SHARDS=N reruns any bench binary on the parallel core (CI diffs
-  // sharded vs sequential output). Unset or unparsable means sequential.
+  // sharded vs sequential output). Unset or empty means sequential; any
+  // other value must be a count in [1, 64], so a typo'd sharded leg fails
+  // at startup instead of quietly running sequentially.
   const char* v = std::getenv("IBARB_SHARDS");
   if (v == nullptr || *v == '\0') return 1;
-  char* end = nullptr;
-  const long n = std::strtol(v, &end, 10);
-  if (end == v || *end != '\0' || n < 1 || n > 64) return 1;
-  return static_cast<unsigned>(n);
+  const std::string_view s(v);
+  unsigned n = 0;
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), n);
+  if (ec != std::errc{} || ptr != s.data() + s.size() || n < 1 || n > 64) {
+    throw std::invalid_argument(
+        "IBARB_SHARDS: expected a shard count in [1, 64], got '" +
+        std::string(s) + "'");
+  }
+  return n;
 }
 
 PaperRun::PaperRun(PaperRunConfig c) : PaperRun(c, DeferSim{}) { run(); }

@@ -69,8 +69,9 @@ struct PaperRunConfig {
 PaperRunConfig config_from_cli(const util::Cli& cli, PaperRunConfig base = {});
 
 /// IBARB_SHARDS=N selects the parallel-core shard count through an
-/// unmodified bench binary (CI reruns the suite sharded); unset, empty, or
-/// unparsable means 1 (sequential).
+/// unmodified bench binary (CI reruns the suite sharded); unset or empty
+/// means 1 (sequential). Any other value must be an integer in [1, 64];
+/// otherwise throws std::invalid_argument naming the value.
 unsigned shards_from_env();
 
 /// The topology spec a config resolves to (flag beats IBARB_TOPO beats

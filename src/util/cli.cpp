@@ -99,7 +99,12 @@ bool Cli::get_bool(std::string_view name, bool default_value) const {
   queried_[std::string(name)] = true;
   const auto it = values_.find(name);
   if (it == values_.end()) return default_value;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const auto& s = it->second;
+  if (s == "true" || s == "1" || s == "yes") return true;
+  if (s == "false" || s == "0" || s == "no") return false;
+  throw std::invalid_argument("flag --" + std::string(name) +
+                              " expects true|false|1|0|yes|no, got '" + s +
+                              "'");
 }
 
 unsigned Cli::jobs() const {

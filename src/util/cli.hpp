@@ -26,9 +26,10 @@ namespace ibarb::util {
 ///   --quiet             suppress progress/timing chatter on stderr
 ///   --crossbar IMPL     crossbar scheduler (wrr|islip|matrix|abr); absent
 ///                       defers to IBARB_CROSSBAR, then wrr
-///   --shards N          parallel simulation shards inside one experiment
-///                       (0/absent defers to IBARB_SHARDS, then 1 =
-///                       sequential); output is byte-identical for any N
+///   --shards N          parallel simulation shards inside one experiment,
+///                       in [0, 64] (0/absent defers to IBARB_SHARDS, which
+///                       must be in [1, 64] when set, then 1 = sequential);
+///                       output is byte-identical for any N
 ///   --topo SPEC         topology spec "family:k=v,..." (irregular|single|
 ///                       line|mesh2d|torus2d|torus3d|fattree|fattree2|
 ///                       dragonfly); absent defers to IBARB_TOPO, then
@@ -37,9 +38,10 @@ namespace ibarb::util {
 ///                       fattree-dmodk); absent defers to IBARB_ROUTING,
 ///                       then updown
 ///
-/// Output-path flags (--trace-out, --series-csv) and enum flags
-/// (--crossbar) are validated up front: a typo must fail at parse time
-/// instead of after (or worse, silently during) the full run.
+/// Boolean flags take a bare `--flag` or one of true|false|1|0|yes|no;
+/// any other value throws. Output-path flags (--trace-out, --series-csv)
+/// and enum flags (--crossbar) are validated up front: a typo must fail at
+/// parse time instead of after (or worse, silently during) the full run.
 struct StdFlags {
   unsigned jobs = 1;
   bool json = false;

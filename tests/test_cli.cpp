@@ -39,6 +39,35 @@ TEST(Cli, BareFlagIsTrue) {
   EXPECT_TRUE(cli.get_bool("quick", false));
 }
 
+TEST(Cli, BoolAcceptsTheSixSpellings) {
+  for (const char* yes : {"true", "1", "yes"}) {
+    EXPECT_TRUE(make({"--profile", yes}).get_bool("profile", false)) << yes;
+    const std::string eq = "--profile=" + std::string(yes);
+    EXPECT_TRUE(make({eq.c_str()}).get_bool("profile", false)) << yes;
+  }
+  for (const char* no : {"false", "0", "no"}) {
+    EXPECT_FALSE(make({"--profile", no}).get_bool("profile", true)) << no;
+  }
+}
+
+TEST(Cli, BoolRejectsOtherValuesNamingTheFlag) {
+  // `--json out.json` reads the path as the flag's value, and `ture` is a
+  // typo; both used to silently turn the flag off.
+  for (const auto& args : std::vector<std::vector<const char*>>{
+           {"--json", "out.json"}, {"--json=ture"}, {"--json", "TRUE"},
+           {"--json="}}) {
+    const auto cli = make(args);
+    try {
+      (void)cli.get_bool("json", false);
+      FAIL() << args.back() << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--json"), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW(make({"--quiet", "loud"}).std_flags(), std::invalid_argument);
+}
+
 TEST(Cli, DoubleParsing) {
   const auto cli = make({"--load", "0.75"});
   EXPECT_DOUBLE_EQ(cli.get_double("load", 0.0), 0.75);

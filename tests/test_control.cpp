@@ -364,6 +364,50 @@ TEST(ChurnEngine, SnapshotRestoreReplaysIdentically) {
   EXPECT_EQ(a.admission.rejected(), b.admission.rejected());
 }
 
+TEST(Snapshot, AdmissionOnlyWorldRoundTripsAndAudits) {
+  // A world holding only admission control (no injector, coordinator or
+  // churn engine): the subnet-manager-only deployment.
+  const std::uint64_t seed = 41;
+  const auto graph = make_small_fabric();
+  const subnet::SubnetManager sm(graph);
+  qos::AdmissionControl::Config ac;
+  ac.seed = seed;
+  qos::AdmissionControl admission(graph, sm.routes(), qos::paper_catalogue(),
+                                  ac);
+  const auto hosts = graph.hosts();
+  std::uint64_t admitted = 0;
+  for (std::size_t i = 0; i < 48; ++i) {
+    qos::ConnectionRequest req;
+    req.src_host = hosts[i % hosts.size()];
+    req.dst_host = hosts[(i + 1 + i / hosts.size()) % hosts.size()];
+    if (req.src_host == req.dst_host) continue;
+    req.sl = static_cast<iba::ServiceLevel>(i % 10);
+    req.max_distance =
+        qos::find_sl(admission.catalogue(), req.sl)->max_distance;
+    req.wire_mbps = 0.5 + static_cast<double>(i % 7);
+    if (admission.request(req)) ++admitted;
+  }
+  ASSERT_GT(admitted, 0u);
+
+  const iba::Cycle snap_time = 12'345;
+  const auto blob = control::save_world(
+      snap_time, seed, control::World{&admission, nullptr, nullptr, nullptr});
+
+  qos::AdmissionControl loaded(graph, sm.routes(), qos::paper_catalogue(), ac);
+  const control::World fresh{&loaded, nullptr, nullptr, nullptr};
+  EXPECT_EQ(control::restore_world(blob, seed, fresh), snap_time);
+  std::string why;
+  EXPECT_TRUE(loaded.audit_full(&why)) << why;
+  EXPECT_EQ(loaded.live_count(), admission.live_count());
+  EXPECT_EQ(control::save_world(snap_time, seed, fresh), blob)
+      << "re-saving the restored world must reproduce the blob bit for bit";
+
+  // The blob records that no engine was present; a world with one refuses it.
+  TestWorld with_engine(seed, quick_churn(seed));
+  EXPECT_THROW((void)control::restore_world(blob, seed, with_engine.refs()),
+               std::runtime_error);
+}
+
 TEST(ChurnEngine, RestoreGuardsRejectMismatches) {
   const std::uint64_t seed = 99;
   TestWorld a(seed, quick_churn(seed));

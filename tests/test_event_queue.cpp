@@ -210,5 +210,81 @@ TEST(EventQueueDifferential, DrainAndRefillCrossesTheHorizon) {
   run_differential(script);
 }
 
+TEST(EventQueueDifferential, PushKeyedOutOfOrderKeys) {
+  // push_keyed (the shard engine's merge insert) keeps each event's preset
+  // key and sorts it into its wheel bucket, so same-cycle events arriving in
+  // any key order must still pop in (time, key) order. Keys beyond the
+  // horizon go to the overflow heap and merge back by the same key.
+  for (const bool count_stats : {false, true}) {
+    SCOPED_TRACE(count_stats ? "count_stats" : "uncounted");
+    util::Xoshiro256 rng(408);
+    EventQueue queue;
+    std::vector<std::pair<iba::Cycle, std::uint64_t>> reference;  // unpopped
+    std::uint64_t pushed = 0;
+    // `origin` is the creation cycle the statistics measure residency from.
+    const auto push = [&](iba::Cycle t, std::uint64_t key, iba::Cycle origin) {
+      Event e = at(t);
+      e.seq = key;
+      queue.push_keyed(e, origin, count_stats);
+      reference.emplace_back(t, key);
+      ++pushed;
+    };
+    const auto pop_checked = [&]() -> ::testing::AssertionResult {
+      const auto it = std::min_element(reference.begin(), reference.end());
+      const auto want = *it;
+      reference.erase(it);
+      const Event e = queue.pop();
+      if (e.time == want.first && e.seq == want.second)
+        return ::testing::AssertionSuccess();
+      return ::testing::AssertionFailure()
+             << "popped (" << e.time << ", " << e.seq << "), expected ("
+             << want.first << ", " << want.second << ")";
+    };
+
+    // One bucket through every sorted-insert branch: empty, tail append,
+    // new head, and a mid-list walk; then three keys past the horizon.
+    for (const std::uint64_t key : {50, 70, 10, 30, 90, 20, 80})
+      push(10, key, 0);
+    for (const std::uint64_t key : {60, 40, 55})
+      push(10 + (1u << 16) + 5, key, 0);
+    ASSERT_TRUE(pop_checked());
+
+    // Rounds of shuffled keys over a few near cycles and one far cycle,
+    // half-drained between rounds so the window slides.
+    std::uint64_t next_key = 1'000;
+    iba::Cycle base = 200;
+    for (int round = 0; round < 40; ++round) {
+      const iba::Cycle cycles[] = {base + rng.below(300), base + rng.below(300),
+                                   base + rng.below(300),
+                                   base + (1u << 16) + rng.below(1u << 17)};
+      std::vector<std::uint64_t> keys(24 + rng.below(40));
+      for (auto& k : keys) k = next_key++;
+      for (std::size_t i = keys.size() - 1; i > 0; --i)
+        std::swap(keys[i], keys[rng.below(i + 1)]);
+      for (const auto k : keys)
+        push(cycles[rng.below(std::size(cycles))], k, base);
+      for (std::size_t i = 0; i < keys.size() / 2; ++i)
+        ASSERT_TRUE(pop_checked());
+      base += 400;
+    }
+    while (!reference.empty()) ASSERT_TRUE(pop_checked());
+    EXPECT_TRUE(queue.empty());
+
+    const auto& stats = queue.stats();
+    EXPECT_EQ(stats.pops, pushed);
+    if (count_stats) {
+      EXPECT_EQ(stats.pushes, pushed);
+      EXPECT_GT(stats.overflow_pushes, 0u);
+      std::uint64_t binned = 0;
+      for (const auto bin : stats.residency_log2) binned += bin;
+      EXPECT_EQ(binned, pushed);
+    } else {
+      EXPECT_EQ(stats.pushes, 0u);
+      EXPECT_EQ(stats.overflow_pushes, 0u);
+      for (const auto bin : stats.residency_log2) EXPECT_EQ(bin, 0u);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ibarb::sim

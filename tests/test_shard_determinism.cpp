@@ -9,8 +9,10 @@
 // instead of crashing.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "faults/fault_injector.hpp"
@@ -275,6 +277,38 @@ TEST(ShardDeterminism, UnshardableTopologyPinsSequentialFallback) {
   sim.run_until(10'000);
   EXPECT_EQ(sim.effective_shards(), 1u);
   EXPECT_EQ(sim.shard_fallback_reason(), "unshardable-topology");
+}
+
+TEST(ShardDeterminism, ShardsEnvRejectsValuesOutsideOneToSixtyFour) {
+  // CI's sharded legs set IBARB_SHARDS; a typo must fail at startup, not
+  // quietly run the sequential core and pass the byte-identity diff.
+  const char* prior = std::getenv("IBARB_SHARDS");
+  const bool was_set = prior != nullptr;
+  const std::string saved = was_set ? prior : "";
+  unsetenv("IBARB_SHARDS");
+  EXPECT_EQ(shards_from_env(), 1u);
+  setenv("IBARB_SHARDS", "", 1);
+  EXPECT_EQ(shards_from_env(), 1u);
+  for (const char* ok : {"1", "4", "64"}) {
+    setenv("IBARB_SHARDS", ok, 1);
+    EXPECT_EQ(shards_from_env(), std::stoul(ok)) << ok;
+  }
+  for (const char* bad : {"four", "0", "65", "-4", "4x", " 4", "+4"}) {
+    setenv("IBARB_SHARDS", bad, 1);
+    try {
+      (void)shards_from_env();
+      ADD_FAILURE() << "IBARB_SHARDS=" << bad << " accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("IBARB_SHARDS"), std::string::npos) << msg;
+      EXPECT_NE(msg.find(std::string("'") + bad + "'"), std::string::npos)
+          << msg;
+    }
+  }
+  if (was_set)
+    setenv("IBARB_SHARDS", saved.c_str(), 1);
+  else
+    unsetenv("IBARB_SHARDS");
 }
 
 }  // namespace
