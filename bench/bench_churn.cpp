@@ -25,6 +25,7 @@
 // goes to stderr, never into the report envelope.
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -366,7 +367,7 @@ void write_blob(const std::string& path,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
   const auto sf = cli.std_flags(1);
   BenchConfig bc;
@@ -377,18 +378,20 @@ int main(int argc, char** argv) {
     return 2;
   }
   bc.storm = scenario == "storm";
-  bc.spines = static_cast<unsigned>(cli.get_int("spines", 2));
-  bc.leaves = static_cast<unsigned>(cli.get_int("leaves", 4));
-  bc.hosts_per_leaf = static_cast<unsigned>(cli.get_int("hosts-per-leaf", 2));
+  constexpr std::int64_t kMaxCount = std::numeric_limits<unsigned>::max();
+  bc.spines = static_cast<unsigned>(cli.get_int_in("spines", 2, 1, kMaxCount));
+  bc.leaves = static_cast<unsigned>(cli.get_int_in("leaves", 4, 1, kMaxCount));
+  bc.hosts_per_leaf = static_cast<unsigned>(
+      cli.get_int_in("hosts-per-leaf", 2, 1, kMaxCount));
   bc.length = static_cast<iba::Cycle>(
-      cli.get_int("length", cli.get_bool("quick", false) ? 600'000
-                                                         : 1'500'000));
-  bc.tick = static_cast<iba::Cycle>(cli.get_int("tick", 10'000));
+      cli.get_int_in("length",
+                     cli.get_bool("quick", false) ? 600'000 : 1'500'000, 1));
+  bc.tick = static_cast<iba::Cycle>(cli.get_int_in("tick", 10'000, 1));
   bc.snapshot_at =
-      static_cast<iba::Cycle>(cli.get_int("snapshot-at", 0));
+      static_cast<iba::Cycle>(cli.get_int_in("snapshot-at", 0, 0));
   bc.restore_check = !cli.get_bool("no-restore", false);
   bc.seed = sf.seed;
-  bc.runs = static_cast<unsigned>(cli.get_int("runs", 2));
+  bc.runs = static_cast<unsigned>(cli.get_int_in("runs", 2, 1, kMaxCount));
   bc.jobs = sf.jobs;
   bc.json = sf.json;
   bc.snapshot_out = cli.get("snapshot-out", "");
@@ -467,4 +470,6 @@ int main(int argc, char** argv) {
   }
   cli.warn_unused(std::cerr);
   return rc;
+} catch (const std::invalid_argument& e) {
+  return bench::flag_error(e);
 }

@@ -248,16 +248,14 @@ std::uint64_t xbar_counter(const Row& row, std::string_view name) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
   const auto sf = cli.std_flags(31);
 
-  // --crossbar restricts the ablation to one scheduler (CI uses this to pin
-  // a matrix leg); absent means the whole zoo. IBARB_CROSSBAR deliberately
-  // does NOT apply here — comparing the schedulers is the bench's job.
+  // --crossbar restricts the ablation to one scheduler; absent means the
+  // whole zoo, since comparing the schedulers is the bench's job.
   std::vector<sched::CrossbarImpl> impls(kImpls.begin(), kImpls.end());
-  if (!sf.crossbar.empty())
-    impls = {*sched::parse_crossbar_impl(sf.crossbar)};
+  if (const auto impl = bench::crossbar_from_cli(cli)) impls = {*impl};
 
   if (!sf.json)
     std::cout << "=== Crossbar fairness ablation (" << kHosts
@@ -385,4 +383,6 @@ int main(int argc, char** argv) {
 
   cli.warn_unused(std::cerr);
   return rc;
+} catch (const std::invalid_argument& e) {
+  return bench::flag_error(e);
 }

@@ -25,6 +25,7 @@
 // (seed, run index), so `--runs N --jobs J` prints byte-identical output
 // for every J, and two invocations with the same flags are bit-identical.
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -454,20 +455,23 @@ obs::Report make_report(const BenchConfig& bc,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
   const auto sf = cli.std_flags(1);
   BenchConfig bc;
-  bc.spines = static_cast<unsigned>(cli.get_int("spines", 2));
-  bc.leaves = static_cast<unsigned>(cli.get_int("leaves", 4));
-  bc.hosts_per_leaf = static_cast<unsigned>(cli.get_int("hosts-per-leaf", 2));
+  constexpr std::int64_t kMaxCount = std::numeric_limits<unsigned>::max();
+  bc.spines = static_cast<unsigned>(cli.get_int_in("spines", 2, 1, kMaxCount));
+  bc.leaves = static_cast<unsigned>(cli.get_int_in("leaves", 4, 1, kMaxCount));
+  bc.hosts_per_leaf = static_cast<unsigned>(
+      cli.get_int_in("hosts-per-leaf", 2, 1, kMaxCount));
   bc.length = static_cast<iba::Cycle>(
-      cli.get_int("length", cli.get_bool("quick", false) ? 1'200'000
-                                                         : 3'000'000));
+      cli.get_int_in("length",
+                     cli.get_bool("quick", false) ? 1'200'000 : 3'000'000, 1));
   bc.seed = sf.seed;
-  bc.storm_seed = static_cast<std::uint64_t>(cli.get_int("storm-seed", 0));
+  bc.storm_seed =
+      static_cast<std::uint64_t>(cli.get_int_in("storm-seed", 0, 0));
   bc.plan_spec = cli.get("fault-plan", "");
-  bc.runs = static_cast<unsigned>(cli.get_int("runs", 1));
+  bc.runs = static_cast<unsigned>(cli.get_int_in("runs", 1, 1, kMaxCount));
   bc.jobs = sf.jobs;
   bc.with_baseline = !cli.get_bool("no-baseline", false);
   bc.json = sf.json;
@@ -576,4 +580,6 @@ int main(int argc, char** argv) {
 
   cli.warn_unused(std::cerr);
   return rc;
+} catch (const std::invalid_argument& e) {
+  return bench::flag_error(e);
 }

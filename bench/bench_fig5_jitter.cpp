@@ -59,12 +59,12 @@ void print_panel(const char* title,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
   const auto sf = cli.std_flags(21);
   const auto cfg = bench::config_from_cli(cli);
   const auto replicas =
-      static_cast<std::size_t>(cli.get_int("replicas", 1));
+      static_cast<std::size_t>(cli.get_int_in("replicas", 1, 1, 1'000'000));
 
   if (!sf.json) {
     std::cout << "=== Figure 5: average packet jitter (% of packets per "
@@ -110,4 +110,6 @@ int main(int argc, char** argv) {
 
   cli.warn_unused(std::cerr);
   return rc;
+} catch (const std::invalid_argument& e) {
+  return bench::flag_error(e);
 }

@@ -10,6 +10,7 @@
 // enough free entries existed. The paper's pair (bit-reversal + defrag) is
 // provably at zero; every baseline fragments.
 #include <iostream>
+#include <limits>
 #include <vector>
 
 #include "arbtable/baselines.hpp"
@@ -20,19 +21,21 @@
 
 using namespace ibarb;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
   const auto sf = cli.std_flags(1);
   arbtable::AcceptanceWorkload w;
+  constexpr std::int64_t kMaxCount = std::numeric_limits<unsigned>::max();
   w.requests =
-      static_cast<unsigned>(cli.get_int("requests", 5000));
+      static_cast<unsigned>(cli.get_int_in("requests", 5000, 1, kMaxCount));
   w.departure_probability = cli.get_double("departures", 0.45);
   // Entry-limited regime: the whole link is reservable so rejections come
   // from table placement, the thing being ablated, not the bandwidth cap.
   w.reservable_fraction = cli.get_double("reservable", 1.0);
   w.min_mbps = cli.get_double("min-mbps", 4.0);
   w.max_mbps = cli.get_double("max-mbps", 32.0);
-  const unsigned seeds = static_cast<unsigned>(cli.get_int("seeds", 10));
+  const unsigned seeds =
+      static_cast<unsigned>(cli.get_int_in("seeds", 10, 1, kMaxCount));
 
   if (!sf.json) {
     std::cout << "=== Fill-algorithm ablation: acceptance under churn ===\n";
@@ -135,4 +138,6 @@ int main(int argc, char** argv) {
 
   cli.warn_unused(std::cerr);
   return rc;
+} catch (const std::invalid_argument& e) {
+  return bench::flag_error(e);
 }

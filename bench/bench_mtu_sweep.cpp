@@ -11,7 +11,7 @@
 
 using namespace ibarb;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
   const auto sf = cli.std_flags(21);
   const auto base = bench::config_from_cli(cli);
@@ -87,4 +87,6 @@ int main(int argc, char** argv) {
 
   cli.warn_unused(std::cerr);
   return rc;
+} catch (const std::invalid_argument& e) {
+  return bench::flag_error(e);
 }

@@ -339,7 +339,7 @@ TopoRow run_topo_case(const TopoCase& tc) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
   const auto sf = cli.std_flags(21);
   auto base = bench::config_from_cli(cli);
@@ -361,7 +361,7 @@ int main(int argc, char** argv) {
 
   const bool skip_speedup = cli.get_bool("skip-speedup", false);
   const auto speedup_shards =
-      static_cast<unsigned>(cli.get_int("speedup-shards", 4));
+      static_cast<unsigned>(cli.get_int_in("speedup-shards", 4, 1, 64));
   const unsigned hw_threads = std::thread::hardware_concurrency();
   SpeedupRow seq_row, par_row;
   if (!skip_speedup) {
@@ -573,4 +573,6 @@ int main(int argc, char** argv) {
 
   cli.warn_unused(std::cerr);
   return rc;
+} catch (const std::invalid_argument& e) {
+  return bench::flag_error(e);
 }

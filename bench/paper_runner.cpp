@@ -2,62 +2,73 @@
 
 #include "network/routing_engine.hpp"
 
-#include <charconv>
 #include <cmath>
-#include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 
 namespace ibarb::bench {
 
-PaperRunConfig config_from_cli(const util::Cli& cli, PaperRunConfig base) {
-  base.switches =
-      static_cast<unsigned>(cli.get_int("switches", base.switches));
+namespace {
+
+iba::Mtu mtu_from_cli(const util::Cli& cli, iba::Mtu fallback) {
+  if (!cli.has("mtu")) return fallback;
   const auto mtu = cli.get("mtu", "");
-  if (mtu == "small" || mtu == "256") base.mtu = iba::Mtu::kMtu256;
-  if (mtu == "1024") base.mtu = iba::Mtu::kMtu1024;
-  if (mtu == "2048") base.mtu = iba::Mtu::kMtu2048;
-  if (mtu == "large" || mtu == "4096") base.mtu = iba::Mtu::kMtu4096;
-  base.seed = static_cast<std::uint64_t>(cli.get_int("seed", base.seed));
-  base.min_rx_packets = static_cast<std::uint64_t>(
-      cli.get_int("packets", base.min_rx_packets));
-  base.warmup =
-      static_cast<iba::Cycle>(cli.get_int("warmup", base.warmup));
+  if (mtu == "small" || mtu == "256") return iba::Mtu::kMtu256;
+  if (mtu == "1024") return iba::Mtu::kMtu1024;
+  if (mtu == "2048") return iba::Mtu::kMtu2048;
+  if (mtu == "large" || mtu == "4096") return iba::Mtu::kMtu4096;
+  throw std::invalid_argument(
+      "flag --mtu expects small|256|1024|2048|large|4096, got '" + mtu + "'");
+}
+
+}  // namespace
+
+std::optional<sched::CrossbarImpl> crossbar_from_cli(const util::Cli& cli) {
+  if (!cli.has("crossbar")) return std::nullopt;
+  const auto name = cli.get("crossbar", "");
+  const auto impl = sched::parse_crossbar_impl(name);
+  if (!impl) {
+    throw std::invalid_argument(
+        "flag --crossbar: unknown crossbar scheduler '" + name +
+        "' (expected " + std::string(sched::kCrossbarImplNames) + ")");
+  }
+  return impl;
+}
+
+PaperRunConfig config_from_cli(const util::Cli& cli, PaperRunConfig base) {
+  base.switches = static_cast<unsigned>(cli.get_int_in(
+      "switches", base.switches, 2, std::numeric_limits<unsigned>::max()));
+  base.mtu = mtu_from_cli(cli, base.mtu);
+  base.seed = static_cast<std::uint64_t>(
+      cli.get_int_in("seed", static_cast<std::int64_t>(base.seed), 0));
+  base.min_rx_packets = static_cast<std::uint64_t>(cli.get_int_in(
+      "packets", static_cast<std::int64_t>(base.min_rx_packets), 1));
+  base.warmup = static_cast<iba::Cycle>(cli.get_int_in(
+      "warmup", static_cast<std::int64_t>(base.warmup), 0));
   base.besteffort_load =
       cli.get_double("besteffort-load", base.besteffort_load);
+  if (!std::isfinite(base.besteffort_load) || base.besteffort_load < 0.0) {
+    throw std::invalid_argument(
+        "flag --besteffort-load expects a finite load >= 0, got " +
+        std::to_string(base.besteffort_load));
+  }
   if (cli.get_bool("quick", false)) {
     base.min_rx_packets = 10;
     base.warmup = 500'000;
   }
-  const auto xbar = cli.get("crossbar", "");
-  if (!xbar.empty()) {
-    const auto impl = sched::parse_crossbar_impl(xbar);
-    if (!impl) {
-      throw std::invalid_argument(
-          "flag --crossbar: unknown crossbar scheduler '" + xbar +
-          "' (expected " + std::string(sched::kCrossbarImplNames) + ")");
-    }
-    base.crossbar = *impl;
-  }
-  const auto shards = cli.get_int("shards", 0);
-  if (shards < 0 || shards > 64) {
-    throw std::invalid_argument(
-        "flag --shards expects a shard count in [0, 64], got " +
-        std::to_string(shards));
-  }
-  base.shards = static_cast<unsigned>(shards);
+  if (const auto impl = crossbar_from_cli(cli)) base.crossbar = *impl;
+  base.shards =
+      static_cast<unsigned>(cli.get_int_in("shards", base.shards, 1, 64));
   base.topo = cli.get("topo", base.topo);
-  if (!base.topo.empty()) {
-    try {
-      (void)network::TopologySpec::parse(base.topo);
-    } catch (const std::invalid_argument& e) {
-      throw std::invalid_argument("flag --topo: " + std::string(e.what()));
-    }
+  try {
+    (void)network::TopologySpec::parse(base.topo);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument("flag --topo: " + std::string(e.what()));
   }
   base.routing = cli.get("routing", base.routing);
-  if (!base.routing.empty() && !network::is_routing_engine(base.routing)) {
+  if (!network::is_routing_engine(base.routing)) {
     throw std::invalid_argument(
         "flag --routing: unknown routing engine '" + base.routing +
         "' (expected " + std::string(network::kRoutingEngineNames) + ")");
@@ -66,8 +77,7 @@ PaperRunConfig config_from_cli(const util::Cli& cli, PaperRunConfig base) {
 }
 
 network::TopologySpec resolve_topology(const PaperRunConfig& cfg) {
-  auto spec = cfg.topo.empty() ? network::topology_spec_from_env()
-                               : network::TopologySpec::parse(cfg.topo);
+  auto spec = network::TopologySpec::parse(cfg.topo);
   if (spec.family() == "irregular") {
     // Keep the pre-registry knobs meaningful: an irregular spec that does
     // not pin switches/seed itself inherits them from --switches/--seed.
@@ -77,34 +87,11 @@ network::TopologySpec resolve_topology(const PaperRunConfig& cfg) {
   return spec;
 }
 
-std::string resolve_routing(const PaperRunConfig& cfg) {
-  return cfg.routing.empty() ? network::routing_engine_from_env()
-                             : cfg.routing;
-}
-
-unsigned shards_from_env() {
-  // IBARB_SHARDS=N reruns any bench binary on the parallel core (CI diffs
-  // sharded vs sequential output). Unset or empty means sequential; any
-  // other value must be a count in [1, 64], so a typo'd sharded leg fails
-  // at startup instead of quietly running sequentially.
-  const char* v = std::getenv("IBARB_SHARDS");
-  if (v == nullptr || *v == '\0') return 1;
-  const std::string_view s(v);
-  unsigned n = 0;
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), n);
-  if (ec != std::errc{} || ptr != s.data() + s.size() || n < 1 || n > 64) {
-    throw std::invalid_argument(
-        "IBARB_SHARDS: expected a shard count in [1, 64], got '" +
-        std::string(s) + "'");
-  }
-  return n;
-}
-
 PaperRun::PaperRun(PaperRunConfig c) : PaperRun(c, DeferSim{}) { run(); }
 
 PaperRun::PaperRun(PaperRunConfig c, DeferSim) : cfg(c) {
   graph = resolve_topology(cfg).build();
-  sm = std::make_unique<subnet::SubnetManager>(graph, resolve_routing(cfg));
+  sm = std::make_unique<subnet::SubnetManager>(graph, cfg.routing);
 
   qos::AdmissionControl::Config ac;
   ac.policy = cfg.policy;
@@ -120,9 +107,8 @@ PaperRun::PaperRun(PaperRunConfig c, DeferSim) : cfg(c) {
   sc.max_payload_bytes = iba::mtu_bytes(cfg.mtu);
   sc.buffer_packets = cfg.buffer_packets;
   sc.seed = cfg.seed;
-  sc.shards = cfg.shards != 0 ? cfg.shards : shards_from_env();
-  sc.crossbar_impl =
-      cfg.crossbar ? *cfg.crossbar : sched::crossbar_impl_from_env();
+  sc.shards = cfg.shards;
+  sc.crossbar_impl = cfg.crossbar;
   sc.trace_capacity = cfg.trace_capacity;
   sc.sample_every = cfg.sample_every;
   sc.profile = cfg.profile;

@@ -46,42 +46,36 @@ struct PaperRunConfig {
   std::uint64_t sample_every = 0;
   /// Wall-clock self-profiler (--profile); profile.* telemetry only.
   bool profile = false;
-  /// Crossbar scheduler. Engaged by --crossbar; empty defers to the
-  /// IBARB_CROSSBAR env (then wrr) — flag beats env beats default, the same
-  /// precedence every knob here follows.
-  std::optional<sched::CrossbarImpl> crossbar;
-  /// Parallel simulation shards (--shards); 0 defers to IBARB_SHARDS, then
-  /// 1 (sequential). Output is byte-identical for any value.
-  unsigned shards = 0;
-  /// Topology spec ("family:k=v,...", network/registry.hpp). Engaged by
-  /// --topo; empty defers to IBARB_TOPO, then the paper's irregular family.
-  /// For the irregular family, --switches/--seed still fill in any
-  /// parameter the spec leaves unset, so the pre-registry flags keep
-  /// working unchanged.
-  std::string topo;
-  /// Routing engine name (network/routing_engine.hpp). Engaged by
-  /// --routing; empty defers to IBARB_ROUTING, then updown.
-  std::string routing;
+  /// Crossbar scheduler (--crossbar).
+  sched::CrossbarImpl crossbar = sched::CrossbarImpl::kWrr;
+  /// Parallel simulation shards (--shards, 1..64); 1 is the sequential
+  /// core. Output is byte-identical for any value.
+  unsigned shards = 1;
+  /// Topology spec ("family:k=v,...", network/registry.hpp; --topo). For
+  /// the irregular family, --switches/--seed still fill in any parameter
+  /// the spec leaves unset, so the pre-registry flags keep working
+  /// unchanged.
+  std::string topo = "irregular";
+  /// Routing engine name (network/routing_engine.hpp; --routing).
+  std::string routing = "updown";
 };
 
-/// Applies the common bench flags (--switches --mtu --seed --packets
-/// --warmup --quick) on top of the defaults.
+/// Applies the common bench flags on top of `base`: the paper knobs
+/// (--switches --mtu --seed --packets --warmup --besteffort-load --quick)
+/// and the run axes (--crossbar --shards --topo --routing). This is the one
+/// parser of each flag: a malformed value throws std::invalid_argument
+/// naming the flag and the values it takes.
 PaperRunConfig config_from_cli(const util::Cli& cli, PaperRunConfig base = {});
 
-/// IBARB_SHARDS=N selects the parallel-core shard count through an
-/// unmodified bench binary (CI reruns the suite sharded); unset or empty
-/// means 1 (sequential). Any other value must be an integer in [1, 64];
-/// otherwise throws std::invalid_argument naming the value.
-unsigned shards_from_env();
+/// --crossbar on its own: the scheduler it names, or nullopt when absent.
+/// config_from_cli reads the flag through this; bench_fairness calls it
+/// directly because it runs the whole zoo unless the flag is given.
+std::optional<sched::CrossbarImpl> crossbar_from_cli(const util::Cli& cli);
 
-/// The topology spec a config resolves to (flag beats IBARB_TOPO beats
-/// irregular), with --switches/--seed filled into an irregular spec's unset
-/// parameters. Every fabric a PaperRun builds comes from this.
+/// The topology spec a config resolves to, with --switches/--seed filled
+/// into an irregular spec's unset parameters. Every fabric a PaperRun
+/// builds comes from this.
 network::TopologySpec resolve_topology(const PaperRunConfig& cfg);
-
-/// The routing engine a config resolves to (flag beats IBARB_ROUTING beats
-/// updown).
-std::string resolve_routing(const PaperRunConfig& cfg);
 
 /// One complete simulated experiment. Members reference each other, so the
 /// struct is heap-pinned (no copies/moves).

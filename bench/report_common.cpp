@@ -67,7 +67,7 @@ std::vector<obs::CounterTrack> series_tracks(const PaperRun& run) {
 
 void echo_config(obs::Report& report, const PaperRunConfig& cfg) {
   report.config("topo", resolve_topology(cfg).canonical());
-  report.config("routing", resolve_routing(cfg));
+  report.config("routing", cfg.routing);
   report.config("switches", static_cast<std::uint64_t>(cfg.switches));
   report.config("mtu_bytes",
                 static_cast<std::uint64_t>(iba::mtu_bytes(cfg.mtu)));
@@ -115,6 +115,11 @@ void write_table2(util::JsonWriter& w, const PaperRun::Table2Row& row) {
   w.kv("host_reserved_mbps", row.host_reserved_mbps);
   w.kv("switch_reserved_mbps", row.switch_reserved_mbps);
   w.end_object();
+}
+
+int flag_error(const std::invalid_argument& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 2;
 }
 
 int emit_report(const obs::Report& report, const util::Cli& cli) {

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -63,6 +64,11 @@ void write_sl_series(util::JsonWriter& w,
 
 /// Figure payload: one Table-2 aggregate row object.
 void write_table2(util::JsonWriter& w, const PaperRun::Table2Row& row);
+
+/// The exit path of every bench `main` for a malformed flag (or any other
+/// std::invalid_argument): prints "error: <what>" to stderr and returns 2,
+/// so bad input ends with a diagnostic instead of std::terminate.
+int flag_error(const std::invalid_argument& e);
 
 /// Writes the report to `--out FILE` when given (or "-"/absent: stdout).
 /// Returns the process exit code.

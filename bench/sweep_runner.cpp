@@ -26,7 +26,7 @@ SweepOptions sweep_options_from_cli(const util::Cli& cli, std::string label) {
   opts.jobs = cli.jobs();
   if (cli.has("sweep-seed"))
     opts.base_seed =
-        static_cast<std::uint64_t>(cli.get_int("sweep-seed", 0));
+        static_cast<std::uint64_t>(cli.get_int_in("sweep-seed", 0, 0));
   opts.label = std::move(label);
   if (cli.get_bool("quiet", false)) opts.timing = false;
   return opts;

@@ -14,6 +14,7 @@
 #include <cstdio>
 
 #include <iostream>
+#include <stdexcept>
 
 #include "network/topology.hpp"
 #include "obs/report.hpp"
@@ -25,7 +26,7 @@
 
 using namespace ibarb;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
   const bool json = cli.get_bool("json", false);
   // 1. Fabric.
@@ -93,4 +94,7 @@ int main(int argc, char** argv) {
                                                    : "QoS guarantee VIOLATED");
   }
   return stats.deadline_misses == 0 ? 0 : 1;
+} catch (const std::invalid_argument& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 2;
 }

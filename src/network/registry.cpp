@@ -1,7 +1,6 @@
 #include "network/registry.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "network/topology.hpp"
@@ -226,17 +225,6 @@ std::vector<std::string_view> topology_family_names() {
 bool is_topology_family(std::string_view family) noexcept {
   return std::any_of(families().begin(), families().end(),
                      [&](const auto& f) { return f.name == family; });
-}
-
-TopologySpec topology_spec_from_env(std::string_view fallback) {
-  const char* raw = std::getenv("IBARB_TOPO");
-  const std::string_view text =
-      (raw == nullptr || *raw == '\0') ? fallback : std::string_view(raw);
-  try {
-    return TopologySpec::parse(text);
-  } catch (const std::invalid_argument& e) {
-    throw std::invalid_argument("IBARB_TOPO: " + std::string(e.what()));
-  }
 }
 
 }  // namespace ibarb::network

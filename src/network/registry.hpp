@@ -1,4 +1,4 @@
-// String-keyed topology registry — the `--topo` / IBARB_TOPO axis.
+// String-keyed topology registry — the `--topo` axis.
 //
 // Grammar:   FAMILY[:key=value[,key=value...]]
 // Examples:  irregular:switches=32,seed=7
@@ -69,9 +69,5 @@ std::vector<std::string_view> topology_family_names();
 
 /// True when `family` names a registered topology family.
 bool is_topology_family(std::string_view family) noexcept;
-
-/// Spec from IBARB_TOPO; `fallback` when unset/empty. Throws
-/// std::invalid_argument (naming the variable) on a malformed value.
-TopologySpec topology_spec_from_env(std::string_view fallback = "irregular");
 
 }  // namespace ibarb::network

@@ -1,5 +1,5 @@
-// String-keyed routing-engine registry (the `--routing` / IBARB_ROUTING
-// axis), mirroring the `--crossbar` scheduler registry in src/sched/.
+// String-keyed routing-engine registry (the `--routing` axis), mirroring
+// the `--crossbar` scheduler registry in src/sched/.
 //
 // An engine turns a FabricGraph into a Routes table. Three are registered:
 //
@@ -57,9 +57,5 @@ const RoutingEngine& routing_engine(std::string_view name);
 
 /// True when `name` is a registered engine (parse-time validation).
 bool is_routing_engine(std::string_view name) noexcept;
-
-/// Engine selection from IBARB_ROUTING; `fallback` when unset/empty.
-/// Throws std::invalid_argument on an unknown value, naming the variable.
-std::string routing_engine_from_env(std::string_view fallback = "updown");
 
 }  // namespace ibarb::network

@@ -6,7 +6,7 @@
 // output) transfers start — the matching policy — used to be hard-wired into
 // sim::Simulator as a rotating-priority round-robin. This subsystem extracts
 // that decision behind an interface so the policy is factory-selected per
-// run (SimConfig::crossbar_impl, env IBARB_CROSSBAR, flag --crossbar):
+// run (SimConfig::crossbar_impl, flag --crossbar):
 //
 //   * WrrCrossbar   — the exact pre-refactor algorithm, bit-identical event
 //                     order (differential goldens in tests/golden/).

@@ -1,7 +1,7 @@
-// Crossbar-scheduler selection: the enum, its names, and the two user-facing
-// parsers (--crossbar flag, IBARB_CROSSBAR env). Kept in its own dependency-
-// free header so util::Cli can validate the flag at parse time without
-// pulling in the scheduler implementations.
+// Crossbar-scheduler selection: the enum and its names. Kept in its own
+// dependency-free header so the --crossbar flag parser (bench::
+// config_from_cli) can validate a name without pulling in the scheduler
+// implementations.
 #pragma once
 
 #include <cstdint>
@@ -40,11 +40,5 @@ constexpr std::optional<CrossbarImpl> parse_crossbar_impl(
   if (name == "abr") return CrossbarImpl::kAbr;
   return std::nullopt;
 }
-
-/// Reads IBARB_CROSSBAR. Unset or empty means the default (wrr); anything
-/// else must name a known implementation. Throws std::invalid_argument on an
-/// unknown value — a typo'd scheduler must be a startup error, never a
-/// silent fallback to wrr (the ablation would measure the wrong thing).
-CrossbarImpl crossbar_impl_from_env();
 
 }  // namespace ibarb::sched

@@ -59,12 +59,12 @@ struct SimConfig {
   /// Event-queue implementation. The timing wheel is the only one; the
   /// field remains because the benchmark sources (perfbench/) set it.
   EventQueueImpl queue_impl = EventQueueImpl::kWheel;
-  /// Crossbar matching policy, built by sched::make_crossbar (env
-  /// IBARB_CROSSBAR, flag --crossbar). kWrr reproduces the pre-refactor
+  /// Crossbar matching policy, built by sched::make_crossbar (flag
+  /// --crossbar). kWrr reproduces the pre-refactor
   /// grant sequence — and so the whole event order — bit-for-bit.
   sched::CrossbarImpl crossbar_impl = sched::CrossbarImpl::kWrr;
   /// Number of switch-affine shard workers for the parallel engine
-  /// (--shards / IBARB_SHARDS; see docs/PARALLEL.md). 1 keeps the classic
+  /// (--shards; see docs/PARALLEL.md). 1 keeps the classic
   /// sequential loop. Values > 1 engage src/sim/shard.hpp for runs the
   /// engine can reproduce byte-identically. Observers — tracing, series
   /// sampling, profiling — ride the parallel path: each shard records into

@@ -2,12 +2,10 @@
 
 #include <charconv>
 #include <filesystem>
+#include <limits>
 #include <ostream>
 #include <stdexcept>
 
-#include "network/registry.hpp"
-#include "network/routing_engine.hpp"
-#include "sched/crossbar_impl.hpp"
 #include "util/thread_pool.hpp"
 
 namespace ibarb::util {
@@ -80,6 +78,22 @@ std::int64_t Cli::get_int(std::string_view name,
   return out;
 }
 
+std::int64_t Cli::get_int_in(std::string_view name,
+                             std::int64_t default_value, std::int64_t lo,
+                             std::int64_t hi) const {
+  const auto v = get_int(name, default_value);
+  if (has(name) && (v < lo || v > hi)) {
+    const auto range = hi == std::numeric_limits<std::int64_t>::max()
+                           ? ">= " + std::to_string(lo)
+                           : "in [" + std::to_string(lo) + ", " +
+                                 std::to_string(hi) + "]";
+    throw std::invalid_argument("flag --" + std::string(name) +
+                                " expects an integer " + range + ", got " +
+                                std::to_string(v));
+  }
+  return v;
+}
+
 double Cli::get_double(std::string_view name, double default_value) const {
   queried_[std::string(name)] = true;
   const auto it = values_.find(name);
@@ -108,11 +122,8 @@ bool Cli::get_bool(std::string_view name, bool default_value) const {
 }
 
 unsigned Cli::jobs() const {
-  const auto n = get_int("jobs", 0);
-  if (n < 0) {
-    throw std::invalid_argument("flag --jobs expects a count >= 0, got " +
-                                std::to_string(n));
-  }
+  const auto n =
+      get_int_in("jobs", 0, 0, std::numeric_limits<unsigned>::max());
   return n == 0 ? default_jobs() : static_cast<unsigned>(n);
 }
 
@@ -120,52 +131,15 @@ StdFlags Cli::std_flags(std::uint64_t default_seed) const {
   StdFlags f;
   f.jobs = jobs();
   f.json = get_bool("json", false);
-  const auto seed = get_int("seed", static_cast<std::int64_t>(default_seed));
-  if (seed < 0) {
-    throw std::invalid_argument("flag --seed expects a value >= 0, got " +
-                                std::to_string(seed));
-  }
-  f.seed = static_cast<std::uint64_t>(seed);
+  f.seed = static_cast<std::uint64_t>(
+      get_int_in("seed", static_cast<std::int64_t>(default_seed), 0));
   f.trace_out = get("trace-out", "");
   require_writable_parent("trace-out", f.trace_out);
-  const auto sample = get_int("sample-every", 0);
-  if (sample < 0) {
-    throw std::invalid_argument(
-        "flag --sample-every expects a cycle count >= 0, got " +
-        std::to_string(sample));
-  }
-  f.sample_every = static_cast<std::uint64_t>(sample);
+  f.sample_every = static_cast<std::uint64_t>(get_int_in("sample-every", 0, 0));
   f.series_csv = get("series-csv", "");
   require_writable_parent("series-csv", f.series_csv);
   f.profile = get_bool("profile", false);
   f.quiet = get_bool("quiet", false);
-  f.crossbar = get("crossbar", "");
-  if (!f.crossbar.empty() && !sched::parse_crossbar_impl(f.crossbar)) {
-    throw std::invalid_argument(
-        "flag --crossbar: unknown crossbar scheduler '" + f.crossbar +
-        "' (expected " + std::string(sched::kCrossbarImplNames) + ")");
-  }
-  const auto shards = get_int("shards", 0);
-  if (shards < 0 || shards > 64) {
-    throw std::invalid_argument(
-        "flag --shards expects a shard count in [0, 64], got " +
-        std::to_string(shards));
-  }
-  f.shards = static_cast<unsigned>(shards);
-  f.topo = get("topo", "");
-  if (!f.topo.empty()) {
-    try {
-      (void)network::TopologySpec::parse(f.topo);  // full grammar check
-    } catch (const std::invalid_argument& e) {
-      throw std::invalid_argument("flag --topo: " + std::string(e.what()));
-    }
-  }
-  f.routing = get("routing", "");
-  if (!f.routing.empty() && !network::is_routing_engine(f.routing)) {
-    throw std::invalid_argument(
-        "flag --routing: unknown routing engine '" + f.routing +
-        "' (expected " + std::string(network::kRoutingEngineNames) + ")");
-  }
   return f;
 }
 

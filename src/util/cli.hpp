@@ -6,8 +6,8 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <map>
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -24,24 +24,15 @@ namespace ibarb::util {
 ///   --profile           enable the wall-clock self-profiler (profile.*
 ///                       telemetry; nondeterministic, never byte-compared)
 ///   --quiet             suppress progress/timing chatter on stderr
-///   --crossbar IMPL     crossbar scheduler (wrr|islip|matrix|abr); absent
-///                       defers to IBARB_CROSSBAR, then wrr
-///   --shards N          parallel simulation shards inside one experiment,
-///                       in [0, 64] (0/absent defers to IBARB_SHARDS, which
-///                       must be in [1, 64] when set, then 1 = sequential);
-///                       output is byte-identical for any N
-///   --topo SPEC         topology spec "family:k=v,..." (irregular|single|
-///                       line|mesh2d|torus2d|torus3d|fattree|fattree2|
-///                       dragonfly); absent defers to IBARB_TOPO, then
-///                       irregular
-///   --routing NAME      routing engine (updown|minimal-vl-escape|
-///                       fattree-dmodk); absent defers to IBARB_ROUTING,
-///                       then updown
+///
+/// The run axes (--crossbar, --shards, --topo, --routing) are not part of
+/// this block: bench::config_from_cli parses them, so a bench that never
+/// builds a PaperRun reports them as unused flags.
 ///
 /// Boolean flags take a bare `--flag` or one of true|false|1|0|yes|no;
 /// any other value throws. Output-path flags (--trace-out, --series-csv)
-/// and enum flags (--crossbar) are validated up front: a typo must fail at
-/// parse time instead of after (or worse, silently during) the full run.
+/// are validated up front: a typo must fail at parse time instead of after
+/// the full run.
 struct StdFlags {
   unsigned jobs = 1;
   bool json = false;
@@ -51,18 +42,6 @@ struct StdFlags {
   std::string series_csv;   ///< Empty = no CSV export.
   bool profile = false;
   bool quiet = false;
-  /// Validated scheduler name, or empty when the flag was absent (callers
-  /// then fall back to sched::crossbar_impl_from_env()).
-  std::string crossbar;
-  /// Simulation shard count, or 0 when the flag was absent (callers then
-  /// fall back to bench::shards_from_env()).
-  unsigned shards = 0;
-  /// Validated topology spec string, or empty when the flag was absent
-  /// (callers then fall back to network::topology_spec_from_env()).
-  std::string topo;
-  /// Validated routing engine name, or empty when the flag was absent
-  /// (callers then fall back to network::routing_engine_from_env()).
-  std::string routing;
 };
 
 class Cli {
@@ -74,6 +53,11 @@ class Cli {
   bool has(std::string_view name) const;
   std::string get(std::string_view name, std::string default_value) const;
   std::int64_t get_int(std::string_view name, std::int64_t default_value) const;
+  /// get_int that also requires a supplied value to lie in [lo, hi]; throws
+  /// naming the flag and the valid range otherwise. The default is trusted.
+  std::int64_t get_int_in(
+      std::string_view name, std::int64_t default_value, std::int64_t lo,
+      std::int64_t hi = std::numeric_limits<std::int64_t>::max()) const;
   double get_double(std::string_view name, double default_value) const;
   bool get_bool(std::string_view name, bool default_value) const;
 

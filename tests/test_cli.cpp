@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include "paper_runner.hpp"
 #include "util/thread_pool.hpp"
 
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace ibarb::util {
@@ -111,6 +113,21 @@ TEST(Cli, JobsDefaultsToHardwareConcurrency) {
   EXPECT_EQ(make({"--jobs", "0"}).jobs(), default_jobs());
 }
 
+TEST(Cli, GetIntInRejectsValuesOutsideTheRangeNamingTheFlag) {
+  EXPECT_EQ(make({"--n", "3"}).get_int_in("n", 0, 1, 3), 3);
+  EXPECT_EQ(make({}).get_int_in("n", 7, 1, 3), 7);  // defaults are trusted
+  for (const char* bad : {"0", "4", "-1"}) {
+    try {
+      (void)make({"--n", bad}).get_int_in("n", 1, 1, 3);
+      FAIL() << bad << " accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("--n"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("[1, 3]"), std::string::npos) << msg;
+    }
+  }
+}
+
 TEST(Cli, JobsRejectsNegativeCounts) {
   const auto cli = make({"--jobs=-2"});
   EXPECT_THROW(cli.jobs(), std::invalid_argument);
@@ -150,40 +167,6 @@ TEST(Cli, StdFlagsParsesFullBlock) {
   EXPECT_TRUE(sf.quiet);
 }
 
-TEST(Cli, StdFlagsValidatesTopoAtParseTime) {
-  EXPECT_EQ(make({}).std_flags().topo, "");
-  EXPECT_EQ(make({"--topo", "torus3d:x=3,y=3,z=3"}).std_flags().topo,
-            "torus3d:x=3,y=3,z=3");
-  // Unknown family, unknown key, and bad value all fail before any bench
-  // logic runs, naming the flag.
-  for (const char* bad :
-       {"hypercube", "torus3d:w=3", "torus3d:x=zero", "single:rate=3"}) {
-    try {
-      make({"--topo", bad}).std_flags();
-      FAIL() << bad << " accepted";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("--topo"), std::string::npos)
-          << e.what();
-    }
-  }
-}
-
-TEST(Cli, StdFlagsValidatesRoutingAtParseTime) {
-  EXPECT_EQ(make({}).std_flags().routing, "");
-  EXPECT_EQ(make({"--routing", "fattree-dmodk"}).std_flags().routing,
-            "fattree-dmodk");
-  try {
-    make({"--routing", "ecmp"}).std_flags();
-    FAIL() << "unknown engine accepted";
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("--routing"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("updown|minimal-vl-escape|fattree-dmodk"),
-              std::string::npos)
-        << msg;
-  }
-}
-
 TEST(Cli, StdFlagsRejectsNegativeSampleEvery) {
   const auto cli = make({"--sample-every=-1"});
   EXPECT_THROW(cli.std_flags(), std::invalid_argument);
@@ -208,6 +191,117 @@ TEST(Cli, StdFlagsMarksBlockAsQueried) {
   const auto cli = make({"--json", "--trace-out=t.json", "--oops", "1"});
   (void)cli.std_flags();
   EXPECT_EQ(cli.unused_flags(), "--oops");
+}
+
+TEST(Cli, StdFlagsLeavesTheRunAxesUnused) {
+  // The run axes belong to bench::config_from_cli. A bench that only calls
+  // std_flags must name them as unused instead of silently ignoring them.
+  const auto cli = make({"--shards", "4", "--crossbar", "islip", "--topo",
+                         "torus3d:x=3,y=3,z=3", "--routing", "fattree-dmodk"});
+  (void)cli.std_flags();
+  EXPECT_EQ(cli.unused_flags(), "--crossbar, --routing, --shards, --topo");
+}
+
+// --- bench::config_from_cli: the one parser of the paper knobs and run axes.
+
+/// The message of the std::invalid_argument config_from_cli throws, or ""
+/// when it accepts the flags.
+std::string config_error(std::vector<const char*> args) {
+  try {
+    (void)bench::config_from_cli(make(std::move(args)));
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ConfigFromCli, DefaultsAreThePaperRun) {
+  const auto cfg = bench::config_from_cli(make({}));
+  EXPECT_EQ(cfg.crossbar, sched::CrossbarImpl::kWrr);
+  EXPECT_EQ(cfg.shards, 1u);
+  EXPECT_EQ(cfg.topo, "irregular");
+  EXPECT_EQ(cfg.routing, "updown");
+}
+
+TEST(ConfigFromCli, ValidatesTopoAtParseTime) {
+  EXPECT_EQ(bench::config_from_cli(make({"--topo", "torus3d:x=3,y=3,z=3"}))
+                .topo,
+            "torus3d:x=3,y=3,z=3");
+  // Unknown family, unknown key, bad value and an empty spec all fail
+  // before any bench logic runs, naming the flag.
+  for (const char* bad : {"hypercube", "torus3d:w=3", "torus3d:x=zero",
+                          "single:rate=3", ""}) {
+    const auto msg = config_error({"--topo", bad});
+    EXPECT_NE(msg.find("--topo"), std::string::npos) << "'" << bad << "'";
+  }
+}
+
+TEST(ConfigFromCli, ValidatesRoutingAtParseTime) {
+  EXPECT_EQ(
+      bench::config_from_cli(make({"--routing", "fattree-dmodk"})).routing,
+      "fattree-dmodk");
+  for (const char* bad : {"ecmp", ""}) {
+    const auto msg = config_error({"--routing", bad});
+    EXPECT_NE(msg.find("--routing"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("updown|minimal-vl-escape|fattree-dmodk"),
+              std::string::npos)
+        << msg;
+  }
+}
+
+TEST(ConfigFromCli, ShardsTakeOneToSixtyFour) {
+  for (const char* ok : {"1", "4", "64"})
+    EXPECT_EQ(bench::config_from_cli(make({"--shards", ok})).shards,
+              std::stoul(ok));
+  // 0 is not a shard count: the sequential core is --shards 1.
+  for (const char* bad : {"0", "65", "-4", "four", "4x"}) {
+    const auto msg = config_error({"--shards", bad});
+    EXPECT_NE(msg.find("--shards"), std::string::npos) << bad << ": " << msg;
+  }
+}
+
+TEST(ConfigFromCli, MtuTakesOnlyTheFourIbaSizes) {
+  EXPECT_EQ(bench::config_from_cli(make({"--mtu", "small"})).mtu,
+            iba::Mtu::kMtu256);
+  EXPECT_EQ(bench::config_from_cli(make({"--mtu", "2048"})).mtu,
+            iba::Mtu::kMtu2048);
+  EXPECT_EQ(bench::config_from_cli(make({"--mtu", "large"})).mtu,
+            iba::Mtu::kMtu4096);
+  // 512 is a valid IBA MTU the simulator does not model; an unknown size
+  // must not fall back to the bench's default silently.
+  for (const char* bad : {"512", "huge", ""}) {
+    const auto msg = config_error({"--mtu", bad});
+    EXPECT_NE(msg.find("--mtu"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("small|256|1024|2048|large|4096"), std::string::npos)
+        << msg;
+  }
+}
+
+TEST(ConfigFromCli, RejectsCountsThatWouldWrap) {
+  // Each lands in an unsigned field: unchecked, --switches -3 would become
+  // 4294967293 and --packets/--warmup -1 would become 2^64-1.
+  for (const auto& args : std::vector<std::vector<const char*>>{
+           {"--switches", "-3"}, {"--switches", "1"}, {"--packets", "-1"},
+           {"--packets", "0"}, {"--warmup", "-1"}, {"--seed", "-2"}}) {
+    const auto msg = config_error(args);
+    EXPECT_NE(msg.find(args.front()), std::string::npos)
+        << args.front() << " " << args.back() << ": '" << msg << "'";
+  }
+  const auto cfg = bench::config_from_cli(
+      make({"--switches", "8", "--packets", "3", "--warmup", "0"}));
+  EXPECT_EQ(cfg.switches, 8u);
+  EXPECT_EQ(cfg.min_rx_packets, 3u);
+  EXPECT_EQ(cfg.warmup, 0u);
+}
+
+TEST(ConfigFromCli, RejectsNegativeOrNonFiniteBestEffortLoad) {
+  for (const char* bad : {"-0.1", "nan", "inf"}) {
+    const auto msg = config_error({"--besteffort-load", bad});
+    EXPECT_NE(msg.find("--besteffort-load"), std::string::npos) << msg;
+  }
+  EXPECT_EQ(
+      bench::config_from_cli(make({"--besteffort-load", "0"})).besteffort_load,
+      0.0);
 }
 
 }  // namespace

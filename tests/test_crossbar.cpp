@@ -21,7 +21,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdlib>
 #include <deque>
 #include <numeric>
 #include <vector>
@@ -618,7 +617,7 @@ TEST_P(EverySchedulerTest, TheoremOneNoDeadlineMissEndToEnd) {
 }
 
 // ---------------------------------------------------------------------------
-// Selection plumbing: flag and env are validated at parse time.
+// Selection plumbing: the --crossbar flag is validated at parse time.
 // ---------------------------------------------------------------------------
 
 TEST(CrossbarSelection, ParseKnowsEveryName) {
@@ -635,56 +634,14 @@ TEST(CrossbarSelection, ParseKnowsEveryName) {
     EXPECT_EQ(parse_crossbar_impl(crossbar_impl_name(impl)), impl);
 }
 
-class CrossbarEnvTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    const char* old = std::getenv("IBARB_CROSSBAR");
-    if (old != nullptr) saved_ = old;
-  }
-  void TearDown() override {
-    if (saved_.empty())
-      unsetenv("IBARB_CROSSBAR");
-    else
-      setenv("IBARB_CROSSBAR", saved_.c_str(), 1);
-  }
-
- private:
-  std::string saved_;
-};
-
-TEST_F(CrossbarEnvTest, UnsetAndEmptyMeanWrr) {
-  unsetenv("IBARB_CROSSBAR");
-  EXPECT_EQ(crossbar_impl_from_env(), CrossbarImpl::kWrr);
-  setenv("IBARB_CROSSBAR", "", 1);
-  EXPECT_EQ(crossbar_impl_from_env(), CrossbarImpl::kWrr);
-}
-
-TEST_F(CrossbarEnvTest, KnownValuesSelectTheScheduler) {
-  for (const char* name : {"wrr", "islip", "matrix", "abr"}) {
-    setenv("IBARB_CROSSBAR", name, 1);
-    EXPECT_EQ(crossbar_impl_from_env(), *parse_crossbar_impl(name));
-  }
-}
-
-TEST_F(CrossbarEnvTest, UnknownValueThrowsWithTheValidList) {
-  setenv("IBARB_CROSSBAR", "roundrobin", 1);
-  try {
-    (void)crossbar_impl_from_env();
-    FAIL() << "a typo'd scheduler must never fall back silently";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("roundrobin"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("wrr|islip|matrix|abr"),
-              std::string::npos);
-  }
-}
-
 TEST(CrossbarSelection, CliFlagRejectsUnknownAtParseTime) {
   const char* argv[] = {"bench", "--crossbar", "fifo"};
   const util::Cli cli(3, argv);
   try {
-    (void)cli.std_flags();
+    (void)bench::config_from_cli(cli);
     FAIL() << "--crossbar fifo must be rejected before any run starts";
   } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--crossbar"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("fifo"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("wrr|islip|matrix|abr"),
               std::string::npos);
@@ -695,33 +652,25 @@ TEST(CrossbarSelection, CliFlagAcceptsEveryKnownName) {
   for (const char* name : {"wrr", "islip", "matrix", "abr"}) {
     const char* argv[] = {"bench", "--crossbar", name};
     const util::Cli cli(3, argv);
-    EXPECT_EQ(cli.std_flags().crossbar, name);
+    EXPECT_EQ(bench::config_from_cli(cli).crossbar,
+              *parse_crossbar_impl(name));
+    EXPECT_EQ(bench::crossbar_from_cli(cli), parse_crossbar_impl(name));
   }
+  // Absent: the config keeps wrr, and the one-axis reader says "not given"
+  // (bench_fairness then runs the whole zoo).
   const char* bare[] = {"bench"};
-  EXPECT_TRUE(util::Cli(1, bare).std_flags().crossbar.empty());
-}
-
-TEST_F(CrossbarEnvTest, FlagBeatsEnvInPaperRunConfig) {
-  setenv("IBARB_CROSSBAR", "matrix", 1);
-  {
-    const char* argv[] = {"bench", "--crossbar", "islip"};
-    const util::Cli cli(3, argv);
-    const auto cfg = bench::config_from_cli(cli);
-    ASSERT_TRUE(cfg.crossbar.has_value());
-    EXPECT_EQ(*cfg.crossbar, CrossbarImpl::kIslip);
-  }
-  {
-    // No flag: config stays empty and the runner defers to the env.
-    const char* argv[] = {"bench"};
-    const util::Cli cli(1, argv);
-    EXPECT_FALSE(bench::config_from_cli(cli).crossbar.has_value());
-  }
+  const util::Cli cli(1, bare);
+  EXPECT_EQ(bench::config_from_cli(cli).crossbar, CrossbarImpl::kWrr);
+  EXPECT_FALSE(bench::crossbar_from_cli(cli).has_value());
 }
 
 TEST(CrossbarSelection, ConfigFromCliRejectsUnknown) {
-  const char* argv[] = {"bench", "--crossbar", "maxmin"};
-  const util::Cli cli(3, argv);
-  EXPECT_THROW((void)bench::config_from_cli(cli), std::invalid_argument);
+  for (const char* bad : {"maxmin", "", "WRR"}) {
+    const char* argv[] = {"bench", "--crossbar", bad};
+    const util::Cli cli(3, argv);
+    EXPECT_THROW((void)bench::config_from_cli(cli), std::invalid_argument)
+        << "'" << bad << "'";
+  }
 }
 
 }  // namespace

@@ -28,12 +28,13 @@ std::vector<PaperRunConfig> tiny_sweep() {
   return cfgs;
 }
 
-SweepResult sweep_with_jobs(unsigned jobs) {
+SweepResult sweep_with_jobs(unsigned jobs,
+                            const std::vector<PaperRunConfig>& cfgs) {
   SweepOptions opts;
   opts.jobs = jobs;
   opts.base_seed = 77;  // exercise the SplitMix64 per-run derivation too
   opts.timing = false;
-  return run_sweep(tiny_sweep(), opts);
+  return run_sweep(cfgs, opts);
 }
 
 void expect_bit_identical(const PaperRun& a, const PaperRun& b) {
@@ -74,8 +75,8 @@ void expect_bit_identical(const PaperRun& a, const PaperRun& b) {
 }
 
 TEST(SweepDeterminism, FourJobsMatchesSequentialBitForBit) {
-  const auto seq = sweep_with_jobs(1);
-  const auto par = sweep_with_jobs(4);
+  const auto seq = sweep_with_jobs(1, tiny_sweep());
+  const auto par = sweep_with_jobs(4, tiny_sweep());
   ASSERT_EQ(seq.runs.size(), par.runs.size());
   EXPECT_EQ(seq.jobs, 1u);
   EXPECT_EQ(par.jobs, 4u);
@@ -84,6 +85,34 @@ TEST(SweepDeterminism, FourJobsMatchesSequentialBitForBit) {
     ASSERT_NE(seq.runs[i], nullptr);
     ASSERT_NE(par.runs[i], nullptr);
     EXPECT_EQ(seq.runs[i]->cfg.seed, par.runs[i]->cfg.seed);
+    expect_bit_identical(*seq.runs[i], *par.runs[i]);
+  }
+}
+
+TEST(SweepDeterminism, ShardedRunsMatchAcrossJobCounts) {
+  // Sweep lanes and shard workers share the machine: two lanes, each
+  // running a four-shard simulation, must still reproduce the sequential
+  // sweep exactly.
+  auto cfgs = tiny_sweep();
+  cfgs.resize(2);
+  for (auto& c : cfgs) {
+    c.switches = 4;
+    c.warmup = 0;
+    c.hard_limit = 1;  // one 65536-cycle probe: QoS is not the point here
+    c.shards = 4;
+  }
+  const auto seq = sweep_with_jobs(1, cfgs);
+  const auto par = sweep_with_jobs(2, cfgs);
+  ASSERT_EQ(seq.runs.size(), par.runs.size());
+  for (std::size_t i = 0; i < seq.runs.size(); ++i) {
+    SCOPED_TRACE("run " + std::to_string(i));
+    ASSERT_NE(seq.runs[i], nullptr);
+    ASSERT_NE(par.runs[i], nullptr);
+    EXPECT_EQ(seq.runs[i]->sim->effective_shards(), 4u);
+    EXPECT_EQ(par.runs[i]->sim->effective_shards(), 4u);
+    std::uint64_t rx = 0;
+    for (const auto& sl : seq.runs[i]->per_sl()) rx += sl.rx_packets;
+    EXPECT_GT(rx, 0u) << "the window must carry traffic to compare";
     expect_bit_identical(*seq.runs[i], *par.runs[i]);
   }
 }

@@ -8,7 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <stdexcept>
 
 #include "network/topology.hpp"
 
@@ -77,21 +77,6 @@ TEST(TopologySpec, FamilyPredicateAndNameList) {
   EXPECT_TRUE(is_topology_family("dragonfly"));
   EXPECT_FALSE(is_topology_family("butterfly"));
   EXPECT_EQ(topology_family_names().size(), 9u);
-}
-
-TEST(TopologySpec, EnvReaderFallsBackAndRejects) {
-  unsetenv("IBARB_TOPO");
-  EXPECT_EQ(topology_spec_from_env().family(), "irregular");
-  setenv("IBARB_TOPO", "torus3d:x=3,y=3,z=3", 1);
-  EXPECT_EQ(topology_spec_from_env().family(), "torus3d");
-  setenv("IBARB_TOPO", "nope", 1);
-  try {
-    topology_spec_from_env();
-    FAIL() << "malformed IBARB_TOPO accepted";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("IBARB_TOPO"), std::string::npos);
-  }
-  unsetenv("IBARB_TOPO");
 }
 
 // --- Generator shapes -----------------------------------------------------
