@@ -69,12 +69,12 @@ int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
   const auto sf = cli.std_flags(21);
   auto base = bench::config_from_cli(cli);
-  base.besteffort_load = cli.get_double("be-load", 0.25);
+  base.besteffort_load = cli.get_double_in("be-load", 0.25, 0.0, 1.0);
   // The limit only matters while the high-priority table has backlog at the
   // moment low-priority packets wait: drive the guaranteed classes into
   // backlog by making them all oversend (cf. bench_misbehavior).
   base.oversend_sl_mask = 0x3FF;  // every QoS SL misbehaves
-  base.oversend_factor = cli.get_double("oversend", 2.5);
+  base.oversend_factor = cli.get_double_in("oversend", 2.5, 1.0);
 
   if (!sf.json)
     std::cout << "=== Ablation: LimitOfHighPriority (best-effort load "

@@ -34,6 +34,7 @@
 
 #include "control/churn_engine.hpp"
 #include "control/snapshot.hpp"
+#include "dual_spine.hpp"
 #include "faults/fault_injector.hpp"
 #include "faults/fault_plan.hpp"
 #include "faults/recovery.hpp"
@@ -53,9 +54,7 @@ namespace {
 
 struct BenchConfig {
   bool storm = true;             ///< --scenario storm|steady
-  unsigned spines = 2;
-  unsigned leaves = 4;
-  unsigned hosts_per_leaf = 2;
+  bench::DualSpineShape fabric;
   iba::Cycle length = 1'500'000;
   iba::Cycle tick = 10'000;
   iba::Cycle snapshot_at = 0;    ///< 0 = length / 2.
@@ -77,36 +76,12 @@ control::ChurnConfig make_churn_config(const BenchConfig& bc,
   return c;
 }
 
-/// Same dual-spine asymmetric fabric as bench_faults: spine 0 carries 4x
-/// links, the backup spines 1x, so a primary-link fault moves a leaf onto
-/// a quarter of the reservable bandwidth — mass reroutes with real
-/// capacity pressure.
-network::FabricGraph make_fabric(const BenchConfig& bc) {
-  network::FabricGraph g;
-  const iba::Link fast{iba::LinkRate::k4x, 2};
-  const iba::Link slow{iba::LinkRate::k1x, 2};
-  std::vector<iba::NodeId> spine(bc.spines);
-  for (auto& s : spine) s = g.add_switch(bc.leaves);
-  std::vector<iba::NodeId> leaf(bc.leaves);
-  for (auto& l : leaf) l = g.add_switch(bc.spines + bc.hosts_per_leaf);
-  for (unsigned l = 0; l < bc.leaves; ++l)
-    for (unsigned t = 0; t < bc.spines; ++t)
-      g.connect(leaf[l], static_cast<iba::PortIndex>(t), spine[t],
-                static_cast<iba::PortIndex>(l), t == 0 ? fast : slow);
-  for (const auto l : leaf)
-    for (unsigned h = 0; h < bc.hosts_per_leaf; ++h) {
-      const auto host = g.add_host();
-      g.connect(host, 0, l, static_cast<iba::PortIndex>(bc.spines + h),
-                fast);
-    }
-  return g;
-}
-
 /// Link-level storm only (flaps, stuck, slow): the churn world moves no
-/// packets, so corruption/drop/overload windows would be inert.
-faults::FaultPlan make_storm_plan(const network::FabricGraph& graph,
-                                  const BenchConfig& bc,
+/// packets, so corruption/drop/overload windows would be inert. The steady
+/// scenario gets an empty plan.
+faults::FaultPlan make_storm_plan(const BenchConfig& bc,
                                   std::uint64_t run_seed) {
+  if (!bc.storm) return {};
   faults::StormConfig sc;
   sc.seed = run_seed ^ 0x570Bull;
   sc.start = bc.length / 10;
@@ -117,7 +92,8 @@ faults::FaultPlan make_storm_plan(const network::FabricGraph& graph,
   sc.corrupt_windows = 0;
   sc.drop_windows = 0;
   sc.overload_bursts = 0;
-  return faults::FaultPlan::random_storm(graph, sc);
+  return faults::FaultPlan::random_storm(bench::make_dual_spine(bc.fabric),
+                                         sc);
 }
 
 /// Only the deterministic control-plane telemetry families go into the
@@ -155,7 +131,7 @@ struct World {
 
   World(const BenchConfig& bc, std::uint64_t run_seed,
         const faults::FaultPlan& plan)
-      : graph(make_fabric(bc)), sm(graph),
+      : graph(bench::make_dual_spine(bc.fabric)), sm(graph),
         admission(graph, sm.routes(), qos::paper_catalogue(),
                   [&] {
                     qos::AdmissionControl::Config ac;
@@ -170,8 +146,7 @@ struct World {
     admission.attach_telemetry(sim.telemetry());
     if (bc.storm) {
       injector.emplace(sim, graph, plan, run_seed ^ 0xFA7Eull);
-      coordinator.emplace(sim, graph, sm, admission, *injector,
-                          faults::RecoveryConfig{});
+      coordinator.emplace(sim, graph, sm, admission, *injector);
     }
     engine.emplace(sim, admission, graph,
                    injector ? &*injector : nullptr,
@@ -240,9 +215,7 @@ RunResult run_restored(const BenchConfig& bc, std::uint64_t run_seed,
 
 RunResult run_one(const BenchConfig& bc, std::uint64_t run_seed,
                   bool want_snapshot) {
-  const auto plan =
-      bc.storm ? make_storm_plan(make_fabric(bc), bc, run_seed)
-               : faults::FaultPlan{};
+  const auto plan = make_storm_plan(bc, run_seed);
   World w(bc, run_seed, plan);
 
   RunResult res;
@@ -288,10 +261,10 @@ obs::Report make_report(const BenchConfig& bc,
   report.config("scenario", std::string(bc.storm ? "storm" : "steady"));
   report.config("length", static_cast<std::uint64_t>(bc.length));
   report.config("tick", static_cast<std::uint64_t>(bc.tick));
-  report.config("spines", static_cast<std::uint64_t>(bc.spines));
-  report.config("leaves", static_cast<std::uint64_t>(bc.leaves));
+  report.config("spines", static_cast<std::uint64_t>(bc.fabric.spines));
+  report.config("leaves", static_cast<std::uint64_t>(bc.fabric.leaves));
   report.config("hosts_per_leaf",
-                static_cast<std::uint64_t>(bc.hosts_per_leaf));
+                static_cast<std::uint64_t>(bc.fabric.hosts_per_leaf));
   report.config("seed", bc.seed);
   report.config("runs", static_cast<std::uint64_t>(bc.runs));
 
@@ -372,17 +345,12 @@ int main(int argc, char** argv) try {
   const auto sf = cli.std_flags(1);
   BenchConfig bc;
   const auto scenario = cli.get("scenario", "storm");
-  if (scenario != "storm" && scenario != "steady") {
-    std::cerr << "unknown --scenario " << scenario
-              << " (want storm|steady)\n";
-    return 2;
-  }
+  if (scenario != "storm" && scenario != "steady")
+    throw std::invalid_argument("flag --scenario expects storm|steady, got '" +
+                                scenario + "'");
   bc.storm = scenario == "storm";
   constexpr std::int64_t kMaxCount = std::numeric_limits<unsigned>::max();
-  bc.spines = static_cast<unsigned>(cli.get_int_in("spines", 2, 1, kMaxCount));
-  bc.leaves = static_cast<unsigned>(cli.get_int_in("leaves", 4, 1, kMaxCount));
-  bc.hosts_per_leaf = static_cast<unsigned>(
-      cli.get_int_in("hosts-per-leaf", 2, 1, kMaxCount));
+  bc.fabric = bench::dual_spine_from_cli(cli);
   bc.length = static_cast<iba::Cycle>(
       cli.get_int_in("length",
                      cli.get_bool("quick", false) ? 600'000 : 1'500'000, 1));
@@ -403,9 +371,7 @@ int main(int argc, char** argv) try {
     // tail. The emitted report must cmp(1)-equal the writer's.
     bc.runs = 1;
     const auto run_seed = bench::derive_run_seed(bc.seed, 0);
-    const auto plan = bc.storm
-                          ? make_storm_plan(make_fabric(bc), bc, run_seed)
-                          : faults::FaultPlan{};
+    const auto plan = make_storm_plan(bc, run_seed);
     runs.push_back(run_restored(bc, run_seed, plan,
                                 read_blob(bc.restore_from)));
     std::cerr << "restored from " << bc.restore_from << " at cycle "

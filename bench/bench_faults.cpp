@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "dual_spine.hpp"
 #include "faults/fault_injector.hpp"
 #include "faults/fault_plan.hpp"
 #include "faults/rc_session.hpp"
@@ -54,9 +55,7 @@ using namespace ibarb;
 namespace {
 
 struct BenchConfig {
-  unsigned spines = 2;
-  unsigned leaves = 4;
-  unsigned hosts_per_leaf = 2;
+  bench::DualSpineShape fabric;
   iba::Cycle length = 3'000'000;
   std::uint64_t seed = 1;
   std::uint64_t storm_seed = 0;  ///< 0 = derive from run seed.
@@ -104,32 +103,6 @@ struct RunResult {
 
 constexpr iba::ServiceLevel kGuaranteedSls[] = {2, 3, 4, 5, 6, 7, 8, 9};
 
-/// Dual-spine tree with asymmetric redundancy: spine 0 (node 0) attaches
-/// every leaf over 4x links, the remaining spines over 1x. Host links are
-/// 4x so leaf ingress is never the bottleneck. Routing prefers the fast
-/// spine; losing one of its links moves that leaf's traffic onto a quarter
-/// of the reservable bandwidth.
-network::FabricGraph make_asym_fabric(const BenchConfig& bc) {
-  network::FabricGraph g;
-  const iba::Link fast{iba::LinkRate::k4x, 2};
-  const iba::Link slow{iba::LinkRate::k1x, 2};
-  std::vector<iba::NodeId> spine(bc.spines);
-  for (auto& s : spine) s = g.add_switch(bc.leaves);
-  std::vector<iba::NodeId> leaf(bc.leaves);
-  for (auto& l : leaf) l = g.add_switch(bc.spines + bc.hosts_per_leaf);
-  for (unsigned l = 0; l < bc.leaves; ++l)
-    for (unsigned t = 0; t < bc.spines; ++t)
-      g.connect(leaf[l], static_cast<iba::PortIndex>(t), spine[t],
-                static_cast<iba::PortIndex>(l), t == 0 ? fast : slow);
-  for (const auto l : leaf)
-    for (unsigned h = 0; h < bc.hosts_per_leaf; ++h) {
-      const auto host = g.add_host();
-      g.connect(host, 0, l, static_cast<iba::PortIndex>(bc.spines + h),
-                fast);
-    }
-  return g;
-}
-
 /// One self-contained experiment. `faulty` false gives the baseline run:
 /// identical fabric, workload and seeds, no fault plan armed. `observe`
 /// enables the per-run observability extras (packet trace, time-series,
@@ -140,7 +113,7 @@ RunResult run_one(const BenchConfig& bc, std::uint64_t run_seed, bool faulty,
   RunResult res;
   res.run_seed = run_seed;
 
-  const auto graph = make_asym_fabric(bc);
+  const auto graph = bench::make_dual_spine(bc.fabric);
   subnet::SubnetManager sm(graph);
   qos::AdmissionControl::Config ac;
   ac.seed = run_seed;
@@ -197,8 +170,8 @@ RunResult run_one(const BenchConfig& bc, std::uint64_t run_seed, bool faulty,
     // Aim the first few at leaf 0's hosts: its combined ingress demand then
     // exceeds one downlink's reservable bandwidth, so when the storm takes
     // a spine->leaf0 link down the degradation machinery has real work.
-    if (i < 6 && bc.hosts_per_leaf >= 2) {
-      req.dst_host = hosts[i % bc.hosts_per_leaf];
+    if (i < 6 && bc.fabric.hosts_per_leaf >= 2) {
+      req.dst_host = hosts[i % bc.fabric.hosts_per_leaf];
       if (req.src_host == req.dst_host) req.src_host = hosts.back();
     }
     req.sl = static_cast<iba::ServiceLevel>(10 + i % 3);
@@ -292,8 +265,7 @@ RunResult run_one(const BenchConfig& bc, std::uint64_t run_seed, bool faulty,
   std::optional<faults::RecoveryCoordinator> coordinator;
   if (faulty) {
     injector.emplace(sim, graph, plan, run_seed ^ 0xFA7Eull);
-    coordinator.emplace(sim, graph, sm, admission, *injector,
-                        faults::RecoveryConfig{});
+    coordinator.emplace(sim, graph, sm, admission, *injector);
     for (std::size_t i = 0; i < g_ids.size(); ++i)
       coordinator->track(g_ids[i], g_flows[i]);
     for (std::size_t i = 0; i < b_ids.size(); ++i)
@@ -377,10 +349,10 @@ obs::Report make_report(const BenchConfig& bc,
                         const std::vector<RunResult>& baseline) {
   obs::Report report("bench_faults");
   report.config("length", static_cast<std::uint64_t>(bc.length));
-  report.config("spines", static_cast<std::uint64_t>(bc.spines));
-  report.config("leaves", static_cast<std::uint64_t>(bc.leaves));
+  report.config("spines", static_cast<std::uint64_t>(bc.fabric.spines));
+  report.config("leaves", static_cast<std::uint64_t>(bc.fabric.leaves));
   report.config("hosts_per_leaf",
-                static_cast<std::uint64_t>(bc.hosts_per_leaf));
+                static_cast<std::uint64_t>(bc.fabric.hosts_per_leaf));
   report.config("seed", bc.seed);
   report.config("runs", static_cast<std::uint64_t>(bc.runs));
   report.config("with_baseline", bc.with_baseline);
@@ -460,10 +432,7 @@ int main(int argc, char** argv) try {
   const auto sf = cli.std_flags(1);
   BenchConfig bc;
   constexpr std::int64_t kMaxCount = std::numeric_limits<unsigned>::max();
-  bc.spines = static_cast<unsigned>(cli.get_int_in("spines", 2, 1, kMaxCount));
-  bc.leaves = static_cast<unsigned>(cli.get_int_in("leaves", 4, 1, kMaxCount));
-  bc.hosts_per_leaf = static_cast<unsigned>(
-      cli.get_int_in("hosts-per-leaf", 2, 1, kMaxCount));
+  bc.fabric = bench::dual_spine_from_cli(cli);
   bc.length = static_cast<iba::Cycle>(
       cli.get_int_in("length",
                      cli.get_bool("quick", false) ? 1'200'000 : 3'000'000, 1));
@@ -498,8 +467,8 @@ int main(int argc, char** argv) try {
     rc = bench::emit_report(make_report(bc, storm, baseline), cli);
   } else {
     std::cout << "=== Fault storm: " << bc.runs << " run(s), " << bc.length
-              << " cycles each, dual-spine " << bc.spines << "x" << bc.leaves
-              << "x" << bc.hosts_per_leaf
+              << " cycles each, dual-spine " << bc.fabric.spines << "x"
+              << bc.fabric.leaves << "x" << bc.fabric.hosts_per_leaf
               << " (4x primary / 1x backup) ===\n\n";
     util::TablePrinter table(
         {"run", "DBTS rx/miss", "DB rx/miss", "BE dlvr% storm/clean",

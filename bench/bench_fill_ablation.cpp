@@ -11,6 +11,7 @@
 // provably at zero; every baseline fragments.
 #include <iostream>
 #include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "arbtable/baselines.hpp"
@@ -28,12 +29,14 @@ int main(int argc, char** argv) try {
   constexpr std::int64_t kMaxCount = std::numeric_limits<unsigned>::max();
   w.requests =
       static_cast<unsigned>(cli.get_int_in("requests", 5000, 1, kMaxCount));
-  w.departure_probability = cli.get_double("departures", 0.45);
+  w.departure_probability = cli.get_double_in("departures", 0.45, 0.0, 1.0);
   // Entry-limited regime: the whole link is reservable so rejections come
   // from table placement, the thing being ablated, not the bandwidth cap.
-  w.reservable_fraction = cli.get_double("reservable", 1.0);
-  w.min_mbps = cli.get_double("min-mbps", 4.0);
-  w.max_mbps = cli.get_double("max-mbps", 32.0);
+  w.reservable_fraction = cli.get_double_in("reservable", 1.0, 0.01, 1.0);
+  w.min_mbps = cli.get_double_in("min-mbps", 4.0, 0.0, iba::kBaseLinkMbps);
+  w.max_mbps = cli.get_double_in("max-mbps", 32.0, 0.0, iba::kBaseLinkMbps);
+  if (w.max_mbps < w.min_mbps)
+    throw std::invalid_argument("flag --max-mbps must not be below --min-mbps");
   const unsigned seeds =
       static_cast<unsigned>(cli.get_int_in("seeds", 10, 1, kMaxCount));
 

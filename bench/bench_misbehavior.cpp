@@ -56,7 +56,7 @@ int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
   const auto sf = cli.std_flags(21);
   auto base = bench::config_from_cli(cli);
-  const double factor = cli.get_double("oversend", 3.0);
+  const double factor = cli.get_double_in("oversend", 3.0, 1.0);
 
   if (!sf.json)
     std::cout << "=== Misbehaving-source experiment: DBTS classes (SL0-5) send "

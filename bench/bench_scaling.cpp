@@ -31,8 +31,6 @@
 #include <iostream>
 #include <new>
 #include <thread>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "iba/arbiter.hpp"
 #include "network/registry.hpp"
@@ -164,63 +162,6 @@ constexpr TopoCase kTopoCases[] = {
     {"fattree:k=48,n=3", "fattree-dmodk", true},             // 110592 hosts
 };
 
-/// Switch-level channel-dependency-graph acyclicity (Dally/Seitz): a cycle
-/// among (switch, out-port, VL) channels means the routing function can
-/// deadlock. Paths toward a destination switch form a tree, so every edge
-/// is generated directly from consecutive switch hops — no path walks.
-bool cdg_acyclic(const network::Routes& r) {
-  const auto& g = r.graph();
-  const auto sws = r.switch_ids();
-  std::vector<std::uint32_t> dense(g.node_count(), 0);
-  unsigned max_ports = 1;
-  for (std::size_t i = 0; i < sws.size(); ++i) {
-    dense[sws[i]] = static_cast<std::uint32_t>(i);
-    max_ports = std::max(max_ports, g.port_count(sws[i]));
-  }
-  const auto chan = [&](iba::NodeId sw, iba::PortIndex port,
-                        iba::VirtualLane vl) -> std::uint64_t {
-    return (std::uint64_t(dense[sw]) * max_ports + port) * r.vl_layers() + vl;
-  };
-  std::unordered_set<std::uint64_t> edges;
-  edges.reserve(sws.size() * sws.size() / 4);
-  for (const auto t : sws) {
-    for (const auto s : sws) {
-      if (s == t) continue;
-      const auto port = r.switch_out_port(s, t);
-      if (port == network::kNoRoute) continue;
-      const auto peer = g.peer(s, port);
-      if (!peer || peer->node == t || !g.is_switch(peer->node)) continue;
-      const auto next_port = r.switch_out_port(peer->node, t);
-      if (next_port == network::kNoRoute) continue;
-      edges.insert(chan(s, port, r.switch_vl(s, t)) << 32 |
-                   chan(peer->node, next_port, r.switch_vl(peer->node, t)));
-    }
-  }
-  // Kahn's algorithm over the deduplicated edge set.
-  std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> adj;
-  std::unordered_map<std::uint64_t, std::uint32_t> indeg;
-  for (const auto e : edges) {
-    const std::uint64_t a = e >> 32, b = e & 0xFFFFFFFFu;
-    adj[a].push_back(b);
-    ++indeg[b];
-    indeg.try_emplace(a, 0);
-  }
-  std::vector<std::uint64_t> ready;
-  for (const auto& [c, d] : indeg)
-    if (d == 0) ready.push_back(c);
-  std::size_t seen = 0;
-  while (!ready.empty()) {
-    const auto c = ready.back();
-    ready.pop_back();
-    ++seen;
-    const auto it = adj.find(c);
-    if (it == adj.end()) continue;
-    for (const auto n : it->second)
-      if (--indeg[n] == 0) ready.push_back(n);
-  }
-  return seen == indeg.size();
-}
-
 struct TopoRow {
   std::string family;
   std::string spec;
@@ -267,7 +208,7 @@ TopoRow run_topo_case(const TopoCase& tc) {
   // Deadlock freedom. Capped at 4096 switches: the edge set is O(n_sw^2)
   // and the giant --full instances are covered by the same check in
   // tests/test_routing_engines.cpp at representative sizes.
-  if (row.switches <= 4096) row.cdg = cdg_acyclic(routes) ? 1 : 0;
+  if (row.switches <= 4096) row.cdg = network::cdg_acyclic(routes) ? 1 : 0;
 
   // Flat-CSR lookup throughput under the allocation counter. ~2M lookups,
   // strided over hosts so every destination row gets touched.

@@ -19,7 +19,7 @@ int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
   const auto sf = cli.std_flags(21);
   auto base = bench::config_from_cli(cli);
-  base.vbr_on_fraction = cli.get_double("on-fraction", 0.25);
+  base.vbr_on_fraction = cli.get_double_in("on-fraction", 0.25, 0.01, 1.0);
 
   if (!sf.json) {
     std::cout << "=== VBR vs CBR: per-SL deadline compliance and jitter ===\n";

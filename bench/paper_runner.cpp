@@ -2,7 +2,6 @@
 
 #include "network/routing_engine.hpp"
 
-#include <cmath>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -48,12 +47,7 @@ PaperRunConfig config_from_cli(const util::Cli& cli, PaperRunConfig base) {
   base.warmup = static_cast<iba::Cycle>(cli.get_int_in(
       "warmup", static_cast<std::int64_t>(base.warmup), 0));
   base.besteffort_load =
-      cli.get_double("besteffort-load", base.besteffort_load);
-  if (!std::isfinite(base.besteffort_load) || base.besteffort_load < 0.0) {
-    throw std::invalid_argument(
-        "flag --besteffort-load expects a finite load >= 0, got " +
-        std::to_string(base.besteffort_load));
-  }
+      cli.get_double_in("besteffort-load", base.besteffort_load, 0.0, 1.0);
   if (cli.get_bool("quick", false)) {
     base.min_rx_packets = 10;
     base.warmup = 500'000;

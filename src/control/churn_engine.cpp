@@ -11,11 +11,23 @@ namespace ibarb::control {
 
 namespace {
 
+/// Operation mix: the share of arrivals that are teardowns (the rest split
+/// into ChurnConfig::modify_fraction re-rates and setups).
+constexpr double kTeardownFraction = 0.30;
+/// Guaranteed-setup retry backoff: kRetryBase << min(attempt,
+/// kBackoffShiftCap) plus jitter; the client gives up after kMaxRetries.
+constexpr iba::Cycle kRetryBase = 20'000;
+constexpr unsigned kBackoffShiftCap = 5;
+constexpr unsigned kMaxRetries = 8;
+/// Full-audit cadence, in ticks.
+constexpr unsigned kAuditEvery = 8;
+
 std::uint64_t mix64(std::uint64_t h, std::uint64_t v) {
   h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
   return h;
 }
 
+// The fixed constants stay in the mix so snapshot blobs keep their bytes.
 std::uint64_t config_fingerprint(const ChurnConfig& cfg) {
   std::uint64_t h = 0x11b0c7a1ull;  // stable non-zero seed
   h = mix64(h, cfg.tick);
@@ -24,15 +36,15 @@ std::uint64_t config_fingerprint(const ChurnConfig& cfg) {
   h = mix64(h, cfg.serve_budget);
   h = mix64(h, cfg.queue_capacity);
   h = mix64(h, std::bit_cast<std::uint64_t>(cfg.zipf_s));
-  h = mix64(h, std::bit_cast<std::uint64_t>(cfg.teardown_fraction));
+  h = mix64(h, std::bit_cast<std::uint64_t>(kTeardownFraction));
   h = mix64(h, std::bit_cast<std::uint64_t>(cfg.modify_fraction));
   h = mix64(h, std::bit_cast<std::uint64_t>(cfg.best_effort_fraction));
   h = mix64(h, std::bit_cast<std::uint64_t>(cfg.min_mbps));
   h = mix64(h, std::bit_cast<std::uint64_t>(cfg.max_mbps));
-  h = mix64(h, cfg.retry_base);
-  h = mix64(h, cfg.backoff_shift_cap);
-  h = mix64(h, cfg.max_retries);
-  h = mix64(h, cfg.audit_every);
+  h = mix64(h, kRetryBase);
+  h = mix64(h, kBackoffShiftCap);
+  h = mix64(h, kMaxRetries);
+  h = mix64(h, kAuditEvery);
   h = mix64(h, cfg.seed);
   return h;
 }
@@ -140,8 +152,7 @@ void ChurnEngine::tick() {
   serve_due_retries();
   generate_arrivals();
   serve_queues();
-  if (cfg_.audit_every != 0 && tick_index_ % cfg_.audit_every == 0)
-    run_audit();
+  if (tick_index_ % kAuditEvery == 0) run_audit();
   for (const auto& q : queues_)
     queue_peak_ = std::max(queue_peak_, static_cast<double>(q.size()));
   retry_peak_ = std::max(retry_peak_, static_cast<double>(retries_.size()));
@@ -194,12 +205,12 @@ void ChurnEngine::generate_arrivals() {
   for (std::uint64_t i = 0; i < n; ++i) {
     ++stats_.submitted;
     const double roll = rng_.uniform();
-    if (roll < cfg_.teardown_fraction) {
+    if (roll < kTeardownFraction) {
       do_teardown();
       continue;
     }
     Op op;
-    if (roll < cfg_.teardown_fraction + cfg_.modify_fraction &&
+    if (roll < kTeardownFraction + cfg_.modify_fraction &&
         !live_guaranteed_.empty()) {
       // Re-rate an existing guaranteed connection.
       op.kind = OpKind::kModify;
@@ -299,7 +310,7 @@ void ChurnEngine::do_setup_guaranteed(Op& op) {
   // Refused. If every hop still had room this is a Theorem-1 false reject
   // — the property the whole service exists to disprove.
   if (admission_.can_admit_path(op.request)) ++stats_.false_rejects;
-  if (op.attempt >= cfg_.max_retries) {
+  if (op.attempt >= kMaxRetries) {
     ++stats_.gave_up;
     return;
   }
@@ -368,9 +379,9 @@ void ChurnEngine::do_teardown() {
 }
 
 void ChurnEngine::schedule_retry(Op op) {
-  const auto shift = std::min(op.attempt, cfg_.backoff_shift_cap);
-  const iba::Cycle base = cfg_.retry_base << shift;
-  const iba::Cycle jitter = rng_.below(std::max<iba::Cycle>(1, cfg_.retry_base));
+  const auto shift = std::min(op.attempt, kBackoffShiftCap);
+  const iba::Cycle base = kRetryBase << shift;
+  const iba::Cycle jitter = rng_.below(kRetryBase);
   ++op.attempt;
   retries_.push_back(Retry{sim_.now() + base + jitter, std::move(op)});
 }

@@ -16,7 +16,8 @@
 //    mark (3/4 full) — rejected before any guaranteed work is delayed.
 //    Guaranteed setups that find the queue full are backpressured: the
 //    client retries with capped exponential backoff plus seeded jitter
-//    (the transport/rc backoff shape), giving up after max_retries.
+//    (the transport/rc backoff shape), giving up after a fixed retry
+//    budget.
 //
 //  * No-false-reject auditing. A guaranteed setup the admission control
 //    refuses is cross-examined with AdmissionControl::can_admit_path: if
@@ -59,15 +60,10 @@ struct ChurnConfig {
   unsigned serve_budget = 6;         ///< Queue operations served per tick.
   unsigned queue_capacity = 16;      ///< Per-source-host queue bound.
   double zipf_s = 1.2;               ///< Source-host popularity exponent.
-  double teardown_fraction = 0.30;   ///< Operation mix: teardowns ...
-  double modify_fraction = 0.15;     ///< ... bandwidth modifies ...
-  double best_effort_fraction = 0.35;  ///< ... and BE share of setups.
+  double modify_fraction = 0.15;     ///< Re-rate share of arrivals.
+  double best_effort_fraction = 0.35;  ///< BE share of setups.
   double min_mbps = 4.0;             ///< Requested bandwidth range.
   double max_mbps = 48.0;
-  iba::Cycle retry_base = 20'000;    ///< Backoff base delay.
-  unsigned backoff_shift_cap = 5;    ///< retry_base << min(attempt, cap).
-  unsigned max_retries = 8;          ///< Then the client gives up.
-  unsigned audit_every = 8;          ///< Full-audit cadence, ticks.
   std::uint64_t seed = 1;
 };
 

@@ -17,7 +17,7 @@ void save_payload(util::BinWriter& w, iba::Cycle now, std::uint64_t run_seed,
   if (world.admission != nullptr) world.admission->save_state(w);
   w.put_bool(world.coordinator != nullptr);
   if (world.coordinator != nullptr) {
-    const auto tracked = world.coordinator->export_tracked();
+    const auto& tracked = world.coordinator->export_tracked();
     w.put_u64(tracked.size());
     for (const auto& t : tracked) {
       w.put_u32(t.id);
@@ -67,7 +67,7 @@ iba::Cycle load_payload(util::BinReader& r, std::uint64_t run_seed,
   if (r.get_bool() != (world.coordinator != nullptr))
     throw std::runtime_error("snapshot/world coordinator shape mismatch");
   if (world.coordinator != nullptr) {
-    std::vector<faults::RecoveryCoordinator::TrackedState> tracked(
+    std::vector<faults::RecoveryCoordinator::Tracked> tracked(
         r.get_length());
     for (auto& t : tracked) {
       t.id = r.get_u32();

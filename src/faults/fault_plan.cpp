@@ -12,6 +12,12 @@ namespace ibarb::faults {
 
 namespace {
 
+// Severity of each random-storm fault kind (FaultPlan::random_storm).
+constexpr double kStormCorruptProbability = 0.05;
+constexpr double kStormDropProbability = 0.02;
+constexpr double kStormSlowFactor = 4.0;
+constexpr double kStormOverloadFactor = 8.0;
+
 /// Every token handed around during parsing is a substring view of the
 /// original spec, so pointer arithmetic recovers the exact character offset
 /// of the offending token — the error names both.
@@ -243,7 +249,7 @@ FaultPlan FaultPlan::random_storm(const network::FabricGraph& graph,
   for (unsigned i = 0; i < cfg.stuck_ports; ++i)
     slotted(FaultKind::kStuck, 1.0);
   for (unsigned i = 0; i < cfg.slow_ports; ++i)
-    slotted(FaultKind::kSlow, cfg.slow_factor);
+    slotted(FaultKind::kSlow, kStormSlowFactor);
 
   const auto windowed = [&](FaultKind kind, double probability) {
     FaultEvent ev;
@@ -265,9 +271,9 @@ FaultPlan FaultPlan::random_storm(const network::FabricGraph& graph,
     events.push_back(ev);
   };
   for (unsigned i = 0; i < cfg.corrupt_windows; ++i)
-    windowed(FaultKind::kCorrupt, cfg.corrupt_probability);
+    windowed(FaultKind::kCorrupt, kStormCorruptProbability);
   for (unsigned i = 0; i < cfg.drop_windows; ++i)
-    windowed(FaultKind::kDrop, cfg.drop_probability);
+    windowed(FaultKind::kDrop, kStormDropProbability);
 
   if (cfg.flows > 0) {
     for (unsigned i = 0; i < cfg.overload_bursts; ++i) {
@@ -279,7 +285,7 @@ FaultPlan FaultPlan::random_storm(const network::FabricGraph& graph,
                  rng.below(std::max<iba::Cycle>(1, cfg.length / 6)));
       ev.flow = cfg.first_flow +
                 static_cast<std::uint32_t>(rng.below(cfg.flows));
-      ev.factor = cfg.overload_factor;
+      ev.factor = kStormOverloadFactor;
       events.push_back(ev);
     }
   }

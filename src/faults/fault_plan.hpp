@@ -41,7 +41,8 @@ struct FaultEvent {
   double factor = 1.0;        ///< kSlow slowdown / kOverload rate multiple.
 };
 
-/// Shape of a synthesized fault storm (see FaultPlan::random_storm).
+/// Shape of a synthesized fault storm (see FaultPlan::random_storm). Each
+/// kind's severity is a fixed kStorm* constant in fault_plan.cpp.
 struct StormConfig {
   std::uint64_t seed = 1;
   iba::Cycle start = 0;
@@ -55,10 +56,6 @@ struct StormConfig {
   unsigned corrupt_windows = 2;
   unsigned drop_windows = 1;
   unsigned overload_bursts = 2;
-  double corrupt_probability = 0.05;
-  double drop_probability = 0.02;
-  double slow_factor = 4.0;
-  double overload_factor = 8.0;
   /// kOverload targets are drawn from flows [first_flow, first_flow+flows).
   /// With flows == 0 no overload events are generated.
   std::uint32_t first_flow = 0;

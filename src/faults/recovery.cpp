@@ -11,10 +11,9 @@ RecoveryCoordinator::RecoveryCoordinator(sim::Simulator& sim,
                                          const network::FabricGraph& graph,
                                          subnet::SubnetManager& sm,
                                          qos::AdmissionControl& admission,
-                                         FaultInjector& injector,
-                                         RecoveryConfig cfg)
+                                         FaultInjector& injector)
     : sim_(sim), graph_(graph), sm_(sm), admission_(admission),
-      injector_(injector), cfg_(cfg) {
+      injector_(injector) {
   injector_.set_link_state_listener(
       [this](iba::NodeId node, iba::PortIndex port, bool healthy,
              iba::Cycle now) { on_link_state(node, port, healthy, now); });
@@ -74,25 +73,10 @@ unsigned RecoveryCoordinator::suspended_now() const {
                     [](const Tracked& t) { return !t.active; }));
 }
 
-std::vector<RecoveryCoordinator::TrackedState>
-RecoveryCoordinator::export_tracked() const {
-  std::vector<TrackedState> out;
-  out.reserve(tracked_.size());
-  for (const auto& t : tracked_)
-    out.push_back(TrackedState{t.id, t.flow, t.guaranteed, t.active,
-                               t.request});
-  return out;
-}
-
-void RecoveryCoordinator::import_tracked(
-    const std::vector<TrackedState>& tracked) {
+void RecoveryCoordinator::import_tracked(const std::vector<Tracked>& tracked) {
   if (!quiescent())
     throw std::logic_error("import_tracked while recovery is in flight");
-  tracked_.clear();
-  tracked_.reserve(tracked.size());
-  for (const auto& s : tracked)
-    tracked_.push_back(Tracked{s.id, s.flow, s.guaranteed, s.active,
-                               s.request});
+  tracked_ = tracked;
 }
 
 void RecoveryCoordinator::on_link_state(iba::NodeId node, iba::PortIndex port,
@@ -116,7 +100,7 @@ void RecoveryCoordinator::on_link_state(iba::NodeId node, iba::PortIndex port,
   if (!repair_pending_) {
     repair_pending_ = true;
     first_trap_ = now;
-    sim_.call_at(now + cfg_.sm_reaction_delay,
+    sim_.call_at(now + kSmReactionDelay,
                  [this] { repair(first_trap_); });
   }
 }
@@ -315,7 +299,7 @@ void RecoveryCoordinator::repair(iba::Cycle fault_time) {
 
   const iba::Cycle latency = (sim_.now() - fault_time) +
                              static_cast<iba::Cycle>(report.smps_sent) *
-                                 cfg_.mad_cycles;
+                                 kMadCycles;
   stats_.last_recovery_latency = latency;
   stats_.max_recovery_latency = std::max(stats_.max_recovery_latency, latency);
 }

@@ -1,7 +1,8 @@
 // RecoveryCoordinator: the control-plane reaction to injected faults.
 //
 // Subscribes to the FaultInjector's link-state transitions (the modeled
-// trap). After a configurable reaction delay it drives the recovery chain:
+// trap). After a fixed reaction delay (kSmReactionDelay) it drives the
+// recovery chain:
 //
 //   1. SubnetManager::resweep over the degraded topology — directed-route
 //      SMP discovery, fresh up*/down* routes, LFT reprogramming;
@@ -36,13 +37,11 @@ namespace ibarb::faults {
 /// sim flow operations are skipped for such connections.
 inline constexpr std::uint32_t kNoFlow = 0xffffffffu;
 
-struct RecoveryConfig {
-  /// Trap propagation + SM scheduling latency before the re-sweep starts.
-  iba::Cycle sm_reaction_delay = 20'000;
-  /// Modeled per-SMP cost added to the recovery-latency metric (the
-  /// discovery MADs are executed functionally, not on the simulated wire).
-  iba::Cycle mad_cycles = 16;
-};
+/// Trap propagation + SM scheduling latency before the re-sweep starts.
+inline constexpr iba::Cycle kSmReactionDelay = 20'000;
+/// Modeled per-SMP cost added to the recovery-latency metric (the
+/// discovery MADs are executed functionally, not on the simulated wire).
+inline constexpr iba::Cycle kMadCycles = 16;
 
 struct RecoveryStats {
   std::uint64_t resweeps = 0;
@@ -72,7 +71,7 @@ class RecoveryCoordinator {
   RecoveryCoordinator(sim::Simulator& sim, const network::FabricGraph& graph,
                       subnet::SubnetManager& sm,
                       qos::AdmissionControl& admission,
-                      FaultInjector& injector, RecoveryConfig cfg);
+                      FaultInjector& injector);
   ~RecoveryCoordinator();
 
   RecoveryCoordinator(const RecoveryCoordinator&) = delete;
@@ -109,21 +108,9 @@ class RecoveryCoordinator {
     return !repair_pending_ && avoid_.empty();
   }
 
-  /// Snapshot support: the tracked set in its exact vector order (the order
-  /// decides repair processing, so a restored world must reproduce it).
-  struct TrackedState {
-    qos::ConnectionId id = 0;
-    std::uint32_t flow = kNoFlow;
-    bool guaranteed = false;
-    bool active = true;
-    qos::ConnectionRequest request;
-  };
-  std::vector<TrackedState> export_tracked() const;
-  /// Replaces the tracked set. Only valid while quiescent().
-  void import_tracked(const std::vector<TrackedState>& tracked);
-  void restore_stats(const RecoveryStats& stats) noexcept { stats_ = stats; }
-
- private:
+  /// One tracked connection. Snapshot support: the tracked set in its exact
+  /// vector order (the order decides repair processing, so a restored world
+  /// must reproduce it).
   struct Tracked {
     qos::ConnectionId id = 0;
     std::uint32_t flow = kNoFlow;
@@ -131,7 +118,12 @@ class RecoveryCoordinator {
     bool active = true;
     qos::ConnectionRequest request;
   };
+  const std::vector<Tracked>& export_tracked() const { return tracked_; }
+  /// Replaces the tracked set. Only valid while quiescent().
+  void import_tracked(const std::vector<Tracked>& tracked);
+  void restore_stats(const RecoveryStats& stats) noexcept { stats_ = stats; }
 
+ private:
   void on_link_state(iba::NodeId node, iba::PortIndex port, bool healthy,
                      iba::Cycle now);
   void repair(iba::Cycle fault_time);
@@ -146,7 +138,6 @@ class RecoveryCoordinator {
   subnet::SubnetManager& sm_;
   qos::AdmissionControl& admission_;
   FaultInjector& injector_;
-  RecoveryConfig cfg_;
 
   std::vector<Tracked> tracked_;
   ChangeListener change_listener_;

@@ -47,6 +47,18 @@ inline constexpr double kNsPerCycle = 4.0;
 /// 1x data bandwidth in Mbps (2.5 Gbps signalling × 8/10 coding).
 inline constexpr double kBaseLinkMbps = 2000.0;
 
+// --- Switch model (paper §4.1) ---
+
+/// Routing/arbitration latency of one crossbar traversal, per hop. The
+/// simulator charges it on every grant and the deadline arithmetic
+/// (qos::per_hop_guarantee) budgets it, so both read this one value.
+inline constexpr Cycle kCrossbarDelay = 8;
+
+/// Internal speedup of the crossbar over the link rate. With backlog, the
+/// output queues (not the fabric) become the contention point, so the
+/// VLArbitrationTable governs the link as the architecture intends.
+inline constexpr double kCrossbarSpeedup = 2.0;
+
 // --- VL arbitration table constants (IBA 1.0 §7.6.9) ---
 
 /// Each of the two priority tables has up to 64 {VL, weight} entries.

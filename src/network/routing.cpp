@@ -1,7 +1,9 @@
 #include "network/routing.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <unordered_set>
 #include <utility>
 
 namespace ibarb::network {
@@ -108,6 +110,58 @@ bool Routes::is_up_hop(iba::NodeId a, iba::NodeId b) const {
   const unsigned lb = level(b);
   if (lb != la) return lb < la;
   return b < a;
+}
+
+bool cdg_acyclic(const Routes& r) {
+  const auto& g = r.graph();
+  const auto& sws = r.switch_ids();
+  std::vector<std::uint32_t> dense(g.node_count(), 0);
+  unsigned max_ports = 1;
+  for (std::uint32_t i = 0; i < sws.size(); ++i) {
+    dense[sws[i]] = i;
+    max_ports = std::max(max_ports, g.port_count(sws[i]));
+  }
+  const auto chan = [&](iba::NodeId sw, iba::PortIndex port,
+                        iba::VirtualLane vl) -> std::uint64_t {
+    return (std::uint64_t(dense[sw]) * max_ports + port) * r.vl_layers() +
+           vl;
+  };
+  std::unordered_set<std::uint64_t> edges;
+  edges.reserve(sws.size() * sws.size() / 4);
+  for (const auto t : sws) {
+    for (const auto s : sws) {
+      if (s == t) continue;
+      const auto port = r.switch_out_port(s, t);
+      if (port == kNoRoute) continue;
+      const auto peer = g.peer(s, port);
+      if (!peer || peer->node == t || !g.is_switch(peer->node)) continue;
+      const auto next = r.switch_out_port(peer->node, t);
+      if (next == kNoRoute) continue;
+      edges.insert(chan(s, port, r.switch_vl(s, t)) << 32 |
+                   chan(peer->node, next, r.switch_vl(peer->node, t)));
+    }
+  }
+  // Kahn's algorithm over the deduplicated edges of the dense channel space.
+  const std::size_t channels =
+      std::size_t{sws.size()} * max_ports * r.vl_layers();
+  std::vector<std::vector<std::uint32_t>> adj(channels);
+  std::vector<std::uint32_t> indeg(channels, 0);
+  for (const auto e : edges) {
+    adj[e >> 32].push_back(static_cast<std::uint32_t>(e));
+    ++indeg[static_cast<std::uint32_t>(e)];
+  }
+  std::vector<std::uint32_t> ready;
+  for (std::uint32_t c = 0; c < channels; ++c)
+    if (indeg[c] == 0) ready.push_back(c);
+  std::size_t seen = 0;
+  while (!ready.empty()) {
+    const auto c = ready.back();
+    ready.pop_back();
+    ++seen;
+    for (const auto n : adj[c])
+      if (--indeg[n] == 0) ready.push_back(n);
+  }
+  return seen == channels;
 }
 
 }  // namespace ibarb::network

@@ -158,6 +158,14 @@ class Routes {
   std::vector<iba::NodeId> switch_ids_;
 };
 
+/// Switch-level channel-dependency-graph acyclicity (Dally/Seitz): false when
+/// the (switch, out-port, VL) channels the tables use form a cycle, i.e. the
+/// routing function can deadlock. Paths toward a destination switch form a
+/// tree, so every dependency comes straight from consecutive switch hops of
+/// each (source, destination) switch pair — no path walks, so the check
+/// scales to the largest registry instances.
+bool cdg_acyclic(const Routes& r);
+
 /// Incrementally fills a Routes object. Engines address switches by *dense
 /// index* (position in FabricGraph::switches() order); the builder owns the
 /// id<->dense maps and the CSR layout.

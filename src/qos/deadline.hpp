@@ -28,17 +28,18 @@ constexpr iba::Cycle per_switch_deadline(unsigned distance) noexcept {
 }
 
 /// Sound per-hop guarantee: arbitration interval with per-entry whole-packet
-/// overdraft, plus the hop's forwarding costs.
+/// overdraft, plus the hop's forwarding costs (the crossbar traversal is the
+/// simulator's own iba::kCrossbarDelay).
 constexpr iba::Cycle per_hop_guarantee(
     unsigned distance, std::uint32_t max_wire_bytes = kDefaultMaxWireBytes,
-    iba::Cycle crossbar_delay = 8, iba::Cycle propagation = 2) noexcept {
+    iba::Cycle propagation = 2) noexcept {
   const iba::Cycle per_entry =
       iba::kMaxEntryWeight * iba::kWeightUnitBytes +
       (max_wire_bytes > iba::kWeightUnitBytes
            ? max_wire_bytes - iba::kWeightUnitBytes
            : 0);
   return static_cast<iba::Cycle>(distance) * per_entry +
-         2 * static_cast<iba::Cycle>(max_wire_bytes) + crossbar_delay +
+         2 * static_cast<iba::Cycle>(max_wire_bytes) + iba::kCrossbarDelay +
          propagation;
 }
 

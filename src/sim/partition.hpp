@@ -51,8 +51,8 @@ struct Partition {
   std::vector<Cut> cuts;
 };
 
-/// Parameters the lookahead window depends on (all from SimConfig / the
-/// admitted flow set).
+/// Parameters the lookahead window depends on (the admitted flow set and
+/// the crossbar timing constants of iba/types.hpp; tests vary them).
 struct LookaheadModel {
   /// Smallest wire size (payload + header) any flow can put on a cut link.
   std::uint32_t min_wire_bytes = iba::kPacketOverheadBytes;

@@ -96,8 +96,8 @@ std::unique_ptr<ShardEngine> ShardEngine::create(Simulator& sim,
     min_wire = std::min(min_wire, wire);
   }
 
-  const LookaheadModel model{min_wire, sim.cfg_.crossbar_delay,
-                             sim.cfg_.crossbar_speedup};
+  const LookaheadModel model{min_wire, iba::kCrossbarDelay,
+                             iba::kCrossbarSpeedup};
   const std::string zero = zero_lookahead_error(
       pr.partition, [&](const Partition::Cut& c) {
         return std::min(forward_latency(c.link, model.min_wire_bytes),
@@ -148,8 +148,8 @@ void ShardEngine::note_flow_wire(std::uint32_t wire_bytes) {
 void ShardEngine::refresh_window() {
   if (!window_dirty_) return;
   window_dirty_ = false;
-  const LookaheadModel model{min_wire_, sim_.cfg_.crossbar_delay,
-                             sim_.cfg_.crossbar_speedup};
+  const LookaheadModel model{min_wire_, iba::kCrossbarDelay,
+                             iba::kCrossbarSpeedup};
   window_ = safe_window(part_, model);
 }
 

@@ -102,10 +102,10 @@ class XbarView final : public sched::CrossbarPorts {
         iba::serialization_cycles(head.wire_bytes(), op.link.rate);
     const auto xfer_cycles = std::max<iba::Cycle>(
         1, static_cast<iba::Cycle>(static_cast<double>(link_cycles) /
-                                   sim_.cfg_.crossbar_speedup));
+                                   iba::kCrossbarSpeedup));
     const std::uint32_t wire = head.wire_bytes();
     Event done;
-    done.time = sim_.now_cur() + sim_.cfg_.crossbar_delay + xfer_cycles;
+    done.time = sim_.now_cur() + iba::kCrossbarDelay + xfer_cycles;
     done.type = EventType::kXferComplete;
     done.node = sw_.node;
     done.port = out;
@@ -304,7 +304,6 @@ Simulator::Simulator(const network::FabricGraph& graph,
   if (cfg_.sample_every > 0) {
     obs::SeriesRecorder::Config sc;
     sc.sample_every = cfg_.sample_every;
-    sc.capacity = cfg_.series_capacity;
     series_ = std::make_unique<obs::SeriesRecorder>(telemetry_, sc);
     metrics_.set_series(series_.get());
   }
@@ -532,14 +531,17 @@ std::uint32_t Simulator::flat_port_id(iba::NodeId node,
 }
 
 std::uint32_t Simulator::add_flow(const FlowSpec& spec) {
-  if (!graph_.is_switch(spec.src_host) && !graph_.is_switch(spec.dst_host)) {
-    // both must be hosts
-  } else {
+  if (graph_.is_switch(spec.src_host) || graph_.is_switch(spec.dst_host))
     throw std::invalid_argument("flows run host to host");
-  }
   if (spec.src_host == spec.dst_host)
     throw std::invalid_argument("flow source equals destination");
   if (spec.interval == 0) throw std::invalid_argument("zero flow interval");
+  // Negated so that NaN shapes fail too.
+  if (spec.kind == GeneratorKind::kOnOffVbr &&
+      !(spec.on_fraction > 0.0 && spec.on_fraction <= 1.0 &&
+        spec.burst_mean_packets >= 1.0))
+    throw std::invalid_argument(
+        "VBR flow needs on_fraction in (0, 1] and burst_mean_packets >= 1");
 
   const auto idx = static_cast<std::uint32_t>(flows_.size());
   FlowState fs;

@@ -38,19 +38,11 @@ struct SimConfig {
   /// (paper: "each VL is large enough to store four whole packets").
   unsigned buffer_packets = 4;
   std::uint32_t max_payload_bytes = 4096;  ///< Sizes buffers and credits.
-  iba::Cycle crossbar_delay = 8;  ///< Routing/arbitration latency per hop.
-  /// Internal speedup of the crossbar over the link rate. With backlog, the
-  /// output queues (not the fabric) become the contention point, so the
-  /// VLArbitrationTable governs the link as the architecture intends.
-  double crossbar_speedup = 2.0;
   /// Ring-buffer size of the packet trace; 0 disables tracing entirely.
   std::size_t trace_capacity = 0;
   /// Time-series sampling cadence in cycles (--sample-every); 0 disables the
   /// SeriesRecorder entirely — the hot paths then pay one null check.
   std::uint64_t sample_every = 0;
-  /// Max windows the series keeps before power-of-two decimation doubles
-  /// the window width (kept even; see obs::SeriesRecorder).
-  std::size_t series_capacity = 512;
   /// Enables the wall-clock self-profiler (obs::PhaseProfiler). Its
   /// profile.* telemetry is nondeterministic by nature and therefore
   /// excluded from series sampling and from every byte-compare in CI.

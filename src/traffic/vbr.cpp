@@ -1,7 +1,5 @@
 #include "traffic/vbr.hpp"
 
-#include <cassert>
-
 #include "traffic/cbr.hpp"
 
 namespace ibarb::traffic {
@@ -11,8 +9,6 @@ sim::FlowSpec make_vbr_flow(iba::NodeId src_host, iba::NodeId dst_host,
                             double wire_mbps, iba::Cycle deadline,
                             std::uint64_t seed, double on_fraction,
                             double burst_mean_packets) {
-  assert(on_fraction > 0.0 && on_fraction <= 1.0);
-  assert(burst_mean_packets >= 1.0);
   sim::FlowSpec spec =
       make_cbr_flow(src_host, dst_host, sl, payload_bytes, wire_mbps,
                     deadline, seed);

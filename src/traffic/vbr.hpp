@@ -11,6 +11,8 @@
 
 namespace ibarb::traffic {
 
+/// Simulator::add_flow rejects on_fraction outside (0, 1] and
+/// burst_mean_packets below 1.
 sim::FlowSpec make_vbr_flow(iba::NodeId src_host, iba::NodeId dst_host,
                             iba::ServiceLevel sl, std::uint32_t payload_bytes,
                             double wire_mbps, iba::Cycle deadline,

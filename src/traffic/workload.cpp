@@ -10,6 +10,15 @@
 
 namespace ibarb::traffic {
 
+/// An SL stops being offered after this many consecutive rejections.
+/// Attempts are cheap (table bookkeeping only), so many random host pairs
+/// are probed before an SL is declared saturated — this is what pushes the
+/// network into the paper's quasi-fully-loaded regime.
+constexpr unsigned kGiveUpAfter = 250;
+
+/// Safety cap on the connections one workload establishes.
+constexpr std::size_t kMaxConnections = std::size_t{1} << 20;
+
 Workload build_paper_workload(const network::FabricGraph& graph,
                               const network::Routes& routes,
                               qos::AdmissionControl& admission,
@@ -21,7 +30,7 @@ Workload build_paper_workload(const network::FabricGraph& graph,
   assert(hosts.size() >= 2);
   const auto payload = iba::mtu_bytes(cfg.mtu);
 
-  // QoS SLs offered round-robin until each has failed `give_up_after` times
+  // QoS SLs offered round-robin until each has failed kGiveUpAfter times
   // in a row ("we have already made many attempts for each SL", §4.3).
   std::vector<const qos::SlProfile*> qos_sls;
   for (const auto& p : admission.catalogue())
@@ -32,9 +41,9 @@ Workload build_paper_workload(const network::FabricGraph& graph,
   unsigned exhausted = 0;
   std::size_t turn = 0;
   while (exhausted < qos_sls.size() &&
-         result.connections.size() < cfg.max_connections) {
+         result.connections.size() < kMaxConnections) {
     const std::size_t k = turn++ % qos_sls.size();
-    if (streak[k] >= cfg.give_up_after) continue;
+    if (streak[k] >= kGiveUpAfter) continue;
     const qos::SlProfile& profile = *qos_sls[k];
 
     const auto src = hosts[rng.below(hosts.size())];
@@ -56,7 +65,7 @@ Workload build_paper_workload(const network::FabricGraph& graph,
     ++result.offered;
     const auto id = admission.request(req);
     if (!id) {
-      if (++streak[k] >= cfg.give_up_after) ++exhausted;
+      if (++streak[k] >= kGiveUpAfter) ++exhausted;
       continue;
     }
     streak[k] = 0;
@@ -67,12 +76,12 @@ Workload build_paper_workload(const network::FabricGraph& graph,
     auto spec =
         cfg.vbr ? make_vbr_flow(src, dst, profile.sl, payload, wire_mbps,
                                 conn.deadline, rng.next(),
-                                cfg.vbr_on_fraction,
-                                cfg.vbr_burst_mean_packets)
+                                cfg.vbr_on_fraction)
                 : make_cbr_flow(src, dst, profile.sl, payload, wire_mbps,
                                 conn.deadline, rng.next(), oversend);
-    if (cfg.randomize_start)
-      spec.start_offset = rng.below(spec.interval);
+    // Sources start at a random offset within one interval (desynchronizes
+    // the CBR clocks as independent applications would be).
+    spec.start_offset = rng.below(spec.interval);
     const auto flow = sim.add_flow(spec);
 
     EstablishedConnection ec;
@@ -109,8 +118,7 @@ Workload build_paper_workload(const network::FabricGraph& graph,
         const double mbps = cfg.besteffort_load * share * iba::kBaseLinkMbps;
         auto spec = make_besteffort_flow(host, dst, profile->sl, payload,
                                          mbps, rng.next());
-        if (cfg.randomize_start)
-          spec.start_offset = rng.below(spec.interval);
+        spec.start_offset = rng.below(spec.interval);
         sim.add_flow(spec);
       }
     }

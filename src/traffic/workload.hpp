@@ -18,29 +18,20 @@ namespace ibarb::traffic {
 struct WorkloadConfig {
   iba::Mtu mtu = iba::Mtu::kMtu256;  ///< "Small" packets; kMtu4096 = large.
   std::uint64_t seed = 7;
-  /// An SL stops being offered after this many consecutive rejections.
-  /// Attempts are cheap (table bookkeeping only), so the default probes
-  /// many random host pairs before declaring an SL saturated — this is what
-  /// pushes the network into the paper's quasi-fully-loaded regime.
-  unsigned give_up_after = 250;
-  unsigned max_connections = 1u << 20;
   /// Per-host Poisson best-effort load, as a fraction of the 1x link, split
   /// across the PBE/BE/CH SLs (0 disables background traffic).
   double besteffort_load = 0.10;
-  /// Sources start at a random offset within one interval (desynchronizes
-  /// the CBR clocks as independent applications would be).
-  bool randomize_start = true;
   /// Sources that send `oversend_factor` times their reservation. Applied
   /// to connections whose SL bit is set in `oversend_sl_mask`
   /// (misbehaving-source experiments). 0 = everybody compliant.
   double oversend_factor = 1.0;
   std::uint16_t oversend_sl_mask = 0;
   /// When true, QoS connections generate on/off VBR traffic instead of CBR
-  /// (same mean rate; peak = mean / vbr_on_fraction) — the scenario of the
-  /// authors' companion VBR evaluation (CCECE'02).
+  /// (same mean rate; peak = mean / vbr_on_fraction, bursts of
+  /// make_vbr_flow's default mean length) — the scenario of the authors'
+  /// companion VBR evaluation (CCECE'02).
   bool vbr = false;
   double vbr_on_fraction = 0.25;
-  double vbr_burst_mean_packets = 16.0;
 };
 
 struct EstablishedConnection {

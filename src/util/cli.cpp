@@ -1,9 +1,11 @@
 #include "util/cli.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <filesystem>
 #include <limits>
 #include <ostream>
+#include <sstream>
 #include <stdexcept>
 
 #include "util/thread_pool.hpp"
@@ -107,6 +109,20 @@ double Cli::get_double(std::string_view name, double default_value) const {
     throw std::invalid_argument("flag --" + std::string(name) +
                                 " expects a number, got '" + it->second + "'");
   }
+}
+
+double Cli::get_double_in(std::string_view name, double default_value,
+                          double lo, double hi) const {
+  const auto v = get_double(name, default_value);
+  if (!has(name) || (std::isfinite(v) && v >= lo && v <= hi)) return v;
+  std::ostringstream msg;
+  msg << "flag --" << name << " expects a finite number ";
+  if (hi == std::numeric_limits<double>::max())
+    msg << ">= " << lo;
+  else
+    msg << "in [" << lo << ", " << hi << "]";
+  msg << ", got " << v;
+  throw std::invalid_argument(msg.str());
 }
 
 bool Cli::get_bool(std::string_view name, bool default_value) const {

@@ -59,6 +59,12 @@ class Cli {
       std::string_view name, std::int64_t default_value, std::int64_t lo,
       std::int64_t hi = std::numeric_limits<std::int64_t>::max()) const;
   double get_double(std::string_view name, double default_value) const;
+  /// get_double that also requires a supplied value to be finite and lie in
+  /// [lo, hi]; throws naming the flag and the valid range otherwise (NaN
+  /// and infinities included). The default is trusted.
+  double get_double_in(
+      std::string_view name, double default_value, double lo,
+      double hi = std::numeric_limits<double>::max()) const;
   bool get_bool(std::string_view name, bool default_value) const;
 
   /// Worker count from `--jobs N`, clamped to >= 1. The default (also used

@@ -128,6 +128,35 @@ TEST(Cli, GetIntInRejectsValuesOutsideTheRangeNamingTheFlag) {
   }
 }
 
+TEST(Cli, GetDoubleInRejectsNonFiniteAndOutOfRangeValuesNamingTheFlag) {
+  EXPECT_EQ(make({"--f", "0.5"}).get_double_in("f", 0.25, 0.0, 1.0), 0.5);
+  EXPECT_EQ(make({"--f", "1"}).get_double_in("f", 0.25, 0.0, 1.0), 1.0);
+  EXPECT_EQ(make({}).get_double_in("f", 7.0, 0.0, 1.0), 7.0);  // trusted
+  for (const char* bad : {"-1", "1.5", "nan", "inf", "-inf"}) {
+    try {
+      (void)make({"--f", bad}).get_double_in("f", 0.25, 0.0, 1.0);
+      FAIL() << bad << " accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("--f"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("[0, 1]"), std::string::npos) << msg;
+    }
+  }
+  // Without an upper bound only the lower one (and finiteness) applies.
+  EXPECT_EQ(make({"--f", "1e6"}).get_double_in("f", 1.0, 1.0), 1e6);
+  for (const char* bad : {"0.5", "inf"}) {
+    try {
+      (void)make({"--f", bad}).get_double_in("f", 1.0, 1.0);
+      FAIL() << bad << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(">= 1"), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW((void)make({"--f", "abc"}).get_double_in("f", 1.0, 0.0),
+               std::invalid_argument);
+}
+
 TEST(Cli, JobsRejectsNegativeCounts) {
   const auto cli = make({"--jobs=-2"});
   EXPECT_THROW(cli.jobs(), std::invalid_argument);
@@ -295,7 +324,8 @@ TEST(ConfigFromCli, RejectsCountsThatWouldWrap) {
 }
 
 TEST(ConfigFromCli, RejectsNegativeOrNonFiniteBestEffortLoad) {
-  for (const char* bad : {"-0.1", "nan", "inf"}) {
+  // A load is a fraction of the 1x link, so above 1 is out of range too.
+  for (const char* bad : {"-0.1", "nan", "inf", "1.5"}) {
     const auto msg = config_error({"--besteffort-load", bad});
     EXPECT_NE(msg.find("--besteffort-load"), std::string::npos) << msg;
   }

@@ -214,7 +214,7 @@ TEST(FaultRecovery, LinkFlapTriggersResweepRerouteAndRepair) {
   flap.port = trunk.port;
   FaultInjector injector(rig.sim, rig.graph, FaultPlan({flap}), /*seed=*/5);
   RecoveryCoordinator coordinator(rig.sim, rig.graph, rig.sm, rig.admission,
-                                  injector, RecoveryConfig{});
+                                  injector);
   for (std::size_t i = 0; i < rig.guaranteed_ids.size(); ++i)
     coordinator.track(rig.guaranteed_ids[i], rig.guaranteed_flows[i]);
   for (std::size_t i = 0; i < rig.be_ids.size(); ++i)
@@ -371,7 +371,7 @@ std::string storm_fingerprint(std::uint64_t seed) {
   FaultInjector injector(rig.sim, rig.graph,
                          FaultPlan::random_storm(rig.graph, sc), seed);
   RecoveryCoordinator coordinator(rig.sim, rig.graph, rig.sm, rig.admission,
-                                  injector, RecoveryConfig{});
+                                  injector);
   for (std::size_t i = 0; i < rig.guaranteed_ids.size(); ++i)
     coordinator.track(rig.guaranteed_ids[i], rig.guaranteed_flows[i]);
   for (std::size_t i = 0; i < rig.be_ids.size(); ++i)

@@ -13,8 +13,8 @@
 #include <queue>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "network/topology.hpp"
 #include "network/registry.hpp"
@@ -215,62 +215,6 @@ TEST(RoutingRegistry, StructureAwareEnginesRefuseHintlessGraphs) {
 
 // --- Deadlock freedom: CDG acyclicity over the full registry matrix ------
 
-/// Directed (switch, out-port, VL) channel-dependency acyclicity from the
-/// switch-level tables. Paths toward a destination switch form a tree, so
-/// the edge set is generated per (source, destination) switch pair without
-/// walking paths — this scales to the 4k-host instances below.
-bool cdg_acyclic(const Routes& r) {
-  const auto& g = r.graph();
-  const auto& sws = r.switch_ids();
-  std::vector<std::uint32_t> dense(g.node_count(), 0);
-  unsigned max_ports = 1;
-  for (std::uint32_t i = 0; i < sws.size(); ++i) {
-    dense[sws[i]] = i;
-    max_ports = std::max(max_ports, g.port_count(sws[i]));
-  }
-  const auto chan = [&](iba::NodeId sw, iba::PortIndex port,
-                        iba::VirtualLane vl) -> std::uint64_t {
-    return (std::uint64_t(dense[sw]) * max_ports + port) * r.vl_layers() +
-           vl;
-  };
-  std::unordered_set<std::uint64_t> edges;
-  for (const auto t : sws) {
-    for (const auto s : sws) {
-      if (s == t) continue;
-      const auto port = r.switch_out_port(s, t);
-      if (port == kNoRoute) continue;
-      const auto peer = g.peer(s, port);
-      if (!peer || peer->node == t || !g.is_switch(peer->node)) continue;
-      const auto next = r.switch_out_port(peer->node, t);
-      if (next == kNoRoute) continue;
-      edges.insert(chan(s, port, r.switch_vl(s, t)) << 32 |
-                   chan(peer->node, next, r.switch_vl(peer->node, t)));
-    }
-  }
-  std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> adj;
-  std::unordered_map<std::uint64_t, std::uint32_t> indeg;
-  for (const auto e : edges) {
-    const std::uint64_t a = e >> 32, b = e & 0xFFFFFFFFu;
-    adj[a].push_back(b);
-    ++indeg[b];
-    indeg.try_emplace(a, 0);
-  }
-  std::vector<std::uint64_t> ready;
-  for (const auto& [c, d] : indeg)
-    if (d == 0) ready.push_back(c);
-  std::size_t seen = 0;
-  while (!ready.empty()) {
-    const auto c = ready.back();
-    ready.pop_back();
-    ++seen;
-    const auto it = adj.find(c);
-    if (it == adj.end()) continue;
-    for (const auto n : it->second)
-      if (--indeg[n] == 0) ready.push_back(n);
-  }
-  return seen == indeg.size();
-}
-
 /// Every route must actually arrive: walk the table hop by hop from each
 /// sampled source switch and count hops against a generous diameter bound.
 void expect_delivers(const Routes& r, std::size_t max_pairs = 4096) {
@@ -343,6 +287,29 @@ TEST_P(EngineMatrix, CdgAcyclicAndDelivers) {
   EXPECT_TRUE(cdg_acyclic(routes)) << spec << " x " << engine
                                    << ": channel dependency cycle";
   expect_delivers(routes);
+}
+
+// The checker itself: a 4-switch ring routed by hand. Turning clockwise
+// toward every destination closes a dependency cycle around the ring;
+// never crossing the 3 -> 0 link (line routing) leaves it acyclic.
+TEST(RoutesTable, CdgAcyclicFindsTheCycleOfAClockwiseRing) {
+  constexpr unsigned kSwitches = 4;
+  FabricGraph g;
+  std::vector<iba::NodeId> sw(kSwitches);
+  for (auto& s : sw) s = g.add_switch(3);  // 0 clockwise, 1 back, 2 host
+  for (unsigned i = 0; i < kSwitches; ++i) {
+    g.connect(sw[i], 0, sw[(i + 1) % kSwitches], 1);
+    g.connect(g.add_host(), 0, sw[i], 2);
+  }
+  const auto ring = [&](bool clockwise_only) {
+    RoutesBuilder b(g, "hand");
+    for (std::uint32_t s = 0; s < kSwitches; ++s)
+      for (std::uint32_t t = 0; t < kSwitches; ++t)
+        if (s != t) b.set_port(s, t, clockwise_only || s < t ? 0 : 1);
+    return std::move(b).build();
+  };
+  EXPECT_FALSE(cdg_acyclic(ring(true)));
+  EXPECT_TRUE(cdg_acyclic(ring(false)));
 }
 
 INSTANTIATE_TEST_SUITE_P(

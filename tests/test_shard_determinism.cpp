@@ -286,8 +286,7 @@ std::string storm_fingerprint(std::uint64_t seed, unsigned shards) {
   sc.flows = static_cast<std::uint32_t>(flows.size());
   faults::FaultInjector injector(
       sim, graph, faults::FaultPlan::random_storm(graph, sc), seed);
-  faults::RecoveryCoordinator coordinator(sim, graph, sm, admission, injector,
-                                          faults::RecoveryConfig{});
+  faults::RecoveryCoordinator coordinator(sim, graph, sm, admission, injector);
   for (std::size_t i = 0; i < ids.size(); ++i)
     coordinator.track(ids[i], flows[i]);
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -366,6 +367,29 @@ TEST(Simulator, VbrFlowKeepsLongRunMeanRate) {
   const auto& c = sim.metrics().connections[flow];
   // 8e6 / 2000 = 4000 expected; allow generous slack for burst variance.
   EXPECT_NEAR(static_cast<double>(c.rx_packets), 4000.0, 600.0);
+}
+
+TEST(Simulator, AddFlowRejectsMalformedVbrShape) {
+  const auto g = network::gen::single_switch(2);
+  const auto routes = network::compute_routes(g);
+  Simulator sim(g, routes, SimConfig{});
+  const auto hosts = g.hosts();
+  const auto vbr = [&](double on_fraction, double burst_mean_packets) {
+    auto f = cbr(hosts[0], hosts[1], 0, 256, 2000);
+    f.kind = GeneratorKind::kOnOffVbr;
+    f.on_fraction = on_fraction;
+    f.burst_mean_packets = burst_mean_packets;
+    return f;
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double on : {-1.0, 0.0, 1.5, nan})
+    EXPECT_THROW(sim.add_flow(vbr(on, 16.0)), std::invalid_argument) << on;
+  for (const double burst : {0.5, -3.0, nan})
+    EXPECT_THROW(sim.add_flow(vbr(0.25, burst)), std::invalid_argument)
+        << burst;
+  // Nothing rejected was registered; the boundary shapes are accepted.
+  EXPECT_EQ(sim.add_flow(vbr(1.0, 1.0)), 0u);
+  EXPECT_EQ(sim.add_flow(vbr(0.25, 16.0)), 1u);
 }
 
 }  // namespace
