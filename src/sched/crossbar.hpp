@@ -21,112 +21,72 @@
 //                     effort heads go through an ATM-ABR-style explicit-rate
 //                     fair-share lane (max-min over served bytes).
 //
-// The scheduler sees one switch through the CrossbarPorts view and owns all
-// of its own pointer/matrix/rate state, so schedulers are per-switch
-// instances and every decision is a pure function of simulation state —
-// deterministic and byte-identical across --jobs like everything else.
+// The scheduler sees one switch through a CrossbarPorts view
+// (sched/ports.hpp) and owns all of its own pointer/matrix/rate state, so
+// schedulers are per-switch instances and every decision is a pure function
+// of simulation state — deterministic and byte-identical across --jobs like
+// everything else. Each scheduler is a template over its view, and a switch
+// holds its scheduler in a Crossbar (a std::variant of the four): one
+// dispatch per schedule() call, and every view query inside it a direct
+// call.
 //
 // The per-implementation invariants (maximal matching in <= N iterations,
 // no starvation, Theorem-1 preservation) are executable checks in
 // tests/test_crossbar.cpp; docs/SCHEDULERS.md states the full contract.
 #pragma once
 
-#include <cstdint>
-#include <memory>
+#include <stdexcept>
+#include <variant>
 
-#include "iba/types.hpp"
+#include "sched/abr_crossbar.hpp"
 #include "sched/crossbar_impl.hpp"
+#include "sched/islip_crossbar.hpp"
+#include "sched/matrix_crossbar.hpp"
+#include "sched/ports.hpp"
+#include "sched/wrr_crossbar.hpp"
 
 namespace ibarb::sched {
 
-/// One switch's port state as the scheduler sees it during a matching
-/// round. Implemented by the simulator (and by the mock fabric in
-/// tests/test_crossbar.cpp). All queries are against current state; grant()
-/// commits a transfer, which immediately makes its input and output busy.
-class CrossbarPorts {
+/// One switch's matching policy, chosen per run. schedule() is invoked by
+/// the simulator after any event that may enable a transfer (packet arrival
+/// at an input, a transfer completing).
+class Crossbar {
  public:
-  virtual ~CrossbarPorts() = default;
-
-  virtual unsigned port_count() const = 0;
-
-  /// Current simulated time (the ABR lane's rate epochs live on it).
-  virtual iba::Cycle now() const = 0;
-
-  /// Input may feed the crossbar: wired, not already transferring, and
-  /// holding at least one packet.
-  virtual bool input_ready(iba::PortIndex in) const = 0;
-
-  /// Bit v set when input `in` holds at least one packet on VL v.
-  /// Meaningful only while input_ready(in).
-  virtual std::uint16_t input_occupancy(iba::PortIndex in) const = 0;
-
-  /// Output port the head packet of (in, vl) is routed to.
-  virtual iba::PortIndex head_output(iba::PortIndex in,
-                                     iba::VirtualLane vl) const = 0;
-
-  /// Wire size of the head packet of (in, vl).
-  virtual std::uint32_t head_bytes(iba::PortIndex in,
-                                   iba::VirtualLane vl) const = 0;
-
-  /// Output is not currently receiving a crossbar transfer.
-  virtual bool output_free(iba::PortIndex out) const = 0;
-
-  /// Output queue has room for the head packet of (in, vl) on the VL the
-  /// output's SLtoVL table assigns it.
-  virtual bool output_accepts(iba::PortIndex in, iba::VirtualLane vl,
-                              iba::PortIndex out) const = 0;
-
-  /// True when the head of (in, vl) is guaranteed traffic at `out`:
-  /// management (VL15), or mapped onto a VL served by the output's
-  /// high-priority arbitration table. The ABR lane never throttles these.
-  virtual bool head_guaranteed(iba::PortIndex in, iba::VirtualLane vl,
-                               iba::PortIndex out) const = 0;
-
-  /// Commits a transfer of the head packet of (in, vl) into `out`: marks
-  /// both ports busy and schedules the completion event. The caller must
-  /// have established eligibility (input_ready, output_free,
-  /// output_accepts) in this round.
-  virtual void grant(iba::PortIndex in, iba::VirtualLane vl,
-                     iba::PortIndex out) = 0;
-};
-
-/// Matching-policy interface. One instance per switch; schedule() is invoked
-/// by the simulator after any event that may enable a transfer (packet
-/// arrival at an input, a transfer completing).
-class CrossbarScheduler {
- public:
-  /// Always-on decision accounting, folded across switches into xbar.*
-  /// telemetry by the simulator's snapshot probe (plain increments — the
-  /// matching loop is a hot path).
-  struct Stats {
-    std::uint64_t rounds = 0;      ///< schedule() calls.
-    std::uint64_t grants = 0;      ///< Transfers started.
-    std::uint64_t iterations = 0;  ///< Matching iterations / scan passes.
-    std::uint64_t blocked_output = 0;  ///< Head deferred: output busy.
-    std::uint64_t blocked_space = 0;   ///< Head deferred: output VL full.
-    std::uint64_t throttled = 0;   ///< ABR lane: best-effort head deferred
-                                   ///< by the explicit-rate fair share.
-  };
-
-  virtual ~CrossbarScheduler() = default;
-
-  virtual CrossbarImpl impl() const = 0;
-  const char* name() const { return crossbar_impl_name(impl()); }
+  /// A scheduler of kind `impl`, sized for `ports` crossbar ports.
+  Crossbar(CrossbarImpl impl, unsigned ports) : policy_(make(impl, ports)) {}
 
   /// Runs matching rounds until no further transfer can start. When
   /// `only_input` >= 0 the round is restricted to that input — the cheap
   /// trigger after a single arrival (at most one transfer can start, since
   /// one input feeds at most one transfer).
-  virtual void schedule(CrossbarPorts& ports, int only_input) = 0;
+  template <CrossbarPorts Ports>
+  void schedule(Ports& ports, int only_input) {
+    std::visit([&](auto& s) { s.schedule(ports, only_input); }, policy_);
+  }
 
-  const Stats& stats() const noexcept { return stats_; }
+  const CrossbarScheduler::Stats& stats() const {
+    return std::visit(
+        [](const CrossbarScheduler& s) -> const CrossbarScheduler::Stats& {
+          return s.stats();
+        },
+        policy_);
+  }
 
- protected:
-  Stats stats_;
+ private:
+  using Policy =
+      std::variant<WrrCrossbar, IslipCrossbar, MatrixCrossbar, AbrCrossbar>;
+
+  static Policy make(CrossbarImpl impl, unsigned ports) {
+    switch (impl) {
+      case CrossbarImpl::kWrr: return WrrCrossbar(ports);
+      case CrossbarImpl::kIslip: return IslipCrossbar(ports);
+      case CrossbarImpl::kMatrix: return MatrixCrossbar(ports);
+      case CrossbarImpl::kAbr: return AbrCrossbar(ports);
+    }
+    throw std::invalid_argument("Crossbar: unknown CrossbarImpl");
+  }
+
+  Policy policy_;
 };
-
-/// Factory: one scheduler per switch, sized for `ports` crossbar ports.
-std::unique_ptr<CrossbarScheduler> make_crossbar(CrossbarImpl impl,
-                                                 unsigned ports);
 
 }  // namespace ibarb::sched

@@ -3,17 +3,24 @@
 // Ties at the same cycle are served in insertion order (monotonic sequence
 // number), which makes every simulation bit-reproducible for a given seed.
 //
-// The queue is a bucketed timing wheel of 2^16 one-cycle buckets covering
-// the sliding window [base, base + 2^16), over a slab pool of Event storage
-// (events are moved in on push and moved out on pop — never copied, and the
-// structures themselves only shuffle 4-byte pool indices). Every bucket is a
-// FIFO of pool indices; because the window is no wider than the wheel, a
-// bucket holds at most one distinct timestamp at a time, so FIFO order *is*
-// sequence order. A hierarchical three-level occupancy bitmap finds the next
-// non-empty bucket in O(1). Events beyond the horizon (or, defensively,
-// behind `base`) overflow into a binary min-heap ordered by (time, seq); pop
-// is a two-way merge of the wheel head and the heap head under the exact
-// (time, seq) key, so the global order is identical to a single
+// The queue is a two-level timing wheel over a slab pool of 32-byte Events
+// (events are moved in on push and moved out on pop; the structures
+// themselves only shuffle 4-byte pool indices):
+//
+//  * The fine wheel has 2^16 one-cycle buckets and holds exactly the current
+//    epoch, the aligned 2^16-cycle span [E * 2^16, (E + 1) * 2^16). A bucket
+//    is therefore one exact cycle, and it is kept in sequence order, so
+//    bucket order *is* (time, seq) order. A three-level occupancy bitmap
+//    finds the earliest occupied bucket with three countr_zero steps.
+//  * The coarse wheel has 2^16 epoch buckets for the epochs E+1 .. E+2^16-1
+//    (2^32 cycles ahead). When the fine wheel runs empty, the next occupied
+//    epoch bucket cascades into it, each event inserted by sequence (the
+//    push_keyed rule), and E advances to that epoch.
+//  * A binary min-heap ordered by (time, seq) takes the rest: events behind
+//    the current epoch, or 2^32 cycles or more ahead.
+//
+// Pop is a two-way merge of the fine wheel's head and the heap's head under
+// the exact (time, seq) key, so the global order is identical to a single
 // totally-ordered queue. tests/test_event_queue.cpp checks that order
 // against a sorted reference model; docs/PERF.md has the argument.
 #pragma once
@@ -22,10 +29,11 @@
 #include <bit>
 #include <cassert>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
-#include "iba/packet.hpp"
 #include "iba/types.hpp"
+#include "sim/packet_pool.hpp"
 
 namespace ibarb::sim {
 
@@ -48,19 +56,22 @@ enum class EventType : std::uint8_t {
 struct Event {
   iba::Cycle time = 0;
   std::uint64_t seq = 0;  ///< Tie-breaker; assigned by the queue.
-  EventType type = EventType::kProbe;
   iba::NodeId node = iba::kInvalidNode;
+  std::uint32_t aux = 0;  ///< Flow index (kGenerate) / input port (kXfer).
+  /// kLinkDeliver: the packet on the wire, a handle into the pool of the
+  /// shard that owns `node` (sim/packet_pool.hpp).
+  PacketHandle pkt = kNoPacket;
+  EventType type = EventType::kProbe;
   iba::PortIndex port = 0;
   iba::VirtualLane vl = 0;
-  std::uint32_t aux = 0;  ///< Flow index (kGenerate) / input port (kXfer).
-  iba::Packet packet;     ///< Payload for kLinkDeliver / kXferComplete.
 };
+static_assert(sizeof(Event) <= 32, "the wheel's slab holds one Event per slot");
 
 /// The one event-queue implementation. The enum, SimConfig::queue_impl and
 /// the EventQueue(EventQueueImpl) constructor remain only because the
 /// benchmark sources (perfbench/) name them; there is nothing to select.
 enum class EventQueueImpl : std::uint8_t {
-  kWheel,  ///< Bucketed timing wheel + overflow heap.
+  kWheel,  ///< Two-level timing wheel + overflow heap.
 };
 
 class EventQueue {
@@ -72,48 +83,25 @@ class EventQueue {
   struct Stats {
     std::uint64_t pushes = 0;
     std::uint64_t pops = 0;
-    /// Events pushed beyond the 2^16-cycle horizon.
+    /// Pushes 2^16 cycles or more after the last popped time (or behind
+    /// it). Defined by that distance alone, not by which level stores the
+    /// event.
     std::uint64_t overflow_pushes = 0;
     std::uint64_t peak_size = 0;
-    /// Bin i counts pushes whose distance-to-window-start had bit_width i
-    /// (bin 0 = "due now", last bin = saturated).
+    /// Bin i counts pushes whose distance from the last popped time had
+    /// bit_width i (bin 0 = "due now", last bin = saturated).
     std::array<std::uint64_t, kResidencyBins> residency_log2{};
   };
 
   /// The argument names the only implementation (see EventQueueImpl).
-  explicit EventQueue(EventQueueImpl = EventQueueImpl::kWheel)
-      : buckets_(kWheelBuckets),
-        bits0_(kWheelBuckets / 64, 0),
-        bits1_(kWheelBuckets / (64 * 64), 0) {}
+  explicit EventQueue(EventQueueImpl = EventQueueImpl::kWheel) {}
 
   void push(Event e) {
     e.seq = next_seq_++;
     ++stats_.pushes;
     const iba::Cycle t = e.time;
-    const std::uint64_t seq = e.seq;
-    const std::uint32_t idx = alloc_slot(std::move(e));
-    if (t >= base_ && t - base_ < kWheelBuckets) {
-      const auto b = static_cast<std::uint32_t>(t & kWheelMask);
-      const auto bin = static_cast<std::size_t>(std::bit_width(t - base_));
-      ++stats_.residency_log2[bin < kResidencyBins ? bin : kResidencyBins - 1];
-      Bucket& bk = buckets_[b];
-      if (bk.head == kNull) {
-        bk.head = idx;
-        set_bit(b);
-      } else {
-        next_[bk.tail] = idx;
-      }
-      bk.tail = idx;
-      ++wheel_count_;
-    } else {
-      ++stats_.overflow_pushes;
-      ++stats_.residency_log2[kResidencyBins - 1];
-      overflow_.push_back(HeapNode{t, seq, idx});
-      sift_up(overflow_.size() - 1);
-    }
-    peek_valid_ = false;
-    ++size_;
-    if (size_ > stats_.peak_size) stats_.peak_size = size_;
+    record_residency(t >= last_pop_ && t - last_pop_ < kSpan, t - last_pop_);
+    place(alloc_slot(std::move(e)), /*keyed=*/false);
   }
 
   /// Parallel-shard push (src/sim/shard.cpp): `e.seq` arrives preset with
@@ -123,55 +111,20 @@ class EventQueue {
   /// telemetry matches the sequential run's no matter when a window barrier
   /// handed the event over. `count_stats` is false for engine-internal
   /// events (credit releases, queue migration) that have no sequential
-  /// counterpart. Unlike push(), a wheel bucket is kept sorted by seq:
+  /// counterpart. Unlike push(), a fine bucket is kept sorted by seq:
   /// same-cycle events from different creator nodes of one shard can arrive
   /// out of key order, and bucket order must *be* (time, seq) order for the
   /// merge to stay deterministic. Keys arrive nearly sorted, so the
   /// tail-append fast path dominates.
   void push_keyed(Event e, iba::Cycle origin, bool count_stats) {
-    if (count_stats) ++stats_.pushes;
-    const iba::Cycle t = e.time;
-    const std::uint64_t seq = e.seq;
-    const std::uint32_t idx = alloc_slot(std::move(e));
     if (count_stats) {
-      // The sequential core pushes with base_ == creation cycle, so its
-      // residency bin and overflow counter are functions of (t - origin).
-      const iba::Cycle dist = t >= origin ? t - origin : 0;
-      if (dist < kWheelBuckets) {
-        const auto bin = static_cast<std::size_t>(std::bit_width(dist));
-        ++stats_.residency_log2[bin < kResidencyBins ? bin : kResidencyBins - 1];
-      } else {
-        ++stats_.overflow_pushes;
-        ++stats_.residency_log2[kResidencyBins - 1];
-      }
+      ++stats_.pushes;
+      // The sequential core pushes with the last pop == creation cycle, so
+      // its residency bin and overflow counter are functions of t - origin.
+      const iba::Cycle dist = e.time >= origin ? e.time - origin : 0;
+      record_residency(dist < kSpan, dist);
     }
-    if (t >= base_ && t - base_ < kWheelBuckets) {
-      const auto b = static_cast<std::uint32_t>(t & kWheelMask);
-      Bucket& bk = buckets_[b];
-      if (bk.head == kNull) {
-        bk.head = bk.tail = idx;
-        set_bit(b);
-      } else if (pool_[bk.tail].seq <= seq) {
-        next_[bk.tail] = idx;
-        bk.tail = idx;
-      } else if (pool_[bk.head].seq > seq) {
-        next_[idx] = bk.head;
-        bk.head = idx;
-      } else {
-        std::uint32_t p = bk.head;
-        while (next_[p] != kNull && pool_[next_[p]].seq <= seq) p = next_[p];
-        next_[idx] = next_[p];
-        next_[p] = idx;
-        if (next_[idx] == kNull) bk.tail = idx;
-      }
-      ++wheel_count_;
-    } else {
-      overflow_.push_back(HeapNode{t, seq, idx});
-      sift_up(overflow_.size() - 1);
-    }
-    peek_valid_ = false;
-    ++size_;
-    if (size_ > stats_.peak_size) stats_.peak_size = size_;
+    place(alloc_slot(std::move(e)), /*keyed=*/true);
   }
 
   /// Raises the monotone tie-break counter to at least `floor`, so events
@@ -193,19 +146,15 @@ class EventQueue {
     ++stats_.pushes;
     ++stats_.pops;
     const iba::Cycle dist = t >= origin ? t - origin : 0;
-    if (dist < kWheelBuckets) {
-      const auto bin = static_cast<std::size_t>(std::bit_width(dist));
-      ++stats_.residency_log2[bin < kResidencyBins ? bin : kResidencyBins - 1];
-    } else {
-      ++stats_.overflow_pushes;
-      ++stats_.residency_log2[kResidencyBins - 1];
-    }
+    record_residency(dist < kSpan, dist);
   }
 
   bool empty() const noexcept { return size_ == 0; }
   std::size_t size() const noexcept { return size_; }
 
-  const Event& top() const { return pool_[peek().idx]; }
+  /// Non-const: finding the head may cascade the next epoch into the fine
+  /// wheel.
+  const Event& top() { return pool_[peek().idx]; }
 
   const Stats& stats() const noexcept { return stats_; }
 
@@ -220,33 +169,51 @@ class EventQueue {
   Event pop_uncounted() { return pop_impl(); }
 
  private:
+  static constexpr unsigned kSpanBits = 16;
+  static constexpr std::uint32_t kSpan = 1u << kSpanBits;
+  static constexpr std::uint64_t kMask = kSpan - 1;
+  static constexpr std::uint32_t kNull = 0xFFFF'FFFFu;
+
+  void record_residency(bool near, iba::Cycle dist) {
+    std::size_t bin = kResidencyBins - 1;
+    if (near) {
+      bin = static_cast<std::size_t>(std::bit_width(dist));
+      if (bin >= kResidencyBins) bin = kResidencyBins - 1;
+    } else {
+      ++stats_.overflow_pushes;
+    }
+    ++stats_.residency_log2[bin];
+  }
+
   Event pop_impl() {
     const Peek p = peek();
     peek_valid_ = false;
+    const iba::Cycle t = pool_[p.idx].time;
     if (p.from_wheel) {
-      Bucket& bk = buckets_[p.bucket];
+      Bucket& bk = fine_.buckets[p.bucket];
       bk.head = next_[p.idx];
-      if (bk.head == kNull) clear_bit(p.bucket);
-      --wheel_count_;
-      // Nothing in either structure precedes this event, so the window may
-      // slide up to it; pushes behind it would go to the overflow heap.
-      base_ = pool_[p.idx].time;
+      if (bk.head == kNull) fine_.clear(p.bucket);
+      --fine_.count;
     } else {
       heap_pop_root();
-      if (pool_[p.idx].time > base_) base_ = pool_[p.idx].time;
+      // With both wheels empty the epoch may jump straight to the present,
+      // so a run whose clock leaps past the coarse horizon does not leave
+      // every later push on the heap.
+      if (fine_.count == 0 && coarse_.count == 0 && (t >> kSpanBits) > epoch_)
+        epoch_ = t >> kSpanBits;
     }
+    if (t > last_pop_) last_pop_ = t;
     --size_;
     Event out = std::move(pool_[p.idx]);
     free_.push_back(p.idx);
     return out;
   }
 
- private:
   // --- Shared slab pool ----------------------------------------------------
 
-  static constexpr std::uint32_t kNull = 0xFFFF'FFFFu;
-
   std::uint32_t alloc_slot(Event&& e) {
+    peek_valid_ = false;
+    if (++size_ > stats_.peak_size) stats_.peak_size = size_;
     if (free_.empty()) {
       pool_.push_back(std::move(e));
       next_.push_back(kNull);
@@ -257,6 +224,159 @@ class EventQueue {
     pool_[idx] = std::move(e);
     next_[idx] = kNull;
     return idx;
+  }
+
+  // --- One wheel level: 2^16 intrusive FIFOs + occupancy bitmap -------------
+
+  /// Intrusive list of pool indices chained through next_. Meaningful only
+  /// while the bucket's occupancy bit is set, so the bucket array is never
+  /// initialized: untouched buckets cost no resident memory.
+  struct Bucket {
+    std::uint32_t head;
+    std::uint32_t tail;
+  };
+
+  struct Level {
+    std::unique_ptr<Bucket[]> buckets =
+        std::make_unique_for_overwrite<Bucket[]>(kSpan);
+    std::vector<std::uint64_t> bits0 =
+        std::vector<std::uint64_t>(kSpan / 64, 0);  ///< One bit per bucket.
+    std::array<std::uint64_t, kSpan / (64 * 64)> bits1{};  ///< Per bits0 word.
+    std::uint64_t bits2 = 0;                         ///< Per bits1 word.
+    std::size_t count = 0;                           ///< Events held.
+
+    bool occupied(std::uint32_t b) const {
+      return (bits0[b >> 6] >> (b & 63)) & 1u;
+    }
+
+    /// Called only for an empty bucket, so the upper levels need updating
+    /// only when their word was all-zero too.
+    void set(std::uint32_t b) {
+      std::uint64_t& w0 = bits0[b >> 6];
+      if (w0 == 0) {
+        std::uint64_t& w1 = bits1[b >> 12];
+        if (w1 == 0) bits2 |= 1ull << (b >> 12);
+        w1 |= 1ull << ((b >> 6) & 63);
+      }
+      w0 |= 1ull << (b & 63);
+    }
+
+    void clear(std::uint32_t b) {
+      if ((bits0[b >> 6] &= ~(1ull << (b & 63))) != 0) return;
+      if ((bits1[b >> 12] &= ~(1ull << ((b >> 6) & 63))) != 0) return;
+      bits2 &= ~(1ull << (b >> 12));
+    }
+
+    /// Bits strictly above position k of a 64-bit word.
+    static constexpr std::uint64_t above(unsigned k) noexcept {
+      return k == 63 ? 0 : ~0ull << (k + 1);
+    }
+
+    /// First occupied bucket with index >= b, or -1. At most one probe per
+    /// bitmap level.
+    int find_from(std::uint32_t b) const {
+      std::uint32_t w = b >> 6;
+      if (const auto m = bits0[w] & (~0ull << (b & 63)))
+        return static_cast<int>((w << 6) | std::countr_zero(m));
+      std::uint32_t s = w >> 6;
+      if (const auto m1 = bits1[s] & above(w & 63)) {
+        w = (s << 6) | static_cast<std::uint32_t>(std::countr_zero(m1));
+        return static_cast<int>((w << 6) | std::countr_zero(bits0[w]));
+      }
+      const auto m2 = bits2 & above(s);
+      if (m2 == 0) return -1;
+      s = static_cast<std::uint32_t>(std::countr_zero(m2));
+      w = (s << 6) | static_cast<std::uint32_t>(std::countr_zero(bits1[s]));
+      return static_cast<int>((w << 6) | std::countr_zero(bits0[w]));
+    }
+
+    /// First occupied bucket. Requires count > 0.
+    std::uint32_t first() const {
+      const auto s = static_cast<std::uint32_t>(std::countr_zero(bits2));
+      const auto w =
+          (s << 6) | static_cast<std::uint32_t>(std::countr_zero(bits1[s]));
+      return (w << 6) | static_cast<std::uint32_t>(std::countr_zero(bits0[w]));
+    }
+  };
+
+  /// FIFO append: push() stamps increasing keys, so the tail stays last.
+  void append(Level& lv, std::uint32_t b, std::uint32_t idx) {
+    Bucket& bk = lv.buckets[b];
+    if (!lv.occupied(b)) {
+      bk.head = idx;
+      lv.set(b);
+    } else {
+      next_[bk.tail] = idx;
+    }
+    bk.tail = idx;
+    ++lv.count;
+  }
+
+  /// Sequence-ordered insert (preset keys may arrive out of order).
+  void insert_keyed(Level& lv, std::uint32_t b, std::uint32_t idx) {
+    const std::uint64_t seq = pool_[idx].seq;
+    Bucket& bk = lv.buckets[b];
+    ++lv.count;
+    if (!lv.occupied(b)) {
+      bk.head = bk.tail = idx;
+      lv.set(b);
+    } else if (pool_[bk.tail].seq <= seq) {
+      next_[bk.tail] = idx;
+      bk.tail = idx;
+    } else if (pool_[bk.head].seq > seq) {
+      next_[idx] = bk.head;
+      bk.head = idx;
+    } else {
+      std::uint32_t p = bk.head;
+      while (next_[p] != kNull && pool_[next_[p]].seq <= seq) p = next_[p];
+      next_[idx] = next_[p];
+      next_[p] = idx;
+      if (next_[idx] == kNull) bk.tail = idx;
+    }
+  }
+
+  /// Routes a slotted event to the fine wheel (current epoch), the coarse
+  /// wheel (the next 2^16 - 1 epochs) or the heap (anything else). Coarse
+  /// buckets are plain FIFOs even for keyed pushes: the cascade sorts.
+  void place(std::uint32_t idx, bool keyed) {
+    const iba::Cycle t = pool_[idx].time;
+    const iba::Cycle ep = t >> kSpanBits;
+    if (ep == epoch_) {
+      const auto b = static_cast<std::uint32_t>(t & kMask);
+      if (keyed) {
+        insert_keyed(fine_, b, idx);
+      } else {
+        append(fine_, b, idx);
+      }
+    } else if (ep > epoch_ && ep - epoch_ < kSpan) {
+      append(coarse_, static_cast<std::uint32_t>(ep & kMask), idx);
+    } else {
+      overflow_.push_back(HeapNode{t, pool_[idx].seq, idx});
+      sift_up(overflow_.size() - 1);
+    }
+  }
+
+  /// Moves the earliest occupied coarse epoch into the (empty) fine wheel
+  /// and makes it current. Every coarse event lies in (epoch_, epoch_ +
+  /// 2^16), so the cyclic scan from epoch_ + 1 meets the earliest first.
+  void cascade() {
+    assert(fine_.count == 0 && coarse_.count > 0);
+    const auto from = static_cast<std::uint32_t>((epoch_ + 1) & kMask);
+    int cb = coarse_.find_from(from);
+    if (cb < 0) cb = coarse_.find_from(0);
+    assert(cb >= 0 && "coarse count > 0 but no bucket bit set");
+    const auto b = static_cast<std::uint32_t>(cb);
+    epoch_ += 1 + ((b - from) & kMask);
+    std::uint32_t idx = coarse_.buckets[b].head;
+    coarse_.clear(b);
+    while (idx != kNull) {
+      const std::uint32_t nxt = next_[idx];
+      next_[idx] = kNull;
+      --coarse_.count;
+      insert_keyed(fine_, static_cast<std::uint32_t>(pool_[idx].time & kMask),
+                   idx);
+      idx = nxt;
+    }
   }
 
   // --- Overflow binary heap over (time, seq, pool index) -------------------
@@ -301,68 +421,7 @@ class EventQueue {
     overflow_[i] = last;
   }
 
-  // --- Timing wheel --------------------------------------------------------
-
-  static constexpr std::uint32_t kWheelBuckets = 1u << 16;
-  static constexpr std::uint64_t kWheelMask = kWheelBuckets - 1;
-
-  /// Intrusive FIFO of pool indices chained through next_; 8 bytes per bucket
-  /// keeps the whole wheel at 512 KiB and one pointer chase per operation.
-  struct Bucket {
-    std::uint32_t head = kNull;
-    std::uint32_t tail = kNull;
-  };
-
-  /// Called only for a previously-empty bucket, so the upper levels need
-  /// updating only when their word was all-zero too.
-  void set_bit(std::uint32_t b) {
-    std::uint64_t& w0 = bits0_[b >> 6];
-    if (w0 == 0) {
-      std::uint64_t& w1 = bits1_[b >> 12];
-      if (w1 == 0) bits2_ |= 1ull << (b >> 12);
-      w1 |= 1ull << ((b >> 6) & 63);
-    }
-    w0 |= 1ull << (b & 63);
-  }
-
-  void clear_bit(std::uint32_t b) {
-    if ((bits0_[b >> 6] &= ~(1ull << (b & 63))) != 0) return;
-    if ((bits1_[b >> 12] &= ~(1ull << ((b >> 6) & 63))) != 0) return;
-    bits2_ &= ~(1ull << (b >> 12));
-  }
-
-  /// Bits strictly above position k of a 64-bit word.
-  static constexpr std::uint64_t above(unsigned k) noexcept {
-    return k == 63 ? 0 : ~0ull << (k + 1);
-  }
-
-  /// First occupied bucket with index >= b, or -1. O(1): at most one probe
-  /// per bitmap level.
-  int find_from(std::uint32_t b) const {
-    std::uint32_t w = b >> 6;
-    if (const auto m = bits0_[w] & (~0ull << (b & 63)))
-      return static_cast<int>((w << 6) | std::countr_zero(m));
-    std::uint32_t s = w >> 6;
-    if (const auto m1 = bits1_[s] & above(w & 63)) {
-      w = (s << 6) | static_cast<std::uint32_t>(std::countr_zero(m1));
-      return static_cast<int>((w << 6) | std::countr_zero(bits0_[w]));
-    }
-    const auto m2 = bits2_ & above(s);
-    if (m2 == 0) return -1;
-    s = static_cast<std::uint32_t>(std::countr_zero(m2));
-    w = (s << 6) | static_cast<std::uint32_t>(std::countr_zero(bits1_[s]));
-    return static_cast<int>((w << 6) | std::countr_zero(bits0_[w]));
-  }
-
-  /// First occupied bucket at or cyclically after b (the window start).
-  std::uint32_t find_next(std::uint32_t b) const {
-    int r = find_from(b);
-    if (r < 0) r = find_from(0);
-    assert(r >= 0 && "wheel_count_ > 0 but no bucket bit set");
-    return static_cast<std::uint32_t>(r);
-  }
-
-  // --- Two-way (time, seq) merge of wheel head and heap head ---------------
+  // --- Two-way (time, seq) merge of fine-wheel head and heap head ----------
 
   struct Peek {
     std::uint32_t idx = 0;
@@ -372,7 +431,7 @@ class EventQueue {
 
   /// Memoizes the merge so the usual top()-then-pop() pattern pays for one
   /// bitmap search per event, not two. Invalidated by push and pop.
-  const Peek& peek() const {
+  const Peek& peek() {
     if (!peek_valid_) {
       cached_peek_ = find_peek();
       peek_valid_ = true;
@@ -380,12 +439,14 @@ class EventQueue {
     return cached_peek_;
   }
 
-  Peek find_peek() const {
+  Peek find_peek() {
     assert(size_ > 0 && "peek/pop on an empty EventQueue");
-    if (wheel_count_ == 0) return Peek{overflow_.front().idx, false, 0};
-    const std::uint32_t b =
-        find_next(static_cast<std::uint32_t>(base_ & kWheelMask));
-    const std::uint32_t wi = buckets_[b].head;
+    if (fine_.count == 0) {
+      if (coarse_.count == 0) return Peek{overflow_.front().idx, false, 0};
+      cascade();
+    }
+    const std::uint32_t b = fine_.first();
+    const std::uint32_t wi = fine_.buckets[b].head;
     if (!overflow_.empty()) {
       const Event& w = pool_[wi];
       const HeapNode& h = overflow_.front();
@@ -398,16 +459,14 @@ class EventQueue {
   std::vector<Event> pool_;
   std::vector<std::uint32_t> next_;  ///< Per-slot intrusive bucket link.
   std::vector<std::uint32_t> free_;
-  std::vector<HeapNode> overflow_;  ///< Far-future/past events.
+  std::vector<HeapNode> overflow_;   ///< Behind the epoch or past 2^32.
 
-  std::vector<Bucket> buckets_;
-  std::vector<std::uint64_t> bits0_; ///< One bit per bucket.
-  std::vector<std::uint64_t> bits1_; ///< One bit per bits0_ word.
-  std::uint64_t bits2_ = 0;          ///< One bit per bits1_ word.
-  iba::Cycle base_ = 0;              ///< Window start; never decreases.
-  std::size_t wheel_count_ = 0;
-  mutable Peek cached_peek_{};
-  mutable bool peek_valid_ = false;
+  Level fine_;    ///< One-cycle buckets of epoch epoch_.
+  Level coarse_;  ///< One-epoch buckets of epochs epoch_+1 .. +2^16-1.
+  iba::Cycle epoch_ = 0;     ///< Current epoch (cycle >> 16); never decreases.
+  iba::Cycle last_pop_ = 0;  ///< Latest popped time (the Stats reference).
+  Peek cached_peek_{};
+  bool peek_valid_ = false;
 
   std::size_t size_ = 0;
   std::uint64_t next_seq_ = 0;

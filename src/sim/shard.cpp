@@ -165,10 +165,27 @@ void ShardEngine::adopt(EventQueue& q) {
     const iba::NodeId home = sim_.event_home_node(e);
     ShardCtx& c = *shards_[part_.shard_of[home]];
     if (e.type == EventType::kCreditRelease) ++c.pending_releases;
+    if (e.pkt != kNoPacket) e.pkt = c.pool.park(sim_.pool_.take(e.pkt));
     c.queue.push_keyed(std::move(e), sim_.now_, /*count_stats=*/false);
   }
   sim_.serial_pending_releases_ = 0;
+  repark_buffers(/*into_shards=*/true);
+  assert(sim_.pool_.live() == 0);
   active_ = true;
+}
+
+void ShardEngine::repark_buffers(bool into_shards) {
+  const auto repark = [&](iba::NodeId node, PortBuffers& b) {
+    PacketPool& shard = shards_[part_.shard_of[node]]->pool;
+    PacketPool& from = into_shards ? sim_.pool_ : shard;
+    PacketPool& to = into_shards ? shard : sim_.pool_;
+    b.for_each_handle([&](PacketHandle& h) { h = to.park(from.take(h)); });
+  };
+  for (SwitchState& sw : sim_.switches_) {
+    for (InputPort& ip : sw.in) repark(sw.node, ip.buffers);
+    for (OutputPort& op : sw.out) repark(sw.node, op.queues);
+  }
+  for (HostState& h : sim_.hosts_) repark(h.node, h.out.queues);
 }
 
 void ShardEngine::surrender(EventQueue& q) {
@@ -192,8 +209,10 @@ void ShardEngine::surrender(EventQueue& q) {
       --best->pending_releases;
       ++sim_.serial_pending_releases_;
     }
+    if (e.pkt != kNoPacket) e.pkt = sim_.pool_.park(best->pool.take(e.pkt));
     q.push_keyed(std::move(e), 0, /*count_stats=*/false);
   }
+  repark_buffers(/*into_shards=*/false);
   // Future sequential pushes must sort after every migrated key.
   q.ensure_seq_floor(next_key_);
   active_ = false;
@@ -206,8 +225,17 @@ void ShardEngine::route_push(Event&& e, iba::NodeId home) {
   if (from == nullptr) {
     // Orchestrator context (between windows): nothing is concurrently
     // replaying, so the key is final immediately — the position the
-    // sequential counter would stamp after all handled events.
+    // sequential counter would stamp after all handled events. The workers
+    // are parked, so a packet bound for another shard re-parks directly;
+    // it sits in the pool of the transmitting node, the link's far end.
     assert(e.type != EventType::kCreditRelease);
+    if (e.pkt != kNoPacket) {
+      const auto src = sim_.graph_.peer(e.node, e.port);
+      assert(src.has_value());
+      const std::uint32_t owner = part_.shard_of[src->node];
+      if (owner != target)
+        e.pkt = shards_[target]->pool.park(shards_[owner]->pool.take(e.pkt));
+    }
     e.seq = next_key_;
     next_key_ += 2;
     shards_[target]->queue.push_keyed(std::move(e), sim_.now_,
@@ -248,8 +276,13 @@ void ShardEngine::route_push(Event&& e, iba::NodeId home) {
     // The lookahead guarantees cross-shard events land at or after the
     // window end — they can never execute in their creation window, so a
     // journal pointer (keyed at barrier B, promoted after barrier C) is
-    // enough.
+    // enough. Its packet leaves this shard's pool and travels by value.
     assert(c.journal[j].ev.time >= window_end_);
+    Push& moved = c.journal[j];
+    if (moved.ev.pkt != kNoPacket) {
+      moved.packet = c.pool.take(moved.ev.pkt);
+      moved.carries_packet = true;
+    }
     if (channel(c.id, target).push(&c.journal[j])) ++c.spills;
   } else if (c.journal[j].ev.time < window_end_) {
     c.nursery.push_back(j);
@@ -458,6 +491,7 @@ void ShardEngine::worker(unsigned s) {
               });
     for (Push* p : ctx.inbox) {
       if (p->release) ++ctx.pending_releases;
+      if (p->carries_packet) p->ev.pkt = ctx.pool.park(p->packet);
       q.push_keyed(std::move(p->ev), p->origin, /*count_stats=*/!p->release);
     }
     barrier();  // D: queues settled; the orchestrator may plan.

@@ -70,6 +70,7 @@
 
 #include "obs/profile.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/packet_pool.hpp"
 #include "sim/partition.hpp"
 #include "sim/trace.hpp"
 #include "util/spsc_queue.hpp"
@@ -94,6 +95,11 @@ struct ShardLoadStats;
 /// channels stay valid while the journal grows.
 struct Push {
   Event ev;                ///< Moved out on in-window execution / promotion.
+  /// A kLinkDeliver crossing a shard channel carries its packet by value:
+  /// the producer releases its own slot, the consumer re-parks the copy in
+  /// its pool during promote (each pool has one writer).
+  iba::Packet packet;
+  bool carries_packet = false;
   iba::Cycle origin = 0;   ///< Creating handler's cycle (residency stats).
   std::uint64_t seq = 0;   ///< Final key; assigned by the barrier-B replay.
   std::uint32_t group = 0; ///< Creating handler's group index.
@@ -150,6 +156,9 @@ struct ShardChannel {
 struct ShardCtx {
   unsigned id = 0;
   EventQueue queue;
+  /// Packets queued at this shard's nodes and in its events; written only
+  /// by this shard's worker (or by the orchestrator between windows).
+  PacketPool pool;
   iba::Cycle now = 0;        ///< Clock of the event being handled.
 
   // Identity of the executing handler, for journaling its pushes: a queue
@@ -232,14 +241,22 @@ class ShardEngine {
   /// Migrates every pending event out of the sequential queue into the
   /// shard queues (preserving each event's key) and activates the engine.
   /// Seeds the replayed counter at twice the queue's, so every key assigned
-  /// from here on sorts after every key that already exists.
+  /// from here on sorts after every key that already exists. Every packet
+  /// in flight (queued in a FIFO or carried by an event) is re-parked from
+  /// the simulator's pool into the pool of the shard owning its node.
   void adopt(EventQueue& q);
 
   /// Inverse of adopt(): merges all shard queues back into `q` in global
-  /// (time, key) order and deactivates the engine. Used when a hazard (fault
-  /// hooks, tracing, a call_at control...) forces the sequential core
-  /// mid-experiment; the engine can adopt() again later.
+  /// (time, key) order, re-parks every packet in the simulator's pool and
+  /// deactivates the engine. Used when a hazard (fault hooks, a call_at
+  /// control...) forces the sequential core mid-experiment; the engine can
+  /// adopt() again later.
   void surrender(EventQueue& q);
+
+  /// Pool of the shard owning `node` (valid while active).
+  PacketPool& pool_of(iba::NodeId node) {
+    return shards_[part_.shard_of[node]]->pool;
+  }
 
   /// True between adopt() and surrender(): the shard queues own the events
   /// and every Simulator::push_event routes through route_push.
@@ -292,6 +309,9 @@ class ShardEngine {
               iba::Cycle window);
 
   void worker(unsigned s);
+  /// Moves every FIFO-queued packet between the simulator's pool and the
+  /// owning shards' pools (adopt/surrender).
+  void repark_buffers(bool into_shards);
   void resolve_keys();
   void barrier();
   void refresh_window();

@@ -32,78 +32,74 @@ bool in_parallel() { return t_shard != nullptr; }
 
 }  // namespace
 
-/// Adapts one switch's port state to the sched::CrossbarPorts view. The
+/// One switch's port state as the sched::CrossbarPorts view. The
 /// eligibility queries and grant() reproduce exactly what the pre-refactor
 /// Simulator::try_start_transfer checked and committed, in the same order,
 /// so WrrCrossbar over this view is bit-identical to the old hard-wired
-/// loop (tests/golden/, test_crossbar differential).
-class XbarView final : public sched::CrossbarPorts {
+/// loop (tests/golden/, test_crossbar differential). Built per schedule()
+/// call; the schedulers are templates over it, so every query is a direct
+/// call.
+class XbarView {
  public:
   XbarView(Simulator& sim, std::uint32_t switch_index)
-      : sim_(sim), sw_(sim.switches_[switch_index]) {}
+      : sim_(sim), sw_(sim.switches_[switch_index]),
+        pool_(sim.pool_at(sw_.node)) {}
 
-  unsigned port_count() const override {
-    return static_cast<unsigned>(sw_.in.size());
-  }
+  unsigned port_count() const { return static_cast<unsigned>(sw_.in.size()); }
 
-  iba::Cycle now() const override { return sim_.now_cur(); }
+  iba::Cycle now() const { return sim_.now_cur(); }
 
-  bool input_ready(iba::PortIndex in) const override {
+  bool input_ready(iba::PortIndex in) const {
     const InputPort& ip = sw_.in[in];
     return ip.wired && !ip.xbar_tx_busy && !ip.buffers.all_empty();
   }
 
-  std::uint16_t input_occupancy(iba::PortIndex in) const override {
+  std::uint16_t input_occupancy(iba::PortIndex in) const {
     return sw_.in[in].buffers.occupancy();
   }
 
-  iba::PortIndex head_output(iba::PortIndex in,
-                             iba::VirtualLane vl) const override {
-    return sim_.route_port(sw_, sw_.in[in].buffers.front(vl).destination);
+  iba::PortIndex head_output(iba::PortIndex in, iba::VirtualLane vl) const {
+    return sim_.route_port(sw_, head(in, vl).destination);
   }
 
-  std::uint32_t head_bytes(iba::PortIndex in,
-                           iba::VirtualLane vl) const override {
-    return sw_.in[in].buffers.front(vl).wire_bytes();
+  std::uint32_t head_bytes(iba::PortIndex in, iba::VirtualLane vl) const {
+    return sw_.in[in].buffers.front_bytes(vl);
   }
 
-  bool output_free(iba::PortIndex out) const override {
+  bool output_free(iba::PortIndex out) const {
     return !sw_.out[out].xbar_rx_busy;
   }
 
   bool output_accepts(iba::PortIndex in, iba::VirtualLane vl,
-                      iba::PortIndex out) const override {
-    const iba::Packet& head = sw_.in[in].buffers.front(vl);
+                      iba::PortIndex out) const {
+    const iba::Packet& p = head(in, vl);
     const OutputPort& op = sw_.out[out];
     const iba::VirtualLane out_vl =
-        head.management ? iba::kManagementVl : op.sl_map.map(head.sl);
-    return op.queues.can_accept(out_vl, head.wire_bytes());
+        p.management ? iba::kManagementVl : op.sl_map.map(p.sl);
+    return op.queues.can_accept(out_vl, head_bytes(in, vl));
   }
 
   bool head_guaranteed(iba::PortIndex in, iba::VirtualLane vl,
-                       iba::PortIndex out) const override {
-    const iba::Packet& head = sw_.in[in].buffers.front(vl);
-    if (head.management) return true;
+                       iba::PortIndex out) const {
+    const iba::Packet& p = head(in, vl);
+    if (p.management) return true;
     const OutputPort& op = sw_.out[out];
-    const iba::VirtualLane out_vl = op.sl_map.map(head.sl);
+    const iba::VirtualLane out_vl = op.sl_map.map(p.sl);
     return (op.arbiter.high_vl_mask() >> out_vl) & 1u;
   }
 
-  void grant(iba::PortIndex in, iba::VirtualLane vl,
-             iba::PortIndex out) override {
+  void grant(iba::PortIndex in, iba::VirtualLane vl, iba::PortIndex out) {
     InputPort& ip = sw_.in[in];
     OutputPort& op = sw_.out[out];
-    const iba::Packet& head = ip.buffers.front(vl);
 
     ip.xbar_tx_busy = true;
     op.xbar_rx_busy = true;
 
-    const auto link_cycles =
-        iba::serialization_cycles(head.wire_bytes(), op.link.rate);
+    const std::uint32_t wire = ip.buffers.front_bytes(vl);
+    const auto link_cycles = iba::serialization_cycles(wire, op.link.rate);
     const auto xfer_cycles = std::max<iba::Cycle>(
         1, static_cast<iba::Cycle>(static_cast<double>(link_cycles) /
                                    iba::kCrossbarSpeedup));
-    const std::uint32_t wire = head.wire_bytes();
     Event done;
     done.time = sim_.now_cur() + iba::kCrossbarDelay + xfer_cycles;
     done.type = EventType::kXferComplete;
@@ -112,7 +108,7 @@ class XbarView final : public sched::CrossbarPorts {
     done.vl = vl;
     done.aux = in;
     const iba::Cycle done_time = done.time;
-    sim_.push_event(std::move(done));
+    sim_.push_event(done);
 
     if (in_parallel()) {
       // The upstream credit release this transfer will perform is fully
@@ -131,13 +127,18 @@ class XbarView final : public sched::CrossbarPorts {
       rel.port = up->port;
       rel.vl = vl;
       rel.aux = wire;
-      sim_.push_event(std::move(rel));
+      sim_.push_event(rel);
     }
   }
 
  private:
+  const iba::Packet& head(iba::PortIndex in, iba::VirtualLane vl) const {
+    return pool_[sw_.in[in].buffers.front(vl)];
+  }
+
   Simulator& sim_;
   SwitchState& sw_;
+  const PacketPool& pool_;
 };
 
 Simulator::Simulator(const network::FabricGraph& graph,
@@ -192,7 +193,7 @@ Simulator::Simulator(const network::FabricGraph& graph,
                     /*host_interface=*/false);
       }
       switches_.push_back(std::move(sw));
-      xbar_.push_back(sched::make_crossbar(cfg_.crossbar_impl, ports));
+      xbar_.emplace_back(cfg_.crossbar_impl, ports);
     } else {
       index_[id] = static_cast<std::uint32_t>(hosts_.size());
       HostState host;
@@ -202,6 +203,11 @@ Simulator::Simulator(const network::FabricGraph& graph,
       hosts_.push_back(std::move(host));
     }
   }
+  // Switch port vectors keep their storage when switches_ grows; host
+  // ports are addressed once hosts_ is complete.
+  port_base_.resize(graph_.node_count());
+  for (SwitchState& sw : switches_) port_base_[sw.node] = sw.out.data();
+  for (HostState& h : hosts_) port_base_[h.node] = &h.out;
 
   // Publish the simulator's always-on component counters into the registry
   // at snapshot time. Arbiter/port/buffer figures are aggregated across all
@@ -284,8 +290,8 @@ Simulator::Simulator(const network::FabricGraph& graph,
                      obs::MergePolicy::kMax);
 
     sched::CrossbarScheduler::Stats xs;
-    for (const auto& x : xbar_) {
-      const sched::CrossbarScheduler::Stats& s = x->stats();
+    for (const sched::Crossbar& x : xbar_) {
+      const sched::CrossbarScheduler::Stats& s = x.stats();
       xs.rounds += s.rounds;
       xs.grants += s.grants;
       xs.iterations += s.iterations;
@@ -456,15 +462,36 @@ void Simulator::record_trace(iba::Cycle time, TraceEvent event,
       c->handler_known, c->handler_seq, c->handler_self});
 }
 
-OutputPort& Simulator::output_port(iba::NodeId node, iba::PortIndex port) {
-  if (graph_.is_switch(node)) return switches_[index_[node]].out.at(port);
-  if (port != 0) [[unlikely]] throw_bad_host_port(node, port);
-  return hosts_[index_[node]].out;
+OutputPort& Simulator::checked_output_port(const char* where,
+                                           iba::NodeId node,
+                                           iba::PortIndex port) {
+  const auto fail = [&](const std::string& why) {
+    throw std::invalid_argument(std::string(where) + ": node " +
+                                std::to_string(node) + " port " +
+                                std::to_string(port) + ": " + why);
+  };
+  if (node >= graph_.node_count())
+    fail("no such node (the fabric has " +
+         std::to_string(graph_.node_count()) + " nodes)");
+  if (!graph_.is_switch(node)) {
+    if (port != 0) throw_bad_host_port(node, port);
+  } else if (const auto ports = switches_[index_[node]].out.size();
+             port >= ports) {
+    fail("no such port (the switch has " + std::to_string(ports) +
+         " ports)");
+  }
+  return output_port(node, port);
+}
+
+PacketPool& Simulator::pool_at(iba::NodeId node) {
+  if (ShardCtx* const c = t_shard; c != nullptr) return c->pool;
+  if (engine_ && engine_->active()) return engine_->pool_of(node);
+  return pool_;
 }
 
 void Simulator::set_output_arbitration(iba::NodeId node, iba::PortIndex port,
                                        const iba::VlArbitrationTable& table) {
-  OutputPort& op = output_port(node, port);
+  OutputPort& op = checked_output_port("set_output_arbitration", node, port);
   // The arbiter indexes per-VL state by an entry's VL, so an active entry
   // on a non-data VL (VL15 or a reserved value) must never reach it.
   for (const bool high : {true, false}) {
@@ -483,7 +510,7 @@ void Simulator::set_output_arbitration(iba::NodeId node, iba::PortIndex port,
 
 void Simulator::set_sl_to_vl(iba::NodeId node, iba::PortIndex port,
                              const iba::SlToVlMappingTable& map) {
-  output_port(node, port).sl_map = map;
+  checked_output_port("set_sl_to_vl", node, port).sl_map = map;
 }
 
 void Simulator::set_sl_to_vl_all(const iba::SlToVlMappingTable& map) {
@@ -496,13 +523,17 @@ void Simulator::set_sl_to_vl_all(const iba::SlToVlMappingTable& map) {
 
 void Simulator::set_port_reserved_mbps(iba::NodeId node, iba::PortIndex port,
                                        double mbps) {
-  metrics_.ports.at(output_port(node, port).flat_id).reserved_mbps = mbps;
+  metrics_.ports
+      .at(checked_output_port("set_port_reserved_mbps", node, port).flat_id)
+      .reserved_mbps = mbps;
 }
 
 void Simulator::set_forwarding(iba::NodeId sw,
                                std::vector<iba::PortIndex> lft) {
-  if (!graph_.is_switch(sw))
-    throw std::invalid_argument("forwarding tables live in switches");
+  if (sw >= graph_.node_count() || !graph_.is_switch(sw))
+    throw std::invalid_argument("set_forwarding: node " + std::to_string(sw) +
+                                " is not a switch; forwarding tables live "
+                                "in switches");
   SwitchState& state = switches_[index_[sw]];
   const std::string where = "set_forwarding: switch " + std::to_string(sw);
   if (lft.size() != graph_.node_count() + 1)
@@ -527,10 +558,16 @@ iba::PortIndex Simulator::route_port(const SwitchState& sw,
 std::uint32_t Simulator::flat_port_id(iba::NodeId node,
                                       iba::PortIndex port) const {
   auto& self = const_cast<Simulator&>(*this);
-  return self.output_port(node, port).flat_id;
+  return self.checked_output_port("flat_port_id", node, port).flat_id;
 }
 
 std::uint32_t Simulator::add_flow(const FlowSpec& spec) {
+  for (const iba::NodeId n : {spec.src_host, spec.dst_host})
+    if (n >= graph_.node_count())
+      throw std::invalid_argument("add_flow: node " + std::to_string(n) +
+                                  " does not exist (the fabric has " +
+                                  std::to_string(graph_.node_count()) +
+                                  " nodes)");
   if (graph_.is_switch(spec.src_host) || graph_.is_switch(spec.dst_host))
     throw std::invalid_argument("flows run host to host");
   if (spec.src_host == spec.dst_host)
@@ -685,7 +722,7 @@ void Simulator::on_generate(std::uint32_t flow_index) {
   const iba::VirtualLane vl =
       spec.management ? iba::kManagementVl : host.out.sl_map.map(spec.sl);
   record_trace(now, TraceEvent::kInject, spec.src_host, 0, vl, p);
-  host.out.queues.push(vl, std::move(p));
+  host.out.queues.push(vl, pool_at(spec.src_host).park(p), p.wire_bytes());
   try_transmit(spec.src_host, 0);
 
   schedule_flow(flow_index, now);
@@ -705,12 +742,13 @@ void Simulator::try_transmit(iba::NodeId node, iba::PortIndex port) {
   }();
   if (!decision) return;
 
-  iba::Packet p = op.queues.pop(decision->vl);
-  const auto wire = p.wire_bytes();
+  const auto wire = op.queues.front_bytes(decision->vl);
+  const PacketHandle h = op.queues.pop(decision->vl);
   op.credits.consume(decision->vl, wire);
   op.tx_busy = true;
   const iba::Cycle now = now_cur();
-  record_trace(now, TraceEvent::kLinkTx, node, port, decision->vl, p);
+  record_trace(now, TraceEvent::kLinkTx, node, port, decision->vl,
+               pool_at(node)[h]);
 
   auto ser = iba::serialization_cycles(wire, op.link.rate);
   if (hooks_) ser = hooks_->stretch_serialization(node, port, ser);
@@ -729,8 +767,8 @@ void Simulator::try_transmit(iba::NodeId node, iba::PortIndex port) {
   arrive.node = op.peer.node;
   arrive.port = op.peer.port;
   arrive.vl = decision->vl;
-  arrive.packet = std::move(p);
-  push_event(std::move(arrive));
+  arrive.pkt = h;
+  push_event(arrive);
 }
 
 void Simulator::on_tx_complete(iba::NodeId node, iba::PortIndex port) {
@@ -740,27 +778,31 @@ void Simulator::on_tx_complete(iba::NodeId node, iba::PortIndex port) {
 
 void Simulator::on_link_deliver(const Event& e) {
   const iba::Cycle now = now_cur();
+  PacketPool& pool = pool_at(e.node);
+  const iba::Packet& p = pool[e.pkt];
+  const std::uint32_t wire = p.wire_bytes();
   auto verdict = FaultHooks::RxVerdict::kDeliver;
-  if (hooks_ && !e.packet.management) {
+  if (hooks_ && !p.management) {
     obs::ScopedTimer timer(cur_profiler(), obs::PhaseProfiler::kFaultHooks);
-    verdict = hooks_->on_link_rx(e.node, e.port, e.packet);
+    verdict = hooks_->on_link_rx(e.node, e.port, p);
   }
   if (verdict == FaultHooks::RxVerdict::kDrop) {
     // Discarded on arrival (corrupted past the CRC, or a drop-fault window).
     // The receiver still frees the notional buffer, so upstream credits are
     // returned — a lost packet must not wedge the sender.
-    record_trace(now, TraceEvent::kDrop, e.node, e.port, e.vl, e.packet);
-    metrics_.record_drop(e.packet.connection);
+    record_trace(now, TraceEvent::kDrop, e.node, e.port, e.vl, p);
+    metrics_.record_drop(p.connection);
+    pool.release(e.pkt);
     const auto up = graph_.peer(e.node, e.port);
     assert(up.has_value());
     OutputPort& upstream = output_port(up->node, up->port);
-    upstream.credits.release(e.vl, e.packet.wire_bytes());
+    upstream.credits.release(e.vl, wire);
     try_transmit(up->node, up->port);
     return;
   }
   if (graph_.is_switch(e.node)) {
     SwitchState& sw = switches_[index_[e.node]];
-    sw.in[e.port].buffers.push(e.vl, e.packet);
+    sw.in[e.port].buffers.push(e.vl, e.pkt, wire);
     schedule_crossbar(index_[e.node], static_cast<int>(e.port));
     return;
   }
@@ -768,16 +810,23 @@ void Simulator::on_link_deliver(const Event& e) {
   // immediately (hosts drain their receive buffers at line rate). The
   // upstream port is the host's own uplink switch — same shard — so this
   // stays inline in parallel windows too.
-  record_trace(now, TraceEvent::kDeliver, e.node, e.port, e.vl, e.packet);
+  record_trace(now, TraceEvent::kDeliver, e.node, e.port, e.vl, p);
   {
     obs::ScopedTimer timer(cur_profiler(), obs::PhaseProfiler::kMetrics);
-    metrics_.record_delivery(e.packet.connection, e.packet, now);
+    metrics_.record_delivery(p.connection, p, now);
   }
-  if (delivery_listener_) delivery_listener_(e.packet, now);
+  if (delivery_listener_) {
+    // The listener may inject (and so park) packets: hand it a copy, since
+    // a park can move the pool's storage.
+    const iba::Packet delivered = pool.take(e.pkt);
+    delivery_listener_(delivered, now);
+  } else {
+    pool.release(e.pkt);
+  }
   const auto up = graph_.peer(e.node, 0);
   assert(up.has_value());
   OutputPort& upstream = output_port(up->node, up->port);
-  upstream.credits.release(e.vl, e.packet.wire_bytes());
+  upstream.credits.release(e.vl, wire);
   try_transmit(up->node, up->port);
 }
 
@@ -787,7 +836,8 @@ void Simulator::on_xfer_complete(const Event& e) {
   InputPort& ip = sw.in[in_port];
   OutputPort& op = sw.out[e.port];
 
-  iba::Packet p = ip.buffers.pop(e.vl);
+  const std::uint32_t wire = ip.buffers.front_bytes(e.vl);
+  const PacketHandle h = ip.buffers.pop(e.vl);
 
   // Input buffer space freed: return credits to whoever feeds this port. In
   // a parallel window the feeder may live on another shard, so the release
@@ -797,7 +847,7 @@ void Simulator::on_xfer_complete(const Event& e) {
     const auto up = graph_.peer(e.node, in_port);
     assert(up.has_value());
     OutputPort& upstream = output_port(up->node, up->port);
-    upstream.credits.release(e.vl, p.wire_bytes());
+    upstream.credits.release(e.vl, wire);
     try_transmit(up->node, up->port);
   }
 
@@ -805,16 +855,19 @@ void Simulator::on_xfer_complete(const Event& e) {
   // unless recovery abandoned this connection on this port (the packet was
   // in flight when the purge ran; queuing it now would strand it on a VL
   // whose arbitration weight left with the reservation).
+  PacketPool& pool = pool_at(e.node);
+  const iba::Packet& p = pool[h];
   const iba::VirtualLane out_vl =
       p.management ? iba::kManagementVl : op.sl_map.map(p.sl);
   if (!p.management && !purged_flows_.empty() &&
-      purged_flows_.count({flat_port_id(e.node, e.port), p.connection}) > 0) {
+      purged_flows_.count({op.flat_id, p.connection}) > 0) {
     record_trace(now_cur(), TraceEvent::kDrop, e.node, e.port, out_vl, p);
     metrics_.record_drop(p.connection);
+    pool.release(h);
     ++purged_late_;
   } else {
     record_trace(now_cur(), TraceEvent::kXbar, e.node, e.port, out_vl, p);
-    op.queues.push(out_vl, std::move(p));
+    op.queues.push(out_vl, h, wire);
   }
 
   ip.xbar_tx_busy = false;
@@ -826,7 +879,7 @@ void Simulator::on_xfer_complete(const Event& e) {
 
 void Simulator::schedule_crossbar(std::uint32_t switch_index, int only_input) {
   XbarView view(*this, switch_index);
-  xbar_[switch_index]->schedule(view, only_input);
+  xbar_[switch_index].schedule(view, only_input);
 }
 
 void Simulator::on_credit_release(const Event& e) {
@@ -905,27 +958,30 @@ std::uint64_t Simulator::inject_external(std::uint32_t flow_index,
   const iba::VirtualLane vl =
       spec.management ? iba::kManagementVl : host.out.sl_map.map(spec.sl);
   record_trace(now_, TraceEvent::kInject, spec.src_host, 0, vl, p);
-  host.out.queues.push(vl, std::move(p));
+  host.out.queues.push(vl, pool_at(spec.src_host).park(p), p.wire_bytes());
   try_transmit(spec.src_host, 0);
   return id;
 }
 
 void Simulator::kick_port(iba::NodeId node, iba::PortIndex port) {
+  checked_output_port("kick_port", node, port);
   try_transmit(node, port);
 }
 
 std::uint64_t Simulator::flush_output_queue(iba::NodeId node,
                                             iba::PortIndex port) {
-  OutputPort& op = output_port(node, port);
+  OutputPort& op = checked_output_port("flush_output_queue", node, port);
+  PacketPool& pool = pool_at(node);
   std::uint64_t flushed = 0;
   // Queued packets never consumed this port's credits (that happens when
   // serialization starts), so discarding them is pure local state.
   while (!op.queues.all_empty()) {
     const auto vl = static_cast<iba::VirtualLane>(
         std::countr_zero(op.queues.occupancy()));
-    iba::Packet p = op.queues.pop(vl);
-    record_trace(now_, TraceEvent::kDrop, node, port, vl, p);
-    metrics_.record_drop(p.connection);
+    const PacketHandle h = op.queues.pop(vl);
+    record_trace(now_, TraceEvent::kDrop, node, port, vl, pool[h]);
+    metrics_.record_drop(pool[h].connection);
+    pool.release(h);
     ++flushed;
   }
   return flushed;
@@ -934,28 +990,31 @@ std::uint64_t Simulator::flush_output_queue(iba::NodeId node,
 std::uint64_t Simulator::purge_flow_from_output(iba::NodeId node,
                                                 iba::PortIndex port,
                                                 std::uint32_t flow) {
-  OutputPort& op = output_port(node, port);
+  OutputPort& op = checked_output_port("purge_flow_from_output", node, port);
+  PacketPool& pool = pool_at(node);
   std::uint64_t purged = 0;
   // Like flushed packets, queued packets hold no credits yet: removal is
   // pure local state.
   for (unsigned v = 0; v < iba::kMaxVirtualLanes; ++v) {
     const auto vl = static_cast<iba::VirtualLane>(v);
-    for (auto& p : op.queues.extract_connection(vl, flow)) {
-      record_trace(now_, TraceEvent::kDrop, node, port, vl, p);
-      metrics_.record_drop(p.connection);
+    for (const PacketHandle h : op.queues.extract_connection(vl, flow, pool)) {
+      record_trace(now_, TraceEvent::kDrop, node, port, vl, pool[h]);
+      metrics_.record_drop(pool[h].connection);
+      pool.release(h);
       ++purged;
     }
   }
   // Arm the barrier: anything still in flight towards this port (crossbar
   // transfer or link traversal) lands after the purge and is dropped on
   // enqueue, until clear_flow_purge re-admits the flow here.
-  purged_flows_.insert({flat_port_id(node, port), flow});
+  purged_flows_.insert({op.flat_id, flow});
   return purged;
 }
 
 void Simulator::clear_flow_purge(iba::NodeId node, iba::PortIndex port,
                                  std::uint32_t flow) {
-  purged_flows_.erase({flat_port_id(node, port), flow});
+  purged_flows_.erase(
+      {checked_output_port("clear_flow_purge", node, port).flat_id, flow});
 }
 
 void Simulator::run_until(iba::Cycle t) {

@@ -23,6 +23,7 @@
 #include "sim/event_queue.hpp"
 #include "sim/host.hpp"
 #include "sim/metrics.hpp"
+#include "sim/packet_pool.hpp"
 #include "sim/switch.hpp"
 #include "sim/trace.hpp"
 
@@ -121,7 +122,7 @@ struct ShardLoadStats {
 };
 
 class Simulator {
-  friend class XbarView;  ///< sched::CrossbarPorts adapter (simulator.cpp).
+  friend class XbarView;  ///< sched::CrossbarPorts view (simulator.cpp).
   friend class ShardEngine;  ///< Parallel window engine (sim/shard.hpp).
 
  public:
@@ -141,8 +142,11 @@ class Simulator {
   /// Programs the VLArbitrationTable of one output port. For hosts, `port`
   /// must be 0 (the injection interface). Throws std::invalid_argument,
   /// naming the node, the port and the slot, when an active entry is on a
-  /// VL other than data VLs 0..14; this and the per-port setters below also
-  /// throw it for a host port other than 0.
+  /// VL other than data VLs 0..14. This and every other per-port entry
+  /// point (the setters below, flat_port_id, kick_port, flush_output_queue,
+  /// purge_flow_from_output, clear_flow_purge) throw std::invalid_argument
+  /// naming the node and the port when the node does not exist or has no
+  /// such port (a host has only port 0).
   void set_output_arbitration(iba::NodeId node, iba::PortIndex port,
                               const iba::VlArbitrationTable& table);
 
@@ -345,7 +349,18 @@ class Simulator {
   /// trigger hint.
   void schedule_crossbar(std::uint32_t switch_index, int only_input);
 
-  OutputPort& output_port(iba::NodeId node, iba::PortIndex port);
+  /// The per-packet lookup: no range checks (the public entry points
+  /// validate through checked_output_port first).
+  OutputPort& output_port(iba::NodeId node, iba::PortIndex port) {
+    return port_base_[node][port];
+  }
+  /// Validates (node, port) for a public entry point named `where`.
+  OutputPort& checked_output_port(const char* where, iba::NodeId node,
+                                  iba::PortIndex port);
+  /// The pool holding the packets queued at `node` and in events homed
+  /// there: the executing shard's inside a parallel window, the owning
+  /// shard's while the engine holds the events, the simulator's otherwise.
+  PacketPool& pool_at(iba::NodeId node);
   iba::PortIndex route_port(const SwitchState& sw, iba::Lid dst) const;
   void schedule_flow(std::uint32_t flow_index, iba::Cycle not_before);
 
@@ -396,8 +411,14 @@ class Simulator {
   std::vector<SwitchState> switches_;
   /// One crossbar scheduler per switch (same index as switches_); owns all
   /// matching state — pointers, priority matrices, rate counters.
-  std::vector<std::unique_ptr<sched::CrossbarScheduler>> xbar_;
+  std::vector<sched::Crossbar> xbar_;
   std::vector<HostState> hosts_;
+  /// port_base_[node] points at the node's output port 0 (a switch's out
+  /// vector, or a host's injection port): output_port in one load.
+  std::vector<OutputPort*> port_base_;
+  /// Packets of the sequential core (sim/packet_pool.hpp); empty while the
+  /// shard engine holds the events, whose workers own one pool each.
+  PacketPool pool_;
   std::vector<FlowState> flows_;
   Metrics metrics_;
   PacketTrace trace_;

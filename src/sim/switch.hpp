@@ -46,7 +46,7 @@ struct OutputPort {
       const auto v =
           static_cast<iba::VirtualLane>(std::countr_zero(occ));
       occ &= static_cast<std::uint16_t>(occ - 1);
-      const auto bytes = queues.front(v).wire_bytes();
+      const auto bytes = queues.front_bytes(v);
       if (credits.can_send(v, bytes)) {
         ready[v] = bytes;
       } else {
@@ -58,14 +58,16 @@ struct OutputPort {
 };
 
 struct InputPort {
-  PortBuffers buffers;   ///< Finite; capacity == advertised credits.
+  // The flags sit next to the buffers' occupancy mask, so the crossbar's
+  // input_ready test reads one cache line.
   bool wired = false;
   bool xbar_tx_busy = false;        ///< Feeding the crossbar.
+  PortBuffers buffers;   ///< Finite; capacity == advertised credits.
 };
 
 /// Which (input, VL, output) transfer starts next — and every round-robin /
 /// priority pointer that decision needs — lives in the switch's
-/// sched::CrossbarScheduler, not here (see src/sched/crossbar.hpp).
+/// sched::Crossbar, not here (see src/sched/crossbar.hpp).
 struct SwitchState {
   iba::NodeId node = iba::kInvalidNode;
   std::vector<InputPort> in;

@@ -30,6 +30,7 @@
 #include "sched/crossbar.hpp"
 #include "sched/islip_crossbar.hpp"
 #include "sched/matrix_crossbar.hpp"
+#include "sched/ports.hpp"
 #include "sched/wrr_crossbar.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
@@ -51,12 +52,12 @@ struct Grant {
   bool operator==(const Grant&) const = default;
 };
 
-/// A one-switch fabric stub. grant() enforces the commit-time contract
-/// (input ready, output free, space downstream) with test assertions, so
-/// every scheduler test doubles as an eligibility-invariant probe.
-/// Copyable on purpose: the differential test replays one arrival schedule
-/// against two engines.
-class MockFabric : public CrossbarPorts {
+/// A one-switch fabric stub: the test-side CrossbarPorts view. grant()
+/// enforces the commit-time contract (input ready, output free, space
+/// downstream) with test assertions, so every scheduler test doubles as an
+/// eligibility-invariant probe. Copyable on purpose: the differential test
+/// replays one arrival schedule against two engines.
+class MockFabric {
  public:
   explicit MockFabric(unsigned ports)
       : ports_(ports), q_(ports), in_busy_(ports, false),
@@ -96,39 +97,39 @@ class MockFabric : public CrossbarPorts {
     return false;
   }
 
-  // --- CrossbarPorts ------------------------------------------------------
-  unsigned port_count() const override { return ports_; }
-  iba::Cycle now() const override { return time_; }
-  bool input_ready(iba::PortIndex in) const override {
+  // --- the CrossbarPorts view ---------------------------------------------
+  unsigned port_count() const { return ports_; }
+  iba::Cycle now() const { return time_; }
+  bool input_ready(iba::PortIndex in) const {
     return !in_busy_[in] && input_occupancy(in) != 0;
   }
-  std::uint16_t input_occupancy(iba::PortIndex in) const override {
+  std::uint16_t input_occupancy(iba::PortIndex in) const {
     std::uint16_t occ = 0;
     for (unsigned v = 0; v < iba::kMaxVirtualLanes; ++v)
       if (!q_[in][v].empty()) occ |= static_cast<std::uint16_t>(1u << v);
     return occ;
   }
   iba::PortIndex head_output(iba::PortIndex in,
-                             iba::VirtualLane vl) const override {
+                             iba::VirtualLane vl) const {
     return q_[in][vl].front().out;
   }
   std::uint32_t head_bytes(iba::PortIndex in,
-                           iba::VirtualLane vl) const override {
+                           iba::VirtualLane vl) const {
     return q_[in][vl].front().bytes;
   }
-  bool output_free(iba::PortIndex out) const override {
+  bool output_free(iba::PortIndex out) const {
     return !out_busy_[out];
   }
   bool output_accepts(iba::PortIndex, iba::VirtualLane,
-                      iba::PortIndex out) const override {
+                      iba::PortIndex out) const {
     return !out_full_[out];
   }
   bool head_guaranteed(iba::PortIndex in, iba::VirtualLane vl,
-                       iba::PortIndex) const override {
+                       iba::PortIndex) const {
     return q_[in][vl].front().guaranteed;
   }
   void grant(iba::PortIndex in, iba::VirtualLane vl,
-             iba::PortIndex out) override {
+             iba::PortIndex out) {
     // Commit-time contract: every grant must be eligible right now. A
     // double grant within one match trips the busy checks.
     EXPECT_TRUE(input_ready(in)) << "grant from busy/empty input " << in;
@@ -151,6 +152,7 @@ class MockFabric : public CrossbarPorts {
   std::vector<Grant> grants_;
   iba::Cycle time_ = 0;
 };
+static_assert(CrossbarPorts<MockFabric>);
 
 // ---------------------------------------------------------------------------
 // Differential: WrrCrossbar vs the pre-refactor Simulator loop, verbatim.
@@ -249,6 +251,28 @@ TEST(WrrDifferential, MatchesPreRefactorReferenceOnRandomSchedules) {
     // The whole grant sequence — order included — must be identical.
     ASSERT_EQ(fa.grants(), fb.grants()) << "seed " << seed;
     EXPECT_GT(fa.grants().size(), 100u) << "scenario too idle to be probative";
+  }
+}
+
+TEST(VlRoundRobin, VisitsOccupiedVlsInModuloLoopOrderForEveryStartAndMask) {
+  // Exhaustive: every round-robin position and every occupancy mask. The
+  // rotated-mask walk must visit exactly the VLs the pre-refactor modulo
+  // loop visited, in the same order.
+  std::vector<iba::VirtualLane> expected;
+  std::vector<iba::VirtualLane> walked;
+  for (unsigned start = 0; start < iba::kMaxVirtualLanes; ++start) {
+    for (std::uint32_t m = 0; m < (1u << iba::kMaxVirtualLanes); ++m) {
+      const auto occ = static_cast<std::uint16_t>(m);
+      expected.clear();
+      for (unsigned k = 0; k < iba::kMaxVirtualLanes; ++k) {
+        const auto vl = static_cast<iba::VirtualLane>(
+            (start + k) % iba::kMaxVirtualLanes);
+        if (occ & (1u << vl)) expected.push_back(vl);
+      }
+      walked.clear();
+      for (VlRoundRobin vls(occ, start); vls;) walked.push_back(vls.next());
+      ASSERT_EQ(walked, expected) << "start " << start << " mask " << m;
+    }
   }
 }
 
@@ -527,7 +551,7 @@ INSTANTIATE_TEST_SUITE_P(Zoo, EverySchedulerTest,
 
 /// Randomized arrival/release/congestion schedule against one scheduler;
 /// returns the fabric for post-hoc assertions.
-MockFabric drive_random(CrossbarScheduler& sched, unsigned ports,
+MockFabric drive_random(Crossbar& sched, unsigned ports,
                         std::uint64_t seed, unsigned steps) {
   util::Xoshiro256 rng(seed);
   MockFabric f(ports);
@@ -561,8 +585,8 @@ MockFabric drive_random(CrossbarScheduler& sched, unsigned ports,
 
 TEST_P(EverySchedulerTest, WorkConservingAfterFullRescan) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    const auto sched = make_crossbar(GetParam(), 8);
-    const MockFabric f = drive_random(*sched, 8, seed, 300);
+    Crossbar sched(GetParam(), 8);
+    const MockFabric f = drive_random(sched, 8, seed, 300);
     // After schedule(-1) returns, no startable transfer may remain — for
     // ANY policy in the zoo. (Eligibility at commit time was asserted by
     // the mock on every grant along the way.)
@@ -572,23 +596,23 @@ TEST_P(EverySchedulerTest, WorkConservingAfterFullRescan) {
 }
 
 TEST_P(EverySchedulerTest, DeterministicReplay) {
-  const auto a = make_crossbar(GetParam(), 8);
-  const auto b = make_crossbar(GetParam(), 8);
-  const MockFabric fa = drive_random(*a, 8, 42, 400);
-  const MockFabric fb = drive_random(*b, 8, 42, 400);
+  Crossbar a(GetParam(), 8);
+  Crossbar b(GetParam(), 8);
+  const MockFabric fa = drive_random(a, 8, 42, 400);
+  const MockFabric fb = drive_random(b, 8, 42, 400);
   // Same schedule, same decisions, bit for bit — schedulers may keep no
   // hidden nondeterministic state (this is what --jobs reproducibility
   // rests on).
   EXPECT_EQ(fa.grants(), fb.grants());
-  EXPECT_EQ(a->stats().grants, b->stats().grants);
-  EXPECT_EQ(a->stats().iterations, b->stats().iterations);
+  EXPECT_EQ(a.stats().grants, b.stats().grants);
+  EXPECT_EQ(a.stats().iterations, b.stats().iterations);
 }
 
 TEST_P(EverySchedulerTest, StatsCountGrantsExactly) {
-  const auto sched = make_crossbar(GetParam(), 8);
-  const MockFabric f = drive_random(*sched, 8, 7, 300);
-  EXPECT_EQ(sched->stats().grants, f.grants().size());
-  EXPECT_GT(sched->stats().rounds, 0u);
+  Crossbar sched(GetParam(), 8);
+  const MockFabric f = drive_random(sched, 8, 7, 300);
+  EXPECT_EQ(sched.stats().grants, f.grants().size());
+  EXPECT_GT(sched.stats().rounds, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <iterator>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -74,16 +76,74 @@ TEST(EventQueue, TopDoesNotPop) {
   EXPECT_EQ(q.size(), 1u);
 }
 
-TEST(EventQueue, PacketPayloadSurvives) {
+TEST(EventQueue, PacketHandleRoundTrips) {
+  // Events carry a 4-byte handle into a PacketPool, never the packet: the
+  // handle survives the queue (wheel, coarse wheel and heap alike) and
+  // still names the parked packet when the event pops.
+  static_assert(sizeof(Event) <= 32);
+  PacketPool pool;
   EventQueue q;
-  Event e = at(4);
-  e.type = EventType::kLinkDeliver;
-  e.packet.id = 1234;
-  e.packet.payload_bytes = 256;
-  q.push(e);
-  const auto out = q.pop();
-  EXPECT_EQ(out.packet.id, 1234u);
-  EXPECT_EQ(out.packet.payload_bytes, 256u);
+  std::vector<PacketHandle> handles;
+  const iba::Cycle times[] = {4, 70'000, iba::Cycle{1} << 40};
+  for (std::uint64_t i = 0; i < std::size(times); ++i) {
+    iba::Packet p;
+    p.id = 1234 + i;
+    p.payload_bytes = 256;
+    Event e = at(times[i]);
+    e.type = EventType::kLinkDeliver;
+    e.pkt = pool.park(p);
+    handles.push_back(e.pkt);
+    q.push(e);
+  }
+  for (std::uint64_t i = 0; i < std::size(times); ++i) {
+    const auto out = q.pop();
+    EXPECT_EQ(out.time, times[i]);
+    EXPECT_EQ(out.type, EventType::kLinkDeliver);
+    ASSERT_EQ(out.pkt, handles[i]);
+    EXPECT_EQ(pool[out.pkt].id, 1234 + i);
+    EXPECT_EQ(pool[out.pkt].payload_bytes, 256u);
+    pool.release(out.pkt);
+  }
+  EXPECT_EQ(pool.live(), 0u);
+  EXPECT_EQ(Event{}.pkt, kNoPacket) << "events without a packet carry none";
+}
+
+TEST(EventQueue, StatsArePinnedForAFixedScript) {
+  // Residency and overflow are defined by the distance from the last
+  // popped time, whatever level stores the event. These figures are what
+  // the single-level wheel recorded for the same script.
+  EventQueue q;
+  q.push(at(0));                        // distance 0      -> bin 0
+  q.push(at(1));                        // distance 1      -> bin 1
+  q.push(at(1'000));                    // bit_width 10    -> bin 10
+  q.push(at(65'535));                   // bit_width 16    -> bin 16
+  q.push(at(65'536));                   // 2^16 ahead      -> overflow
+  q.push(at(iba::Cycle{1} << 33));      // far future      -> overflow
+  EXPECT_EQ(q.pop().time, 0u);
+  EXPECT_EQ(q.pop().time, 1u);          // last pop = 1
+  q.push(at(0));                        // behind it       -> overflow
+  q.push(at(1));                        // distance 0      -> bin 0
+  q.push(at(1 + (1u << 17)));           // 2^17 ahead      -> overflow
+  q.push(at(65'536));                   // bit_width 16    -> bin 16
+  std::vector<iba::Cycle> popped;
+  while (!q.empty()) popped.push_back(q.pop().time);
+  const std::vector<iba::Cycle> order{0,      1,      1'000,  65'535,
+                                      65'536, 65'536, 131'073,
+                                      iba::Cycle{1} << 33};
+  EXPECT_EQ(popped, order);
+
+  const auto& st = q.stats();
+  EXPECT_EQ(st.pushes, 10u);
+  EXPECT_EQ(st.pops, 10u);
+  EXPECT_EQ(st.overflow_pushes, 4u);
+  EXPECT_EQ(st.peak_size, 8u);
+  std::array<std::uint64_t, EventQueue::kResidencyBins> bins{};
+  bins[0] = 2;
+  bins[1] = 1;
+  bins[10] = 1;
+  bins[16] = 2;
+  bins[17] = 4;
+  EXPECT_EQ(st.residency_log2, bins);
 }
 
 // --- Differential suite: the queue vs a sorted reference model -------------
@@ -284,6 +344,131 @@ TEST(EventQueueDifferential, PushKeyedOutOfOrderKeys) {
       for (const auto bin : stats.residency_log2) EXPECT_EQ(bin, 0u);
     }
   }
+}
+
+TEST(EventQueueDifferential, PushesStraddleEpochBoundaries) {
+  // Every round pushes around the next 2^16-cycle epoch edge (just before,
+  // on, and just after it) and half-drains, so the fine wheel keeps
+  // emptying into cascades while same-cycle ties sit on both sides.
+  util::Xoshiro256 rng(409);
+  std::vector<Step> script;
+  for (iba::Cycle edge = 1u << 16; edge <= 12u << 16; edge += 1u << 16) {
+    for (int i = 0; i < 60; ++i) {
+      const auto off = static_cast<iba::Cycle>(rng.below(64));
+      script.push_back(Step{false, rng.chance(0.5) ? edge - 1 - off
+                                                   : edge + off});
+      if (rng.chance(0.1)) script.push_back(Step{false, edge});
+    }
+    for (int i = 0; i < 50; ++i) script.push_back(Step{true, 0});
+  }
+  run_differential(script);
+}
+
+TEST(EventQueueDifferential, PushesBehindTheWindowAfterACascade) {
+  // Events far enough ahead to sit in the coarse wheel, then a pop that
+  // cascades them in; later pushes land behind the cascaded epoch (at the
+  // last popped time and just after it), which only the heap can hold.
+  util::Xoshiro256 rng(410);
+  std::vector<Step> script;
+  iba::Cycle now = 0;
+  for (int round = 0; round < 30; ++round) {
+    // An epoch-aligned cluster two to five epochs ahead: coarse wheel.
+    const iba::Cycle far = ((now >> 16) + 2 + rng.below(4)) << 16;
+    for (int i = 0; i < 20; ++i)
+      script.push_back(Step{false, far + rng.below(2'000)});
+    script.push_back(Step{false, now + 5});
+    script.push_back(Step{true, 0});  // pops now + 5; the fine wheel empties
+    // The next pop cascades the cluster's epoch in; these pushes land in
+    // the epoch before it, behind the window, yet after the last pop.
+    for (int i = 0; i < 10; ++i)
+      script.push_back(Step{false, far - 1 - rng.below(900)});
+    for (int i = 0; i < 25; ++i) script.push_back(Step{true, 0});
+    now = far + 2'000;
+  }
+  run_differential(script);
+}
+
+TEST(EventQueueDifferential, EventsBeyondTheCoarseHorizon) {
+  // 2^32 cycles and more ahead of the current epoch: the heap holds them
+  // and they merge back in (time, seq) order, ties included, while nearer
+  // traffic keeps flowing through both wheels.
+  util::Xoshiro256 rng(411);
+  std::vector<Step> script;
+  const iba::Cycle horizon = iba::Cycle{1} << 32;
+  for (int i = 0; i < 4'000; ++i) {
+    const auto r = rng.uniform();
+    iba::Cycle t;
+    if (r < 0.4) {
+      t = rng.below(1u << 20);                          // both wheels
+    } else if (r < 0.7) {
+      t = horizon + rng.below(1u << 20);                // just past it
+    } else if (r < 0.8) {
+      t = horizon - 1 - rng.below(1u << 16);            // last coarse epoch
+    } else {
+      t = 3 * horizon + 17;                             // one tie storm
+    }
+    script.push_back(Step{false, t});
+    if (rng.chance(0.45)) script.push_back(Step{true, 0});
+  }
+  run_differential(script);
+}
+
+TEST(EventQueueDifferential, CascadeInterleavedWithOutOfOrderKeyedPushes) {
+  // push_keyed keys arrive shuffled into the fine wheel, the coarse wheel
+  // (unsorted there) and the heap; cascades must sort each epoch by key
+  // into its one-cycle buckets, including buckets that receive further
+  // keyed pushes after the cascade.
+  util::Xoshiro256 rng(412);
+  EventQueue queue;
+  std::vector<std::pair<iba::Cycle, std::uint64_t>> reference;
+  const auto push = [&](iba::Cycle t, std::uint64_t key) {
+    Event e = at(t);
+    e.seq = key;
+    queue.push_keyed(e, 0, /*count_stats=*/false);
+    reference.emplace_back(t, key);
+  };
+  const auto pop_checked = [&]() -> ::testing::AssertionResult {
+    const auto it = std::min_element(reference.begin(), reference.end());
+    const auto want = *it;
+    reference.erase(it);
+    const Event e = queue.pop();
+    if (e.time == want.first && e.seq == want.second)
+      return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << "popped (" << e.time << ", " << e.seq << "), expected ("
+           << want.first << ", " << want.second << ")";
+  };
+
+  std::uint64_t next_key = 1;
+  iba::Cycle base = 100;
+  for (int round = 0; round < 60; ++round) {
+    // A handful of cycles: one in this epoch, two in later epochs (coarse),
+    // one past the coarse horizon (heap).
+    const iba::Cycle cycles[] = {
+        base + rng.below(50), base + (2u << 16) + rng.below(4),
+        base + (5u << 16) + rng.below(4),
+        base + (iba::Cycle{1} << 32) + (3u << 16)};
+    std::vector<std::uint64_t> keys(20 + rng.below(30));
+    for (auto& k : keys) k = next_key++;
+    for (std::size_t i = keys.size() - 1; i > 0; --i)
+      std::swap(keys[i], keys[rng.below(i + 1)]);
+    for (const auto k : keys) push(cycles[rng.below(std::size(cycles))], k);
+    const std::size_t n = reference.size() / 2 + 1;
+    for (std::size_t i = 0; i < n; ++i) ASSERT_TRUE(pop_checked());
+    // Keyed pushes into the epoch just cascaded, with smaller keys than
+    // some already there (late arrivals from another creator).
+    if (!reference.empty()) {
+      const auto lo = std::min_element(reference.begin(), reference.end());
+      for (int i = 0; i < 6; ++i) {
+        const std::uint64_t k = next_key + 100 - i * 7;
+        push(lo->first + rng.below(3), k);
+      }
+      next_key += 200;
+    }
+    base += 3u << 16;
+  }
+  while (!reference.empty()) ASSERT_TRUE(pop_checked());
+  EXPECT_TRUE(queue.empty());
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -283,6 +284,84 @@ TEST(Simulator, SetForwardingRejectsMalformedTables) {
   sim.metrics().start_window(0);
   sim.run_until(100000);
   EXPECT_GT(sim.metrics().connections[flow].rx_packets, 40u);
+}
+
+TEST(Simulator, PerPortEntryPointsRejectOutOfRangeNodeAndPort) {
+  // Every public per-port entry point names the node and the port in a
+  // std::invalid_argument, instead of letting a bare std::out_of_range (or
+  // worse, with the unchecked per-packet lookup, a wild read) escape.
+  const auto g = network::gen::single_switch(2);
+  ASSERT_EQ(g.node_count(), 3u);
+  const auto routes = network::compute_routes(g);
+  Simulator sim(g, routes, SimConfig{});
+  const auto sw = g.switches()[0];
+  const auto ports = g.port_count(sw);
+  ASSERT_EQ(ports, 8u);
+  const auto host = g.hosts()[0];
+  const auto table = table_for({{0, 255}});
+
+  const std::vector<std::pair<const char*, std::function<void(
+                                               iba::NodeId, iba::PortIndex)>>>
+      entry_points{
+          {"set_output_arbitration",
+           [&](iba::NodeId n, iba::PortIndex p) {
+             sim.set_output_arbitration(n, p, table);
+           }},
+          {"set_sl_to_vl",
+           [&](iba::NodeId n, iba::PortIndex p) {
+             sim.set_sl_to_vl(n, p, iba::SlToVlMappingTable{});
+           }},
+          {"set_port_reserved_mbps",
+           [&](iba::NodeId n, iba::PortIndex p) {
+             sim.set_port_reserved_mbps(n, p, 10.0);
+           }},
+          {"flat_port_id",
+           [&](iba::NodeId n, iba::PortIndex p) { (void)sim.flat_port_id(n, p); }},
+          {"kick_port",
+           [&](iba::NodeId n, iba::PortIndex p) { sim.kick_port(n, p); }},
+          {"flush_output_queue",
+           [&](iba::NodeId n, iba::PortIndex p) {
+             (void)sim.flush_output_queue(n, p);
+           }},
+          {"purge_flow_from_output",
+           [&](iba::NodeId n, iba::PortIndex p) {
+             (void)sim.purge_flow_from_output(n, p, 0);
+           }},
+          {"clear_flow_purge",
+           [&](iba::NodeId n, iba::PortIndex p) {
+             sim.clear_flow_purge(n, p, 0);
+           }},
+      };
+  for (const auto& [name, call] : entry_points) {
+    SCOPED_TRACE(name);
+    const auto bad_port = invalid_argument_of([&] { call(sw, 9); });
+    EXPECT_NE(bad_port.find(name), std::string::npos) << bad_port;
+    EXPECT_NE(bad_port.find("node " + std::to_string(sw) + " port 9"),
+              std::string::npos)
+        << bad_port;
+    EXPECT_NE(bad_port.find("8 ports"), std::string::npos) << bad_port;
+
+    const auto bad_node = invalid_argument_of([&] { call(99, 0); });
+    EXPECT_NE(bad_node.find("node 99 port 0"), std::string::npos) << bad_node;
+    EXPECT_NE(bad_node.find("3 nodes"), std::string::npos) << bad_node;
+
+    const auto bad_host = invalid_argument_of([&] { call(host, 1); });
+    EXPECT_NE(bad_host.find("host " + std::to_string(host)),
+              std::string::npos)
+        << bad_host;
+    EXPECT_NE(bad_host.find("port 1"), std::string::npos) << bad_host;
+
+    // The last valid port still works.
+    EXPECT_NO_THROW(call(sw, static_cast<iba::PortIndex>(ports - 1)));
+  }
+
+  FlowSpec stray = cbr(host, 99, 0, 256, 2000);
+  EXPECT_NE(invalid_argument_of([&] { sim.add_flow(stray); }).find("node 99"),
+            std::string::npos);
+  std::vector<iba::PortIndex> lft(g.node_count() + 1, 0);
+  EXPECT_NE(invalid_argument_of([&] { sim.set_forwarding(99, lft); })
+                .find("node 99"),
+            std::string::npos);
 }
 
 TEST(Simulator, SetOutputArbitrationRejectsInvalidTables) {
