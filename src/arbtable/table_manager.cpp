@@ -18,21 +18,37 @@ TableManager::TableManager(Config cfg)
   assert(cfg_.reservable_fraction > 0.0 && cfg_.reservable_fraction <= 1.0);
 }
 
+namespace {
+
+/// Low-table entries a dynamic weight spreads over (chunks of up to 255).
+unsigned low_chunks(unsigned weight) noexcept {
+  return weight / iba::kMaxEntryWeight +
+         (weight % iba::kMaxEntryWeight != 0 ? 1 : 0);
+}
+
+/// Low-table entries `low_static` plus the per-VL `weights` need.
+unsigned count_low_entries(
+    std::span<const std::pair<iba::VirtualLane, std::uint8_t>> low_static,
+    std::span<const unsigned> weights) noexcept {
+  auto n = static_cast<unsigned>(low_static.size());
+  for (const auto weight : weights) n += low_chunks(weight);
+  return n;
+}
+
+}  // namespace
+
 void TableManager::configure_low_priority(
     std::span<const std::pair<iba::VirtualLane, std::uint8_t>> entries) {
   low_static_.assign(entries.begin(), entries.end());
-  const bool ok = render_low_table();
-  assert(ok && "static low-priority config must fit the table");
-  (void)ok;
+  low_entries_ = count_low_entries(low_static_, low_dynamic_weight_);
+  assert(low_entries_ <= iba::kArbTableEntries &&
+         "static low-priority config must fit the table");
+  low_dirty_ = true;
 }
 
-bool TableManager::render_low_table() {
-  std::size_t needed = low_static_.size();
-  for (const auto weight : low_dynamic_weight_)
-    needed += (weight + iba::kMaxEntryWeight - 1) / iba::kMaxEntryWeight;
-  if (needed > iba::kArbTableEntries) return false;
-
+void TableManager::render_low_table() const noexcept {
   auto& low = table_.low();
+  low = {};
   unsigned slot = 0;
   const auto put = [&](iba::ArbTableEntry e) { low[slot++] = e; };
   for (const auto& [vl, weight] : low_static_) put({vl, weight});
@@ -44,9 +60,7 @@ bool TableManager::render_low_table() {
       remaining -= chunk;
     }
   }
-  for (; slot < low_used_; ++slot) low[slot] = {};
-  low_used_ = static_cast<unsigned>(needed);
-  return true;
+  low_dirty_ = false;
 }
 
 void TableManager::index_sequence(SeqHandle handle) {
@@ -193,12 +207,16 @@ bool TableManager::add_low_weight(iba::VirtualLane vl, unsigned weight,
     ++stats_.reject_bandwidth;
     return false;
   }
-  low_dynamic_weight_[vl] += weight;
-  if (!render_low_table()) {
-    low_dynamic_weight_[vl] -= weight;
+  unsigned& vl_weight = low_dynamic_weight_[vl];
+  const unsigned entries =
+      low_entries_ - low_chunks(vl_weight) + low_chunks(vl_weight + weight);
+  if (entries > iba::kArbTableEntries) {
     ++stats_.reject_entries;
     return false;
   }
+  vl_weight += weight;
+  low_entries_ = entries;
+  low_dirty_ = true;
   reserved_mbps_ += mbps;
   low_reserved_mbps_ += mbps;
   return true;
@@ -206,11 +224,11 @@ bool TableManager::add_low_weight(iba::VirtualLane vl, unsigned weight,
 
 void TableManager::remove_low_weight(iba::VirtualLane vl, unsigned weight,
                                      double mbps) {
-  assert(low_dynamic_weight_[vl] >= weight);
-  low_dynamic_weight_[vl] -= weight;
-  const bool ok = render_low_table();
-  assert(ok && "shrinking the low table cannot fail");
-  (void)ok;
+  unsigned& vl_weight = low_dynamic_weight_[vl];
+  assert(vl_weight >= weight);
+  low_entries_ -= low_chunks(vl_weight) - low_chunks(vl_weight - weight);
+  vl_weight -= weight;
+  low_dirty_ = true;
   reserved_mbps_ -= mbps;
   low_reserved_mbps_ -= mbps;
 }
@@ -365,7 +383,14 @@ void TableManager::load_state(util::BinReader& r) {
   }
   if (r.get_u64() != low_dynamic_weight_.size())
     throw std::runtime_error("snapshot low-table weight count mismatch");
-  for (auto& lw : low_dynamic_weight_) lw = r.get_u32();
+  std::array<unsigned, iba::kMaxVirtualLanes> low_weight;
+  for (auto& lw : low_weight) lw = r.get_u32();
+  const unsigned low_entries = count_low_entries(low_static_, low_weight);
+  if (low_entries > iba::kArbTableEntries)
+    throw std::runtime_error("restored low table does not fit");
+  low_dynamic_weight_ = low_weight;
+  low_entries_ = low_entries;
+  low_dirty_ = true;
   reserved_mbps_ = r.get_double();
   low_reserved_mbps_ = r.get_double();
   stats_.allocations = r.get_u64();
@@ -378,8 +403,9 @@ void TableManager::load_state(util::BinReader& r) {
 
   // Rebuild the tables from the restored bookkeeping: every high slot is
   // cleared then repainted by its owning sequence, and the low table is
-  // re-rendered from static + dynamic weights. check_invariants() (run by
-  // the restore auditor) proves the rebuild matches the saved world.
+  // re-rendered from static + dynamic weights on its next read.
+  // check_invariants() (run by the restore auditor) proves the rebuild
+  // matches the saved world.
   table_.high() = {};
   occupied_ = 0;
   starts_ = {};
@@ -389,8 +415,6 @@ void TableManager::load_state(util::BinReader& r) {
     write_sequence(sequences_[h]);
     index_sequence(h);
   }
-  if (!render_low_table())
-    throw std::runtime_error("restored low table does not fit");
 }
 
 bool TableManager::check_invariants(std::string* why) const {
@@ -443,6 +467,42 @@ bool TableManager::check_invariants(std::string* why) const {
   if (used != occupied_) return fail("occupancy mask drift");
   if (starts != starts_) return fail("buddy-start mask drift");
   if (vl_handles != vl_handles_) return fail("per-VL handle index drift");
+
+  if (low_entries_ != count_low_entries(low_static_, low_dynamic_weight_))
+    return fail("low-table entry count drift");
+  if (low_entries_ > iba::kArbTableEntries)
+    return fail("low table needs more than 64 entries");
+  // The rendered low table: the static entries, then each VL's dynamic
+  // weight in ascending VL order as full 255 chunks plus a remainder, then
+  // empty slots.
+  const auto& low = table().low();
+  unsigned slot = 0;
+  const auto expect = [&](iba::VirtualLane vl, unsigned weight) {
+    const bool ok = low[slot] == iba::ArbTableEntry{
+                                     vl, static_cast<std::uint8_t>(weight)};
+    ++slot;
+    return ok;
+  };
+  for (const auto& [vl, weight] : low_static_)
+    if (!expect(vl, weight))
+      return fail("low table static entry mismatch at slot " +
+                  std::to_string(slot - 1));
+  for (unsigned vl = 0; vl < low_dynamic_weight_.size(); ++vl) {
+    const unsigned weight = low_dynamic_weight_[vl];
+    for (unsigned c = 0; c < weight / iba::kMaxEntryWeight; ++c)
+      if (!expect(static_cast<iba::VirtualLane>(vl), iba::kMaxEntryWeight))
+        return fail("low table dynamic entry mismatch at slot " +
+                    std::to_string(slot - 1));
+    if (weight % iba::kMaxEntryWeight != 0 &&
+        !expect(static_cast<iba::VirtualLane>(vl),
+                weight % iba::kMaxEntryWeight))
+      return fail("low table dynamic entry mismatch at slot " +
+                  std::to_string(slot - 1));
+  }
+  for (; slot < iba::kArbTableEntries; ++slot)
+    if (!(low[slot] == iba::ArbTableEntry{}))
+      return fail("low table slot " + std::to_string(slot) +
+                  " set beyond the rendered entries");
 
   double sum_mbps = low_reserved_mbps_;
   for (const auto& seq : sequences_)

@@ -19,6 +19,13 @@
 //  * vl_handles_[vl] marks the live handles on each VL, which is all the
 //    sharing lookup needs. Handles stay below 64: every live sequence holds
 //    at least one slot and a new handle is minted only when none is free.
+//
+// The low-priority table is rendered on read. add_low_weight and
+// remove_low_weight only adjust the per-VL weight and an incremental entry
+// count (static entries plus the sum of ceil(w_vl / 255)), which is all the
+// 64-entry check needs; table() re-renders the low table from them the first
+// time it is read after a change. On the admission path only
+// qos::AdmissionControl::program reads it.
 #pragma once
 
 #include <array>
@@ -105,7 +112,14 @@ class TableManager {
   bool add_low_weight(iba::VirtualLane vl, unsigned weight, double mbps);
   void remove_low_weight(iba::VirtualLane vl, unsigned weight, double mbps);
 
-  const iba::VlArbitrationTable& table() const noexcept { return table_; }
+  /// The port's arbitration tables. Renders the low table first if a
+  /// low-weight change is pending, so the first read after a change writes
+  /// through `mutable` state: concurrent reads of one manager need the
+  /// caller's synchronisation (every caller today reads from one thread).
+  const iba::VlArbitrationTable& table() const noexcept {
+    if (low_dirty_) render_low_table();
+    return table_;
+  }
   const Config& config() const noexcept { return cfg_; }
   const Stats& stats() const noexcept { return stats_; }
 
@@ -123,8 +137,10 @@ class TableManager {
   /// Audits internal consistency: the high table's weights must equal the
   /// sum over live sequences, positions must not overlap, per-entry weights
   /// must respect the 255 cap, spaced sequences must match their E_{i,j},
-  /// and the occupancy, buddy-start and per-VL masks must match the live
-  /// sequences they index.
+  /// the occupancy, buddy-start and per-VL masks must match the live
+  /// sequences they index, the incremental low-table entry count must match
+  /// its recount, and the rendered low table must be the static entries
+  /// followed by each VL's weight in chunks of up to 255.
   /// On failure `why` (if given) describes the first violation.
   bool check_invariants(std::string* why = nullptr) const;
 
@@ -174,18 +190,19 @@ class TableManager {
   void index_sequence(SeqHandle handle);
   void unindex_sequence(SeqHandle handle);
 
-  /// Re-renders the low table from the static best-effort entries plus the
-  /// dynamic per-VL weights: writes the slots it renders and clears the
-  /// rest of the previous render. Returns false (leaving the table
-  /// unchanged) when more than 64 entries would be needed.
-  bool render_low_table();
+  /// Renders the low table from the static best-effort entries plus the
+  /// dynamic per-VL weights into a cleared table. low_entries_ must be at
+  /// most 64.
+  void render_low_table() const noexcept;
 
   Config cfg_;
   util::Xoshiro256 rng_;
-  iba::VlArbitrationTable table_;
+  /// The high table is kept current; the low table is rendered on read.
+  mutable iba::VlArbitrationTable table_;
   std::vector<std::pair<iba::VirtualLane, std::uint8_t>> low_static_;
   std::array<unsigned, iba::kMaxVirtualLanes> low_dynamic_weight_{};
-  unsigned low_used_ = 0;  ///< Low-table slots the last render filled.
+  unsigned low_entries_ = 0;        ///< Entries the next render fills.
+  mutable bool low_dirty_ = false;  ///< The low table lags the weights.
   std::vector<Sequence> sequences_;
   std::vector<SeqHandle> free_handles_;
   std::uint64_t occupied_ = 0;

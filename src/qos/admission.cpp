@@ -1,8 +1,11 @@
 #include "qos/admission.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace ibarb::qos {
 
@@ -83,6 +86,97 @@ void AdmissionControl::release_hops(const std::vector<HopReservation>& hops) {
   }
 }
 
+std::size_t AdmissionControl::home_position(ConnectionId id) const noexcept {
+  return static_cast<std::size_t>((id * 0x9E3779B97F4A7C15ull) >>
+                                  index_shift_);
+}
+
+std::uint32_t AdmissionControl::find_slot(ConnectionId id) const noexcept {
+  if (slot_index_.empty()) return kNoSlot;
+  const std::size_t mask = slot_index_.size() - 1;
+  for (std::size_t at = home_position(id);; at = (at + 1) & mask) {
+    const std::uint32_t slot = slot_index_[at];
+    if (slot == kNoSlot || records_[slot].id == id) return slot;
+  }
+}
+
+void AdmissionControl::index_slot(std::uint32_t slot) {
+  const std::size_t mask = slot_index_.size() - 1;
+  std::size_t at = home_position(records_[slot].id);
+  while (slot_index_[at] != kNoSlot) at = (at + 1) & mask;
+  slot_index_[at] = slot;
+}
+
+void AdmissionControl::grow_index() {
+  const std::size_t size = slot_index_.empty() ? 16 : 2 * slot_index_.size();
+  slot_index_.assign(size, kNoSlot);
+  index_shift_ = 64 - static_cast<unsigned>(std::countr_zero(size));
+  for (std::uint32_t slot = 0; slot < records_.size(); ++slot)
+    if (records_[slot].id != 0) index_slot(slot);
+}
+
+Connection& AdmissionControl::insert_record(ConnectionId id) {
+  assert(id != 0 && find_slot(id) == kNoSlot);
+  const std::size_t indexed = records_.size() - free_slots_.size();
+  if (4 * (indexed + 1) > 3 * slot_index_.size()) grow_index();
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(records_.size());
+    records_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  records_[slot].id = id;
+  index_slot(slot);
+  return records_[slot];
+}
+
+void AdmissionControl::erase_record(std::uint32_t slot) {
+  const std::size_t mask = slot_index_.size() - 1;
+  std::size_t hole = home_position(records_[slot].id);
+  while (slot_index_[hole] != slot) hole = (hole + 1) & mask;
+  // Backward-shift deletion: pull later entries of the probe run into the
+  // hole unless that would move one before its home position.
+  for (std::size_t at = (hole + 1) & mask; slot_index_[at] != kNoSlot;
+       at = (at + 1) & mask) {
+    const std::size_t home = home_position(records_[slot_index_[at]].id);
+    if (((at - home) & mask) >= ((at - hole) & mask)) {
+      slot_index_[hole] = slot_index_[at];
+      hole = at;
+    }
+  }
+  slot_index_[hole] = kNoSlot;
+  records_[slot].id = 0;
+  free_slots_.push_back(slot);
+}
+
+void AdmissionControl::require_unused_id() const {
+  if (next_id_ == std::numeric_limits<ConnectionId>::max())
+    throw std::length_error("connection ids exhausted");
+}
+
+ConnectionId AdmissionControl::record_admission(const ConnectionRequest& req,
+                                                TrafficCategory category,
+                                                iba::Cycle deadline) {
+  assert(next_id_ != std::numeric_limits<ConnectionId>::max());
+  Connection& conn = insert_record(next_id_++);
+  conn.request = req;
+  conn.hops.assign(pending_hops_.begin(), pending_hops_.end());
+  conn.deadline = deadline;
+  conn.live = true;
+  conn.category = category;
+  ++accepted_;
+  return conn.id;
+}
+
+const Connection& AdmissionControl::connection(ConnectionId id) const {
+  const auto slot = find_slot(id);
+  if (slot == kNoSlot)
+    throw std::out_of_range("unknown connection id " + std::to_string(id));
+  return records_[slot];
+}
+
 std::optional<ConnectionId> AdmissionControl::request(
     const ConnectionRequest& req) {
   const SlProfile* profile = find_sl(catalogue_, req.sl);
@@ -92,6 +186,7 @@ std::optional<ConnectionId> AdmissionControl::request(
   const bool legacy_db = cfg_.scheme == Scheme::kLegacy &&
                          profile->category == TrafficCategory::kDb;
 
+  require_unused_id();
   pending_hops_.clear();
   const bool ok = routes_.for_each_hop(
       req.src_host, req.dst_host, [&](const network::PortRef& port) {
@@ -128,19 +223,11 @@ std::optional<ConnectionId> AdmissionControl::request(
     return std::nullopt;
   }
 
-  Connection conn;
-  conn.request = req;
-  conn.hops = pending_hops_;
-  conn.id = next_id_++;
-  conn.live = true;
-  conn.category = profile->category;
-  conn.deadline =
+  return record_admission(
+      req, profile->category,
       end_to_end_guarantee(req.max_distance,
-                           static_cast<unsigned>(conn.hops.size()),
-                           cfg_.max_packet_wire_bytes);
-  connections_.emplace(conn.id, std::move(conn));
-  ++accepted_;
-  return connections_.rbegin()->second.id;
+                           static_cast<unsigned>(pending_hops_.size()),
+                           cfg_.max_packet_wire_bytes));
 }
 
 std::optional<ConnectionId> AdmissionControl::request_best_effort(
@@ -149,6 +236,7 @@ std::optional<ConnectionId> AdmissionControl::request_best_effort(
   if (profile == nullptr || profile->max_distance != 0)
     throw std::invalid_argument("SL is not a best-effort class");
 
+  require_unused_id();
   pending_hops_.clear();
   const bool ok = routes_.for_each_hop(
       req.src_host, req.dst_host, [&](const network::PortRef& port) {
@@ -178,16 +266,8 @@ std::optional<ConnectionId> AdmissionControl::request_best_effort(
     return std::nullopt;
   }
 
-  Connection conn;
-  conn.request = req;
-  conn.hops = pending_hops_;
-  conn.id = next_id_++;
-  conn.live = true;
-  conn.category = profile->category;
-  conn.deadline = 0;  // no latency guarantee
-  connections_.emplace(conn.id, std::move(conn));
-  ++accepted_;
-  return connections_.rbegin()->second.id;
+  return record_admission(req, profile->category,
+                          /*deadline=*/0);  // no latency guarantee
 }
 
 AdmissionControl::DegradeResult AdmissionControl::request_degrading(
@@ -215,7 +295,7 @@ AdmissionControl::DegradeResult AdmissionControl::request_degrading(
     // The most sheddable overlapping victim: lowest class rank, newest id.
     const Connection* victim = nullptr;
     int victim_rank = 0;
-    for (const auto& [id, conn] : connections_) {
+    for (const auto& conn : records_) {
       if (!conn.live) continue;
       const int rank = shed_rank(conn.category);
       if (rank < 0) continue;
@@ -225,7 +305,7 @@ AdmissionControl::DegradeResult AdmissionControl::request_degrading(
           });
       if (!overlaps) continue;
       if (victim == nullptr || rank < victim_rank ||
-          (rank == victim_rank && id > victim->id)) {
+          (rank == victim_rank && conn.id > victim->id)) {
         victim = &conn;
         victim_rank = rank;
       }
@@ -240,12 +320,12 @@ AdmissionControl::DegradeResult AdmissionControl::request_degrading(
 }
 
 void AdmissionControl::forget(ConnectionId id) {
-  const auto it = connections_.find(id);
-  if (it == connections_.end())
+  const auto slot = find_slot(id);
+  if (slot == kNoSlot)
     throw std::invalid_argument("forget: unknown connection");
-  if (it->second.live)
+  if (records_[slot].live)
     throw std::invalid_argument("forget: connection is still live");
-  connections_.erase(it);
+  erase_record(slot);
 }
 
 bool AdmissionControl::can_admit_path(const ConnectionRequest& req) const {
@@ -270,18 +350,19 @@ bool AdmissionControl::can_admit_path(const ConnectionRequest& req) const {
 
 std::uint64_t AdmissionControl::live_count() const noexcept {
   std::uint64_t n = 0;
-  for (const auto& [id, conn] : connections_)
+  for (const auto& conn : records_)
     if (conn.live) ++n;
   return n;
 }
 
 void AdmissionControl::release(ConnectionId id) {
-  const auto it = connections_.find(id);
-  if (it == connections_.end() || !it->second.live)
+  const auto slot = find_slot(id);
+  if (slot == kNoSlot || !records_[slot].live)
     throw std::invalid_argument("unknown or already-released connection");
-  release_hops(it->second.hops);
-  it->second.live = false;
-  it->second.hops.clear();
+  Connection& conn = records_[slot];
+  release_hops(conn.hops);
+  conn.live = false;
+  conn.hops.clear();
 }
 
 void AdmissionControl::program(sim::Simulator& sim) const {
@@ -354,9 +435,17 @@ void AdmissionControl::save_state(util::BinWriter& w) const {
     w.put_u64(key);
     manager.save_state(w);
   }
-  w.put_u64(live_count());
-  for (const auto& [id, conn] : connections_) {
-    if (!conn.live) continue;
+  // Live records in ascending id order, whatever slots they occupy.
+  std::vector<const Connection*> live;
+  for (const auto& conn : records_)
+    if (conn.live) live.push_back(&conn);
+  std::sort(live.begin(), live.end(),
+            [](const Connection* a, const Connection* b) {
+              return a->id < b->id;
+            });
+  w.put_u64(live.size());
+  for (const Connection* record : live) {
+    const Connection& conn = *record;
     w.put_u32(conn.id);
     w.put_u32(conn.request.src_host);
     w.put_u32(conn.request.dst_host);
@@ -400,11 +489,17 @@ void AdmissionControl::load_state(util::BinReader& r) {
       throw std::runtime_error("snapshot references an unwired port");
     managers_[index].manager.load_state(r);
   }
-  connections_.clear();
+  records_.clear();
+  free_slots_.clear();
+  std::fill(slot_index_.begin(), slot_index_.end(), kNoSlot);
   const auto live = r.get_length();
   for (std::size_t i = 0; i < live; ++i) {
-    Connection conn;
-    conn.id = r.get_u32();
+    const ConnectionId id = r.get_u32();
+    if (id == 0 || find_slot(id) != kNoSlot)
+      throw std::runtime_error(
+          "snapshot has a zero or duplicate connection id " +
+          std::to_string(id));
+    Connection& conn = insert_record(id);
     conn.request.src_host = r.get_u32();
     conn.request.dst_host = r.get_u32();
     conn.request.sl = r.get_u8();
@@ -426,11 +521,18 @@ void AdmissionControl::load_state(util::BinReader& r) {
     conn.deadline = r.get_u64();
     conn.category = static_cast<TrafficCategory>(r.get_u8());
     conn.live = true;
-    const auto id = conn.id;
-    if (!connections_.emplace(id, std::move(conn)).second)
-      throw std::runtime_error("snapshot has a duplicate connection id");
   }
   next_id_ = r.get_u32();
+  if (next_id_ == 0)
+    throw std::runtime_error("snapshot next connection id is 0");
+  // request() mints next_id_ onwards, so every restored id must lie below
+  // it, or a later admission would clash with a restored connection.
+  for (const auto& conn : records_)
+    if (conn.id >= next_id_)
+      throw std::runtime_error("snapshot connection id " +
+                               std::to_string(conn.id) +
+                               " is not below the saved next id " +
+                               std::to_string(next_id_));
   accepted_ = r.get_u64();
   rejected_ = r.get_u64();
 }

@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -91,12 +90,15 @@ class AdmissionControl {
   /// Theorem-1 false reject; the churn engine audits exactly that.
   bool can_admit_path(const ConnectionRequest& req) const;
 
-  const Connection& connection(ConnectionId id) const {
-    return connections_.at(id);
-  }
-  bool is_live(ConnectionId id) const {
-    const auto it = connections_.find(id);
-    return it != connections_.end() && it->second.live;
+  /// The record of a live or released (not yet forgotten) connection.
+  /// Throws std::out_of_range for an unknown id. Records live in a flat
+  /// array whose slots are reused, so the reference dies at the next
+  /// request(), request_best_effort(), request_degrading(), forget() or
+  /// load_state(): read what you need, then drop it.
+  const Connection& connection(ConnectionId id) const;
+  bool is_live(ConnectionId id) const noexcept {
+    const auto slot = find_slot(id);
+    return slot != kNoSlot && records_[slot].live;
   }
 
   /// Programs every port's VLArbitrationTable and reservation annotation
@@ -158,6 +160,35 @@ class AdmissionControl {
   /// a released connection's whole path).
   void release_hops(const std::vector<HopReservation>& hops);
 
+  /// Throws std::length_error when every 32-bit id has been minted; called
+  /// before a request reserves any hop, so a refusal holds nothing.
+  void require_unused_id() const;
+  /// Records an admitted connection over pending_hops_ under a fresh id.
+  ConnectionId record_admission(const ConnectionRequest& req,
+                                TrafficCategory category,
+                                iba::Cycle deadline);
+
+  /// The connection records: records_ is a dense array of slots, reused
+  /// through the free_slots_ stack; a free slot has id 0, which is never
+  /// minted. slot_index_ maps an id to its slot by open addressing (linear
+  /// probing from a Fibonacci hash of the id, backward-shift deletion, at
+  /// most 3/4 full); an entry holds only the slot, the id is read back from
+  /// the record. A reused slot keeps its hop list's capacity, so admission
+  /// allocates nothing once the records have grown.
+  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+  /// The slot holding `id`, or kNoSlot.
+  std::uint32_t find_slot(ConnectionId id) const noexcept;
+  /// Where `id`'s probe run starts in slot_index_.
+  std::size_t home_position(ConnectionId id) const noexcept;
+  /// Adds the record in `slot` to slot_index_ under its id.
+  void index_slot(std::uint32_t slot);
+  /// Takes a free slot (or appends one) for `id` and indexes it.
+  Connection& insert_record(ConnectionId id);
+  /// Unindexes the record in `slot` and frees the slot.
+  void erase_record(std::uint32_t slot);
+  /// Doubles slot_index_ (from 16 entries) and re-indexes every record.
+  void grow_index();
+
   const network::FabricGraph& graph_;
   const network::Routes& routes_;
   std::vector<SlProfile> catalogue_;
@@ -173,7 +204,10 @@ class AdmissionControl {
   std::vector<std::uint32_t> port_slot_;
   /// Hops of the request being placed; reused so a refusal allocates nothing.
   std::vector<HopReservation> pending_hops_;
-  std::map<ConnectionId, Connection> connections_;
+  std::vector<Connection> records_;
+  std::vector<std::uint32_t> free_slots_;
+  std::vector<std::uint32_t> slot_index_;
+  unsigned index_shift_ = 64;  ///< 64 - log2(slot_index_.size()).
   ConnectionId next_id_ = 1;
   std::uint64_t accepted_ = 0;
   std::uint64_t rejected_ = 0;

@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "arbtable/entry_set.hpp"
 #include "network/topology.hpp"
 #include "qos/traffic_classes.hpp"
 #include "subnet/subnet_manager.hpp"
+#include "util/binary.hpp"
 #include "util/rng.hpp"
 
 namespace ibarb::qos {
@@ -253,6 +257,213 @@ TEST(Admission, SurvivesFaultStyleChurn) {
     if (admission.is_live(id)) admission.release(id);
   std::string why;
   EXPECT_TRUE(admission.check_all_invariants(&why)) << why;
+}
+
+// --------------------------------------------------------------------------
+// Connection records: a dense slot array with an open-addressing id index.
+
+ConnectionRequest tiny_request(const std::vector<iba::NodeId>& hosts,
+                               util::Xoshiro256& rng) {
+  ConnectionRequest r;
+  r.src_host = hosts[rng.below(hosts.size())];
+  do {
+    r.dst_host = hosts[rng.below(hosts.size())];
+  } while (r.dst_host == r.src_host);
+  r.sl = 7;
+  r.max_distance = 64;
+  r.wire_mbps = 0.25;
+  return r;
+}
+
+/// The connection ids in AdmissionControl::save_state's bytes, in the order
+/// written. Each port manager's state is skipped by loading it into a
+/// scratch manager built with that port's config.
+std::vector<ConnectionId> saved_ids(const AdmissionControl& ac) {
+  util::BinWriter w;
+  ac.save_state(w);
+  util::BinReader r(w.bytes());
+  const auto managers = r.get_u64();
+  for (std::uint64_t i = 0; i < managers; ++i) {
+    const auto key = r.get_u64();
+    arbtable::TableManager scratch(
+        ac.port_manager(static_cast<iba::NodeId>(key / 256),
+                        static_cast<iba::PortIndex>(key % 256))
+            .config());
+    scratch.load_state(r);
+  }
+  std::vector<ConnectionId> ids(r.get_length());
+  for (auto& id : ids) {
+    id = r.get_u32();
+    (void)r.get_u32();  // src
+    (void)r.get_u32();  // dst
+    (void)r.get_u8();   // sl
+    (void)r.get_u32();  // max distance
+    (void)r.get_double();
+    const auto hops = r.get_length();
+    for (std::size_t h = 0; h < hops; ++h) {
+      (void)r.get_u32();
+      (void)r.get_u8();
+      for (int k = 0; k < 5; ++k) (void)r.get_u32();
+      (void)r.get_double();
+      (void)r.get_bool();
+      (void)r.get_u8();
+    }
+    (void)r.get_u64();  // deadline
+    (void)r.get_u8();   // category
+  }
+  return ids;
+}
+
+TEST(ConnectionRecords, TenThousandSetupForgetCyclesKeepEveryRecord) {
+  // The live count swings between ~40 and ~1500 records, so the id index
+  // grows several times and each shrink deletes from the middle of probe
+  // runs (backward shift), leaving the surviving ids scattered. Every
+  // record must stay reachable by its id and every forgotten id unknown.
+  Fixture f(network::gen::single_switch(8));
+  AdmissionControl ac(f.graph, f.routes, paper_catalogue(), cfg());
+  const auto hosts = f.graph.hosts();
+  util::Xoshiro256 rng(77);
+  std::vector<std::pair<ConnectionId, ConnectionRequest>> live;
+  std::vector<ConnectionId> forgotten;
+  ConnectionId last_id = 0;
+  std::size_t cycles = 0;
+  bool growing = true;
+  for (int step = 0; cycles < 10'000; ++step) {
+    if (growing) {
+      const auto r = tiny_request(hosts, rng);
+      const auto id = ac.request(r);
+      ASSERT_TRUE(id.has_value()) << "step " << step;
+      ASSERT_GT(*id, last_id) << "ids are minted in ascending order";
+      last_id = *id;
+      live.emplace_back(*id, r);
+      growing = live.size() < 1500;
+    } else {
+      const auto k = rng.below(live.size());
+      const auto id = live[k].first;
+      live[k] = live.back();
+      live.pop_back();
+      ac.release(id);
+      ac.forget(id);
+      forgotten.push_back(id);
+      ++cycles;
+      growing = live.size() <= 40;
+    }
+    if (step % 97 != 0) continue;
+    for (const auto& [id, r] : live) {
+      ASSERT_TRUE(ac.is_live(id)) << "id " << id << " at step " << step;
+      const auto& conn = ac.connection(id);
+      ASSERT_EQ(conn.id, id);
+      ASSERT_EQ(conn.request.src_host, r.src_host);
+      ASSERT_EQ(conn.request.dst_host, r.dst_host);
+    }
+    for (std::size_t i = forgotten.size() > 50 ? forgotten.size() - 50 : 0;
+         i < forgotten.size(); ++i) {
+      ASSERT_FALSE(ac.is_live(forgotten[i]));
+      ASSERT_THROW((void)ac.connection(forgotten[i]), std::out_of_range);
+    }
+  }
+  EXPECT_EQ(ac.live_count(), live.size());
+  std::string why;
+  EXPECT_TRUE(ac.check_all_invariants(&why)) << why;
+}
+
+TEST(ConnectionRecords, UnknownIdThrowsOutOfRange) {
+  Fixture f(network::gen::line(2, 1));
+  AdmissionControl ac(f.graph, f.routes, paper_catalogue(), cfg());
+  EXPECT_THROW((void)ac.connection(1), std::out_of_range);  // empty store
+  const auto hosts = f.graph.hosts();
+  const auto id = ac.request(req(hosts[0], hosts[1], 7, 64, 1.0));
+  ASSERT_TRUE(id.has_value());
+  EXPECT_THROW((void)ac.connection(0), std::out_of_range);
+  EXPECT_THROW((void)ac.connection(*id + 1), std::out_of_range);
+  ac.release(*id);
+  EXPECT_EQ(ac.connection(*id).id, *id);  // released, not yet forgotten
+  ac.forget(*id);
+  EXPECT_THROW((void)ac.connection(*id), std::out_of_range);
+}
+
+TEST(ConnectionRecords, ForgetRejectsLiveAndUnknownIds) {
+  Fixture f(network::gen::line(2, 1));
+  AdmissionControl ac(f.graph, f.routes, paper_catalogue(), cfg());
+  const auto hosts = f.graph.hosts();
+  const auto id = ac.request(req(hosts[0], hosts[1], 7, 64, 1.0));
+  ASSERT_TRUE(id.has_value());
+  EXPECT_THROW(ac.forget(*id), std::invalid_argument);  // still live
+  EXPECT_THROW(ac.forget(*id + 1), std::invalid_argument);
+  EXPECT_THROW(ac.forget(0), std::invalid_argument);
+  ac.release(*id);
+  ac.forget(*id);
+  EXPECT_THROW(ac.forget(*id), std::invalid_argument);  // already forgotten
+}
+
+TEST(ConnectionRecords, SaveStateWritesIdsAscendingAfterSlotReuse) {
+  Fixture f(network::gen::single_switch(4));
+  AdmissionControl ac(f.graph, f.routes, paper_catalogue(), cfg());
+  const auto hosts = f.graph.hosts();
+  util::Xoshiro256 rng(3);
+  std::vector<ConnectionId> ids;
+  const auto admit = [&] {
+    ids.push_back(*ac.request(tiny_request(hosts, rng)));
+  };
+  for (int i = 0; i < 12; ++i) admit();
+  // Free slots in an order that hands them back out of id order.
+  for (const auto k : {1, 6, 3, 9}) {
+    ac.release(ids[k]);
+    ac.forget(ids[k]);
+  }
+  ac.release(ids[4]);  // released but not forgotten: not written
+  for (int i = 0; i < 3; ++i) admit();
+
+  const auto saved = saved_ids(ac);
+  ASSERT_EQ(saved.size(), ac.live_count());
+  for (std::size_t i = 1; i < saved.size(); ++i)
+    EXPECT_LT(saved[i - 1], saved[i]) << "position " << i;
+  EXPECT_EQ(std::count(saved.begin(), saved.end(), ids[4]), 0);
+  EXPECT_EQ(saved.back(), ids.back());
+}
+
+TEST(ConnectionRecords, RestoreThenSaveIsByteIdentical) {
+  Fixture f(network::gen::single_switch(6));
+  AdmissionControl ac(f.graph, f.routes, paper_catalogue(), cfg());
+  const auto hosts = f.graph.hosts();
+  util::Xoshiro256 rng(19);
+  std::vector<ConnectionId> live;
+  for (int step = 0; step < 600; ++step) {
+    if (live.size() > 20 && rng.below(3) == 0) {
+      const auto k = rng.below(live.size());
+      ac.release(live[k]);
+      if (rng.below(2) == 0) ac.forget(live[k]);
+      live[k] = live.back();
+      live.pop_back();
+    } else if (rng.below(4) == 0) {
+      auto r = tiny_request(hosts, rng);
+      r.sl = 10;  // best effort: low-table weight
+      r.wire_mbps = 1.0;
+      if (const auto id = ac.request_best_effort(r)) live.push_back(*id);
+    } else if (const auto id = ac.request(tiny_request(hosts, rng))) {
+      live.push_back(*id);
+    }
+  }
+  util::BinWriter saved;
+  ac.save_state(saved);
+
+  AdmissionControl restored(f.graph, f.routes, paper_catalogue(), cfg());
+  util::BinReader r(saved.bytes());
+  restored.load_state(r);
+  EXPECT_TRUE(r.at_end());
+  std::string why;
+  EXPECT_TRUE(restored.audit_full(&why)) << why;
+  util::BinWriter again;
+  restored.save_state(again);
+  EXPECT_EQ(again.bytes(), saved.bytes());
+
+  // Both sides mint the same next id, and it clashes with nothing restored.
+  const auto next = tiny_request(hosts, rng);
+  const auto a = ac.request(next);
+  const auto b = restored.request(next);
+  ASSERT_TRUE(a && b);
+  EXPECT_EQ(*a, *b);
+  for (const auto id : live) EXPECT_EQ(restored.is_live(id), ac.is_live(id));
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 // exactly the same control-plane state as the uninterrupted world.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -406,6 +407,156 @@ TEST(Snapshot, AdmissionOnlyWorldRoundTripsAndAudits) {
   TestWorld with_engine(seed, quick_churn(seed));
   EXPECT_THROW((void)control::restore_world(blob, seed, with_engine.refs()),
                std::runtime_error);
+}
+
+/// Replaces the `bytes.size()` bytes at `at` in the blob's payload and
+/// reseals it, so the CRC is valid and only the payload's meaning is wrong.
+std::vector<std::uint8_t> reframe(const std::vector<std::uint8_t>& blob,
+                                  std::size_t at,
+                                  const std::vector<std::uint8_t>& bytes) {
+  auto payload = control::open_envelope(blob);
+  std::copy(bytes.begin(), bytes.end(),
+            payload.begin() + static_cast<std::ptrdiff_t>(at));
+  return control::seal_envelope(payload);
+}
+
+std::vector<std::uint8_t> u32_bytes(std::uint32_t v) {
+  util::BinWriter w;
+  w.put_u32(v);
+  return w.bytes();
+}
+
+TEST(Snapshot, RestoreRejectsConnectionIdsThatRequestCouldMintAgain) {
+  // A restored id of 0, or one at or above the saved next id, would let a
+  // later request() mint an id that is already taken. Blobs carrying such
+  // ids are refused with an error naming the id, even under a valid CRC.
+  const std::uint64_t seed = 43;
+  const auto graph = make_small_fabric();
+  const subnet::SubnetManager sm(graph);
+  qos::AdmissionControl::Config ac;
+  ac.seed = seed;
+  qos::AdmissionControl admission(graph, sm.routes(), qos::paper_catalogue(),
+                                  ac);
+  const auto hosts = graph.hosts();
+  std::optional<qos::ConnectionId> first;
+  qos::ConnectionId last = 0;
+  for (std::size_t i = 0; i + 1 < hosts.size(); ++i) {
+    qos::ConnectionRequest req;
+    req.src_host = hosts[i];
+    req.dst_host = hosts[i + 1];
+    req.sl = 7;
+    req.max_distance = 64;
+    req.wire_mbps = 1.0;
+    const auto id = admission.request(req);
+    ASSERT_TRUE(id.has_value());
+    if (!first) first = id;
+    last = *id;
+  }
+  ASSERT_GT(last, *first);
+  const auto blob = control::save_world(
+      1, seed, control::World{&admission, nullptr, nullptr, nullptr});
+
+  // Locate the admission state in the payload, its saved next id (followed
+  // by the two u64 counters) and the first record (id, src, dst).
+  util::BinWriter state;
+  admission.save_state(state);
+  const auto payload = control::open_envelope(blob);
+  const auto begin = std::search(payload.begin(), payload.end(),
+                                 state.bytes().begin(), state.bytes().end());
+  ASSERT_NE(begin, payload.end());
+  const auto state_at = static_cast<std::size_t>(begin - payload.begin());
+  const std::size_t next_id_at = state_at + state.bytes().size() - 20;
+  util::BinWriter record;
+  record.put_u32(*first);
+  record.put_u32(admission.connection(*first).request.src_host);
+  record.put_u32(admission.connection(*first).request.dst_host);
+  const auto rec = std::search(begin, payload.end(), record.bytes().begin(),
+                               record.bytes().end());
+  ASSERT_NE(rec, payload.end());
+  const auto record_at = static_cast<std::size_t>(rec - payload.begin());
+
+  const auto restore = [&](const std::vector<std::uint8_t>& b) {
+    qos::AdmissionControl fresh(graph, sm.routes(), qos::paper_catalogue(),
+                                ac);
+    (void)control::restore_world(
+        b, seed, control::World{&fresh, nullptr, nullptr, nullptr});
+  };
+  const auto expect_refusal = [&](const std::vector<std::uint8_t>& b,
+                                  qos::ConnectionId named) {
+    try {
+      restore(b);
+      ADD_FAILURE() << "blob with connection id " << named << " restored";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(" " + std::to_string(named)),
+                std::string::npos)
+          << e.what();
+    }
+  };
+
+  // Re-framing alone changes nothing: the untouched payload restores.
+  EXPECT_NO_THROW(restore(reframe(blob, next_id_at, u32_bytes(last + 1))));
+  // The saved next id no longer lies above the largest restored id.
+  expect_refusal(reframe(blob, next_id_at, u32_bytes(last)), last);
+  // A record id of 0 (never minted).
+  expect_refusal(reframe(blob, record_at, u32_bytes(0)), 0);
+  // A record id at or above the saved next id.
+  expect_refusal(reframe(blob, record_at, u32_bytes(last + 1)), last + 1);
+  expect_refusal(reframe(blob, record_at, u32_bytes(last + 7)), last + 7);
+  // A record id that repeats another record's.
+  expect_refusal(reframe(blob, record_at, u32_bytes(last)), last);
+}
+
+TEST(Snapshot, RestoredLastIdRefusesRequestsBeforeReservingAnyHop) {
+  // A saved next id of 2^32 - 1 restores (no record lies at or above it),
+  // but no id is left to mint: request() and request_best_effort() throw
+  // std::length_error before they reserve any hop of the path.
+  const std::uint64_t seed = 47;
+  const auto graph = make_small_fabric();
+  const subnet::SubnetManager sm(graph);
+  qos::AdmissionControl::Config ac;
+  ac.seed = seed;
+  qos::AdmissionControl saved(graph, sm.routes(), qos::paper_catalogue(), ac);
+  const auto blob = control::save_world(
+      1, seed, control::World{&saved, nullptr, nullptr, nullptr});
+  util::BinWriter state;
+  saved.save_state(state);
+  const auto payload = control::open_envelope(blob);
+  const auto begin = std::search(payload.begin(), payload.end(),
+                                 state.bytes().begin(), state.bytes().end());
+  ASSERT_NE(begin, payload.end());
+  // The saved next id is followed by the two u64 counters.
+  const std::size_t next_id_at =
+      static_cast<std::size_t>(begin - payload.begin()) +
+      state.bytes().size() - 20;
+
+  qos::AdmissionControl admission(graph, sm.routes(), qos::paper_catalogue(),
+                                  ac);
+  (void)control::restore_world(
+      reframe(blob, next_id_at, u32_bytes(0xFFFFFFFFu)), seed,
+      control::World{&admission, nullptr, nullptr, nullptr});
+
+  const auto hosts = graph.hosts();
+  qos::ConnectionRequest req;
+  req.src_host = hosts.front();
+  req.dst_host = hosts.back();
+  req.sl = 7;
+  req.max_distance = 64;
+  req.wire_mbps = 1.0;
+  EXPECT_THROW((void)admission.request(req), std::length_error);
+  req.sl = 10;  // best effort: low-table weight
+  EXPECT_THROW((void)admission.request_best_effort(req), std::length_error);
+
+  std::string why;
+  EXPECT_TRUE(admission.audit_full(&why)) << why;
+  for (iba::NodeId node = 0; node < graph.node_count(); ++node) {
+    const unsigned ports = graph.is_switch(node) ? graph.port_count(node) : 1;
+    for (unsigned p = 0; p < ports; ++p) {
+      const auto port = static_cast<iba::PortIndex>(p);
+      if (!graph.peer(node, port)) continue;
+      EXPECT_EQ(admission.port_manager(node, port).reserved_mbps(), 0.0)
+          << "node " << node << " port " << p;
+    }
+  }
 }
 
 TEST(ChurnEngine, RestoreGuardsRejectMismatches) {

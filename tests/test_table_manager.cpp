@@ -346,6 +346,31 @@ TEST(TableManager, InvariantCheckerCatchesCorruption) {
   EXPECT_FALSE(why.empty());
 }
 
+TEST(LowTableAudit, CatchesAStaleOrCorruptRender) {
+  TableManager::Config c;
+  c.reservable_fraction = 1.0;
+  TableManager m(c);
+  m.configure_low_priority(
+      std::vector<std::pair<iba::VirtualLane, std::uint8_t>>{{14, 32}});
+  ASSERT_TRUE(m.add_low_weight(3, 300, 1.0));
+  ASSERT_TRUE(m.add_low_weight(5, 10, 1.0));
+  std::string why;
+  ASSERT_TRUE(m.check_invariants(&why)) << why;
+
+  // Corrupt the rendered table behind the manager's back (test only).
+  auto& table = const_cast<iba::VlArbitrationTable&>(m.table());
+  table.low()[2].weight = 44;  // VL 3's second chunk is 45
+  EXPECT_FALSE(m.check_invariants(&why));
+  EXPECT_NE(why.find("slot 2"), std::string::npos) << why;
+
+  // The next change re-renders and repairs the table.
+  m.remove_low_weight(5, 10, 1.0);
+  EXPECT_TRUE(m.check_invariants(&why)) << why;
+  table.low()[10] = {7, 1};  // beyond the three rendered entries
+  EXPECT_FALSE(m.check_invariants(&why));
+  EXPECT_NE(why.find("slot 10"), std::string::npos) << why;
+}
+
 TEST(TableManager, ChurnWithDefrag) {
   // Random allocate/release churn with defragmentation on every release,
   // over a static low table: the invariants hold after every step and a

@@ -2,12 +2,16 @@
 //
 // The reference below spells the manager out the direct way — positions as
 // ascending slot lists, the fill scan as scan_order + per-slot checks, a
-// linear sharing scan, a sorting defragmenter and a full low-table
-// re-render. The production manager reaches the same results with slot
-// masks, buddy-start masks, a per-VL handle index and a diffed low render.
-// Seeded random churn under every FillPolicy must leave both with identical
-// high and low tables, Stats, RNG state and save_state bytes after every
-// single step.
+// linear sharing scan, a sorting defragmenter and a low table re-rendered
+// in full on every add_low_weight/remove_low_weight. The production manager
+// reaches the same results with slot masks, buddy-start masks, a per-VL
+// handle index and a low table rendered when it is read. Seeded random
+// churn under every FillPolicy must leave both with identical Stats, RNG
+// state and save_state bytes after every single step, and identical high
+// and low tables whenever the production tables are read: every step, or
+// every few steps so that one render covers a batch of low-weight changes.
+// Some cases end with a phase of large best-effort rates, so that
+// add_low_weight meets the bandwidth cap as well as the 64-entry limit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -369,17 +373,23 @@ struct DiffCase {
   FillPolicy policy;
   bool defrag;
   std::uint64_t seed;
+  /// The production tables are read (and audited) every this many steps.
+  int read_every = 1;
+  /// Steps 2000 on add best-effort weight at 100-299 Mbps.
+  bool large_low_rates = false;
 };
 
 void PrintTo(const DiffCase& c, std::ostream* os) {
   *os << to_string(c.policy) << (c.defrag ? " defrag" : " no-defrag")
       << " seed " << c.seed;
+  if (c.read_every != 1) *os << " read every " << c.read_every;
+  if (c.large_low_rates) *os << " large low rates";
 }
 
 class TableManagerReference : public ::testing::TestWithParam<DiffCase> {};
 
 TEST_P(TableManagerReference, RandomChurnMatchesReferenceEveryStep) {
-  const auto [policy, defrag, seed] = GetParam();
+  const auto [policy, defrag, seed, read_every, large_low_rates] = GetParam();
   TableManager::Config cfg;
   cfg.link_data_mbps = 2000.0;
   cfg.reservable_fraction = 0.8;
@@ -408,6 +418,14 @@ TEST_P(TableManagerReference, RandomChurnMatchesReferenceEveryStep) {
   std::vector<Low> lows;
   util::Xoshiro256 rng(seed * 7919 + 1);
   constexpr unsigned kDistances[] = {1, 2, 4, 8, 16, 32, 64};
+  std::uint64_t low_reject_entries = 0;
+  std::uint64_t low_reject_bandwidth = 0;
+  const auto expect_same_tables = [&](const TableManager& m, int step) {
+    ASSERT_EQ(m.table().high(), ref.table().high()) << "step " << step;
+    ASSERT_EQ(m.table().low(), ref.table().low()) << "step " << step;
+    ASSERT_EQ(m.table().total_weight_low(), ref.table().total_weight_low())
+        << "step " << step;
+  };
 
   for (int step = 0; step < 3000; ++step) {
     const auto roll = rng.below(100);
@@ -418,12 +436,21 @@ TEST_P(TableManagerReference, RandomChurnMatchesReferenceEveryStep) {
       fast.release(c.handle, c.req, c.mbps);
       ref.release(c.handle, c.req, c.mbps);
     } else if (roll < 40) {
+      // The last third of a large-rate case adds little weight at large
+      // rates, so after the 64-entry limit the bandwidth cap binds.
+      const bool large = large_low_rates && step >= 2000;
       const auto vl = static_cast<iba::VirtualLane>(rng.below(15));
-      const auto weight = 1 + static_cast<unsigned>(rng.below(700));
-      const double mbps = 0.5 + static_cast<double>(rng.below(8));
+      const auto weight =
+          1 + static_cast<unsigned>(rng.below(large ? 60 : 700));
+      const double mbps = large ? 100.0 + static_cast<double>(rng.below(200))
+                                : 0.5 + static_cast<double>(rng.below(8));
+      const auto before = fast.stats();
       const bool a = fast.add_low_weight(vl, weight, mbps);
       ASSERT_EQ(a, ref.add_low_weight(vl, weight, mbps)) << "step " << step;
       if (a) lows.push_back({vl, weight, mbps});
+      low_reject_entries += fast.stats().reject_entries - before.reject_entries;
+      low_reject_bandwidth +=
+          fast.stats().reject_bandwidth - before.reject_bandwidth;
     } else if (roll < 48 && !lows.empty()) {
       const auto idx = rng.below(lows.size());
       const Low l = lows[idx];
@@ -443,21 +470,33 @@ TEST_P(TableManagerReference, RandomChurnMatchesReferenceEveryStep) {
       if (got) high.push_back({*got, vl, *req, mbps});
     }
 
-    ASSERT_EQ(fast.table().high(), ref.table().high()) << "step " << step;
-    ASSERT_EQ(fast.table().low(), ref.table().low()) << "step " << step;
-    ASSERT_EQ(fast.table().total_weight_low(), ref.table().total_weight_low())
-        << "step " << step;
     expect_same_stats(fast.stats(), ref.stats(), step);
     const auto bytes = state_bytes(fast);
     ASSERT_EQ(saved_rng_state(bytes), ref.rng_state()) << "step " << step;
     ASSERT_EQ(bytes, state_bytes(ref)) << "step " << step;
+    if (step % 400 == 399) {
+      // A restored manager renders the same tables on its first read.
+      TableManager restored(cfg);
+      restored.configure_low_priority(low);
+      util::BinReader r(bytes);
+      restored.load_state(r);
+      ASSERT_NO_FATAL_FAILURE(expect_same_tables(restored, step));
+    }
+    // check_invariants reads the tables too, so it keeps the read cadence.
+    if (step % read_every != 0) continue;
+    ASSERT_NO_FATAL_FAILURE(expect_same_tables(fast, step));
     std::string why;
     ASSERT_TRUE(fast.check_invariants(&why)) << "step " << step << ": " << why;
   }
+  ASSERT_NO_FATAL_FAILURE(expect_same_tables(fast, 3000));
   // The churn must have exercised what it is meant to compare.
   EXPECT_GT(fast.stats().allocations, 100u);
   EXPECT_GT(fast.stats().shares, 100u);
   EXPECT_GT(fast.stats().reject_entries, 0u);
+  EXPECT_GT(low_reject_entries, 0u) << "the 64-entry low-table limit is hit";
+  if (large_low_rates) {
+    EXPECT_GT(low_reject_bandwidth, 0u) << "the bandwidth cap is hit";
+  }
   if (defrag && policy != FillPolicy::kScattered) {
     EXPECT_GT(fast.stats().defrag_moves, 0u);
   }
@@ -473,12 +512,20 @@ INSTANTIATE_TEST_SUITE_P(
                       DiffCase{FillPolicy::kRandom, true, 5},
                       DiffCase{FillPolicy::kRandom, false, 6},
                       DiffCase{FillPolicy::kScattered, false, 7},
-                      DiffCase{FillPolicy::kScattered, true, 8}),
+                      DiffCase{FillPolicy::kScattered, true, 8},
+                      DiffCase{FillPolicy::kBitReversal, true, 15, 7, true},
+                      DiffCase{FillPolicy::kSequential, false, 12, 3, true},
+                      DiffCase{FillPolicy::kRandom, true, 13, 5, true},
+                      DiffCase{FillPolicy::kScattered, false, 16, 4, true}),
     [](const ::testing::TestParamInfo<DiffCase>& info) {
       std::string name = to_string(info.param.policy);
       name.erase(std::remove(name.begin(), name.end(), '-'), name.end());
-      return name + (info.param.defrag ? "_defrag_" : "_nodefrag_") +
-             std::to_string(info.param.seed);
+      name += (info.param.defrag ? "_defrag_" : "_nodefrag_") +
+              std::to_string(info.param.seed);
+      if (info.param.read_every != 1)
+        name += "_read" + std::to_string(info.param.read_every);
+      if (info.param.large_low_rates) name += "_largelow";
+      return name;
     });
 
 }  // namespace
