@@ -43,10 +43,19 @@ void TableManager::configure_low_priority(
   low_entries_ = count_low_entries(low_static_, low_dynamic_weight_);
   assert(low_entries_ <= iba::kArbTableEntries &&
          "static low-priority config must fit the table");
-  low_dirty_ = true;
+  dirty_ = true;
 }
 
-void TableManager::render_low_table() const noexcept {
+void TableManager::render_tables() const noexcept {
+  auto& high = table_.high();
+  high = {};
+  for (const auto& seq : sequences_) {
+    if (!seq.live) continue;
+    assert(seq.weight_per_entry <= iba::kMaxEntryWeight);
+    const iba::ArbTableEntry entry{
+        seq.vl, static_cast<std::uint8_t>(seq.weight_per_entry)};
+    for (const auto p : seq.positions()) high[p] = entry;
+  }
   auto& low = table_.low();
   low = {};
   unsigned slot = 0;
@@ -60,7 +69,7 @@ void TableManager::render_low_table() const noexcept {
       remaining -= chunk;
     }
   }
-  low_dirty_ = false;
+  dirty_ = false;
 }
 
 void TableManager::index_sequence(SeqHandle handle) {
@@ -122,23 +131,15 @@ SeqHandle TableManager::create_sequence(iba::VirtualLane vl, unsigned distance,
   seq.connections = 1;
   seq.reserved_mbps = mbps;
   seq.live = true;
-  write_sequence(seq);
   index_sequence(h);
+  dirty_ = true;
   reserved_mbps_ += mbps;
   ++stats_.allocations;
   return h;
 }
 
-void TableManager::write_sequence(const Sequence& seq) {
-  assert(seq.weight_per_entry <= iba::kMaxEntryWeight);
-  const iba::ArbTableEntry entry{
-      seq.vl, static_cast<std::uint8_t>(seq.weight_per_entry)};
-  for (const auto p : seq.positions()) table_.high()[p] = entry;
-}
-
 void TableManager::erase_sequence(SeqHandle handle) {
   Sequence& seq = sequences_[handle];
-  for (const auto p : seq.positions()) table_.high()[p] = {};
   unindex_sequence(handle);
   seq.live = false;
   seq.slots = 0;
@@ -158,7 +159,7 @@ std::optional<SeqHandle> TableManager::allocate(iba::VirtualLane vl,
     seq.weight_per_entry += req.weight_per_entry;
     seq.connections += 1;
     seq.reserved_mbps += mbps;
-    write_sequence(seq);
+    dirty_ = true;
     reserved_mbps_ += mbps;
     ++stats_.shares;
     return shared;
@@ -190,14 +191,13 @@ void TableManager::release(SeqHandle handle, const Requirement& req,
   seq.reserved_mbps -= mbps;
   reserved_mbps_ -= mbps;
   ++stats_.releases;
+  dirty_ = true;
 
   if (seq.connections == 0) {
     assert(seq.weight_per_entry == 0);
     erase_sequence(handle);
     free_handles_.push_back(handle);
     if (cfg_.defrag_on_release) defragment();
-  } else {
-    write_sequence(seq);
   }
 }
 
@@ -216,7 +216,7 @@ bool TableManager::add_low_weight(iba::VirtualLane vl, unsigned weight,
   }
   vl_weight += weight;
   low_entries_ = entries;
-  low_dirty_ = true;
+  dirty_ = true;
   reserved_mbps_ += mbps;
   low_reserved_mbps_ += mbps;
   return true;
@@ -228,7 +228,7 @@ void TableManager::remove_low_weight(iba::VirtualLane vl, unsigned weight,
   assert(vl_weight >= weight);
   low_entries_ -= low_chunks(vl_weight) - low_chunks(vl_weight - weight);
   vl_weight -= weight;
-  low_dirty_ = true;
+  dirty_ = true;
   reserved_mbps_ -= mbps;
   low_reserved_mbps_ -= mbps;
 }
@@ -247,7 +247,9 @@ unsigned TableManager::live_sequences() const noexcept {
 
 void TableManager::defragment() {
   ++stats_.defrag_runs;
-  stats_.defrag_moves += defragment_sequences(*this);
+  const unsigned moves = defragment_sequences(*this);
+  stats_.defrag_moves += moves;
+  if (moves != 0) dirty_ = true;
 }
 
 bool TableManager::can_admit(iba::VirtualLane vl, const Requirement& req,
@@ -266,8 +268,8 @@ bool TableManager::can_admit(iba::VirtualLane vl, const Requirement& req,
 bool TableManager::audit_free_set_optimality(std::string* why) const {
   if (cfg_.policy != FillPolicy::kBitReversal || !cfg_.defrag_on_release)
     return true;
-  // Audits the table entries themselves, not the manager's own masks.
-  const std::uint64_t occupied = occupancy_mask(table_.high());
+  // Audits the rendered table entries, not the manager's own masks.
+  const std::uint64_t occupied = occupancy_mask(table().high());
   const unsigned free =
       iba::kArbTableEntries - static_cast<unsigned>(std::popcount(occupied));
   for (unsigned d = 1; d <= kMaxDistance; d *= 2) {
@@ -390,7 +392,6 @@ void TableManager::load_state(util::BinReader& r) {
     throw std::runtime_error("restored low table does not fit");
   low_dynamic_weight_ = low_weight;
   low_entries_ = low_entries;
-  low_dirty_ = true;
   reserved_mbps_ = r.get_double();
   low_reserved_mbps_ = r.get_double();
   stats_.allocations = r.get_u64();
@@ -401,20 +402,15 @@ void TableManager::load_state(util::BinReader& r) {
   stats_.defrag_runs = r.get_u64();
   stats_.defrag_moves = r.get_u64();
 
-  // Rebuild the tables from the restored bookkeeping: every high slot is
-  // cleared then repainted by its owning sequence, and the low table is
-  // re-rendered from static + dynamic weights on its next read.
-  // check_invariants() (run by the restore auditor) proves the rebuild
-  // matches the saved world.
-  table_.high() = {};
+  // Rebuild the masks from the restored bookkeeping; both tables are
+  // re-rendered from it on their next read. check_invariants() (run by the
+  // restore auditor) proves the rebuild matches the saved world.
   occupied_ = 0;
   starts_ = {};
   vl_handles_ = {};
-  for (SeqHandle h = 0; h < sequences_.size(); ++h) {
-    if (!sequences_[h].live) continue;
-    write_sequence(sequences_[h]);
-    index_sequence(h);
-  }
+  for (SeqHandle h = 0; h < sequences_.size(); ++h)
+    if (sequences_[h].live) index_sequence(h);
+  dirty_ = true;
 }
 
 bool TableManager::check_invariants(std::string* why) const {
@@ -448,8 +444,9 @@ bool TableManager::check_invariants(std::string* why) const {
       expected[p] = iba::ArbTableEntry{
           seq.vl, static_cast<std::uint8_t>(seq.weight_per_entry)};
   }
+  const auto& high = table().high();
   for (unsigned p = 0; p < iba::kArbTableEntries; ++p)
-    if (!(expected[p] == table_.high()[p]))
+    if (!(expected[p] == high[p]))
       return fail("table weight does not match sequence bookkeeping at slot " +
                   std::to_string(p));
 
@@ -507,9 +504,10 @@ bool TableManager::check_invariants(std::string* why) const {
   double sum_mbps = low_reserved_mbps_;
   for (const auto& seq : sequences_)
     if (seq.live) sum_mbps += seq.reserved_mbps;
-  if (std::abs(sum_mbps - reserved_mbps_) > 1e-6)
+  // Negated comparisons, so that a NaN anywhere fails them.
+  if (!(std::abs(sum_mbps - reserved_mbps_) <= 1e-6))
     return fail("reserved bandwidth accounting drift");
-  if (reserved_mbps_ > reservable_mbps() * (1.0 + 1e-9))
+  if (!(reserved_mbps_ <= reservable_mbps() * (1.0 + 1e-9)))
     return fail("reserved bandwidth exceeds the reservable cap");
   return true;
 }

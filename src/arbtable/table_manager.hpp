@@ -20,12 +20,13 @@
 //    sharing lookup needs. Handles stay below 64: every live sequence holds
 //    at least one slot and a new handle is minted only when none is free.
 //
-// The low-priority table is rendered on read. add_low_weight and
-// remove_low_weight only adjust the per-VL weight and an incremental entry
-// count (static entries plus the sum of ceil(w_vl / 255)), which is all the
-// 64-entry check needs; table() re-renders the low table from them the first
-// time it is read after a change. On the admission path only
-// qos::AdmissionControl::program reads it.
+// Both tables are rendered on read. Allocation, sharing, release,
+// defragmentation and load_state change only the sequences and the masks
+// above, and add/remove_low_weight only the per-VL weights and an
+// incremental low-entry count (static entries plus the sum of
+// ceil(w_vl / 255)); each sets one dirty flag, and table() re-renders both
+// tables the first time it is read after a change. On the admission path
+// only qos::AdmissionControl::program reads them.
 #pragma once
 
 #include <array>
@@ -112,12 +113,12 @@ class TableManager {
   bool add_low_weight(iba::VirtualLane vl, unsigned weight, double mbps);
   void remove_low_weight(iba::VirtualLane vl, unsigned weight, double mbps);
 
-  /// The port's arbitration tables. Renders the low table first if a
-  /// low-weight change is pending, so the first read after a change writes
-  /// through `mutable` state: concurrent reads of one manager need the
-  /// caller's synchronisation (every caller today reads from one thread).
+  /// The port's arbitration tables. Renders both first if anything changed
+  /// since the last read, so the first read after a change writes through
+  /// `mutable` state: concurrent reads of one manager need the caller's
+  /// synchronisation (every caller today reads from one thread).
   const iba::VlArbitrationTable& table() const noexcept {
-    if (low_dirty_) render_low_table();
+    if (dirty_) render_tables();
     return table_;
   }
   const Config& config() const noexcept { return cfg_; }
@@ -134,8 +135,8 @@ class TableManager {
     return sequences_.at(handle);
   }
 
-  /// Audits internal consistency: the high table's weights must equal the
-  /// sum over live sequences, positions must not overlap, per-entry weights
+  /// Audits internal consistency: the rendered high table must hold each
+  /// live sequence's VL and weight at its slots, positions must not overlap, per-entry weights
   /// must respect the 255 cap, spaced sequences must match their E_{i,j},
   /// the occupancy, buddy-start and per-VL masks must match the live
   /// sequences they index, the incremental low-table entry count must match
@@ -182,7 +183,7 @@ class TableManager {
   SeqHandle create_sequence(iba::VirtualLane vl, unsigned distance,
                             std::uint64_t slots, const Requirement& req,
                             double mbps);
-  void write_sequence(const Sequence& seq);
+  /// Unindexes a sequence whose last connection left and frees its slots.
   void erase_sequence(SeqHandle handle);
 
   /// Adds (removes) a live sequence to (from) occupied_, starts_, owner_ and
@@ -190,19 +191,19 @@ class TableManager {
   void index_sequence(SeqHandle handle);
   void unindex_sequence(SeqHandle handle);
 
-  /// Renders the low table from the static best-effort entries plus the
-  /// dynamic per-VL weights into a cleared table. low_entries_ must be at
-  /// most 64.
-  void render_low_table() const noexcept;
+  /// Renders the high table from the live sequences and the low table from
+  /// the static best-effort entries plus the dynamic per-VL weights, both
+  /// into cleared tables. low_entries_ must be at most 64.
+  void render_tables() const noexcept;
 
   Config cfg_;
   util::Xoshiro256 rng_;
-  /// The high table is kept current; the low table is rendered on read.
+  /// Rendered on read from the state below.
   mutable iba::VlArbitrationTable table_;
   std::vector<std::pair<iba::VirtualLane, std::uint8_t>> low_static_;
   std::array<unsigned, iba::kMaxVirtualLanes> low_dynamic_weight_{};
   unsigned low_entries_ = 0;        ///< Entries the next render fills.
-  mutable bool low_dirty_ = false;  ///< The low table lags the weights.
+  mutable bool dirty_ = false;      ///< table_ lags the bookkeeping.
   std::vector<Sequence> sequences_;
   std::vector<SeqHandle> free_handles_;
   std::uint64_t occupied_ = 0;

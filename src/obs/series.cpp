@@ -42,9 +42,15 @@ std::uint64_t Log2Histogram::total() const noexcept {
 std::uint64_t Log2Histogram::percentile(double fraction) const noexcept {
   const std::uint64_t n = total();
   if (n == 0) return 0;
-  auto rank = static_cast<std::uint64_t>(
-      std::ceil(fraction * static_cast<double>(n)));
-  rank = std::clamp<std::uint64_t>(rank, 1, n);
+  // Clamp before the cast: a rank of 2^64 or more (reached when n is near
+  // UINT64_MAX) does not fit a uint64_t, and casting it is undefined.
+  const double r = std::ceil(fraction * static_cast<double>(n));
+  std::uint64_t rank = n;
+  if (r < 1.0) {
+    rank = 1;
+  } else if (r < 0x1p64) {
+    rank = std::min(static_cast<std::uint64_t>(r), n);
+  }
   std::uint64_t seen = 0;
   for (std::size_t i = 0; i < kBuckets; ++i) {
     seen += buckets_[i];

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -13,26 +14,25 @@ AdmissionControl::AdmissionControl(const network::FabricGraph& graph,
                                    const network::Routes& routes,
                                    std::vector<SlProfile> catalogue,
                                    Config cfg)
-    : graph_(graph), routes_(routes), catalogue_(std::move(catalogue)),
-      cfg_(cfg) {
+    : routes_(routes), catalogue_(std::move(catalogue)), cfg_(cfg) {
   // Eagerly create a manager for every wired output port so program() gives
   // all ports their low-priority (best-effort) configuration even before any
   // reservation lands on them. Nodes and ports ascend, so managers_ comes out
   // in key order.
   const auto low = low_priority_config(catalogue_);
-  port_base_.reserve(graph_.node_count() + 1);
-  for (iba::NodeId node = 0; node < graph_.node_count(); ++node) {
+  port_base_.reserve(graph.node_count() + 1);
+  for (iba::NodeId node = 0; node < graph.node_count(); ++node) {
     port_base_.push_back(static_cast<std::uint32_t>(port_slot_.size()));
-    const unsigned ports = graph_.is_switch(node) ? graph_.port_count(node) : 1;
+    const unsigned ports = graph.is_switch(node) ? graph.port_count(node) : 1;
     for (unsigned p = 0; p < ports; ++p) {
       const auto port = static_cast<iba::PortIndex>(p);
-      if (!graph_.peer(node, port)) {
+      if (!graph.peer(node, port)) {
         port_slot_.push_back(kNoManager);
         continue;
       }
       const auto key = static_cast<std::uint64_t>(node) * 256 + port;
       arbtable::TableManager::Config mc;
-      mc.link_data_mbps = iba::link_mbps(graph_.link(node, port).rate);
+      mc.link_data_mbps = iba::link_mbps(graph.link(node, port).rate);
       mc.reservable_fraction = cfg_.reservable_fraction;
       mc.policy = cfg_.policy;
       mc.defrag_on_release = cfg_.defrag_on_release;
@@ -50,9 +50,47 @@ AdmissionControl::AdmissionControl(const network::FabricGraph& graph,
   port_base_.push_back(static_cast<std::uint32_t>(port_slot_.size()));
 }
 
+namespace {
+
+/// A request's table requirement per hop, recomputed only when the link rate
+/// differs from the previous hop's: all hops of a path usually share one.
+class RequirementCache {
+ public:
+  RequirementCache(double mbps, unsigned max_distance)
+      : mbps_(mbps), max_distance_(max_distance) {}
+
+  const std::optional<arbtable::Requirement>& at(double link_data_mbps) {
+    if (link_data_mbps != link_data_mbps_) {
+      requirement_ = arbtable::compute_requirement(mbps_, link_data_mbps,
+                                                   max_distance_);
+      link_data_mbps_ = link_data_mbps;
+    }
+    return requirement_;
+  }
+
+ private:
+  double mbps_;
+  unsigned max_distance_;
+  double link_data_mbps_ = 0.0;  ///< Link rates are positive.
+  std::optional<arbtable::Requirement> requirement_;
+};
+
+bool valid_rate(double mbps) noexcept {
+  return std::isfinite(mbps) && mbps >= 0.0;
+}
+
+/// Throws std::invalid_argument naming `mbps` unless it is a valid rate.
+void require_valid_rate(double mbps) {
+  if (!valid_rate(mbps))
+    throw std::invalid_argument("connection rate " + std::to_string(mbps) +
+                                " Mbps is not finite and non-negative");
+}
+
+}  // namespace
+
 std::uint32_t AdmissionControl::manager_index(
     const network::PortRef& port) const noexcept {
-  if (port.node >= graph_.node_count()) return kNoManager;
+  if (port.node + std::size_t{1} >= port_base_.size()) return kNoManager;
   const std::uint32_t at = port_base_[port.node] + port.port;
   if (at >= port_base_[port.node + 1]) return kNoManager;
   return port_slot_[at];
@@ -183,16 +221,18 @@ std::optional<ConnectionId> AdmissionControl::request(
   if (profile == nullptr || profile->max_distance == 0)
     throw std::invalid_argument("SL is not a guaranteed-traffic class");
 
+  require_valid_rate(req.wire_mbps);
   const bool legacy_db = cfg_.scheme == Scheme::kLegacy &&
                          profile->category == TrafficCategory::kDb;
 
   require_unused_id();
   pending_hops_.clear();
+  RequirementCache requirements(req.wire_mbps, req.max_distance);
   const bool ok = routes_.for_each_hop(
       req.src_host, req.dst_host, [&](const network::PortRef& port) {
         auto& manager = manager_for(port);
-        const auto requirement = arbtable::compute_requirement(
-            req.wire_mbps, manager.config().link_data_mbps, req.max_distance);
+        const auto& requirement =
+            requirements.at(manager.config().link_data_mbps);
         if (!requirement) return false;
         HopReservation hop;
         hop.port = port;
@@ -235,17 +275,18 @@ std::optional<ConnectionId> AdmissionControl::request_best_effort(
   const SlProfile* profile = find_sl(catalogue_, req.sl);
   if (profile == nullptr || profile->max_distance != 0)
     throw std::invalid_argument("SL is not a best-effort class");
+  require_valid_rate(req.wire_mbps);
 
   require_unused_id();
   pending_hops_.clear();
+  // Distance is irrelevant for the low table: the requirement only shapes
+  // the accumulated weight and the bandwidth accounting.
+  RequirementCache requirements(req.wire_mbps, iba::kArbTableEntries);
   const bool ok = routes_.for_each_hop(
       req.src_host, req.dst_host, [&](const network::PortRef& port) {
         auto& manager = manager_for(port);
-        // Distance is irrelevant for the low table: the requirement only
-        // shapes the accumulated weight and the bandwidth accounting.
-        const auto requirement = arbtable::compute_requirement(
-            req.wire_mbps, manager.config().link_data_mbps,
-            iba::kArbTableEntries);
+        const auto& requirement =
+            requirements.at(manager.config().link_data_mbps);
         if (!requirement ||
             !manager.add_low_weight(profile->vl, requirement->total_weight,
                                     req.wire_mbps))
@@ -332,17 +373,19 @@ bool AdmissionControl::can_admit_path(const ConnectionRequest& req) const {
   const SlProfile* profile = find_sl(catalogue_, req.sl);
   if (profile == nullptr || profile->max_distance == 0)
     throw std::invalid_argument("SL is not a guaranteed-traffic class");
+  require_valid_rate(req.wire_mbps);
   if (cfg_.scheme == Scheme::kLegacy &&
       profile->category == TrafficCategory::kDb)
     return false;  // the low-table path has no Theorem-1 guarantee to audit
 
+  RequirementCache requirements(req.wire_mbps, req.max_distance);
   return routes_.for_each_hop(
       req.src_host, req.dst_host, [&](const network::PortRef& port) {
         const auto index = manager_index(port);
         if (index == kNoManager) return false;
         const auto& manager = managers_[index].manager;
-        const auto requirement = arbtable::compute_requirement(
-            req.wire_mbps, manager.config().link_data_mbps, req.max_distance);
+        const auto& requirement =
+            requirements.at(manager.config().link_data_mbps);
         return requirement &&
                manager.can_admit(profile->vl, *requirement, req.wire_mbps);
       });
@@ -480,7 +523,7 @@ void AdmissionControl::load_state(util::BinReader& r) {
   for (std::uint64_t i = 0; i < manager_count; ++i) {
     const auto key = r.get_u64();
     const auto index =
-        key / 256 < graph_.node_count()
+        key / 256 + 1 < port_base_.size()
             ? manager_index(network::PortRef{
                   static_cast<iba::NodeId>(key / 256),
                   static_cast<iba::PortIndex>(key % 256)})
@@ -505,6 +548,12 @@ void AdmissionControl::load_state(util::BinReader& r) {
     conn.request.sl = r.get_u8();
     conn.request.max_distance = r.get_u32();
     conn.request.wire_mbps = r.get_double();
+    const auto bad_rate = [id] {
+      return std::runtime_error("snapshot connection id " +
+                                std::to_string(id) +
+                                " has a non-finite or negative rate");
+    };
+    if (!valid_rate(conn.request.wire_mbps)) throw bad_rate();
     conn.hops.resize(r.get_length());
     for (auto& hop : conn.hops) {
       hop.port.node = r.get_u32();
@@ -515,6 +564,7 @@ void AdmissionControl::load_state(util::BinReader& r) {
       hop.requirement.weight_per_entry = r.get_u32();
       hop.requirement.total_weight = r.get_u32();
       hop.mbps = r.get_double();
+      if (!valid_rate(hop.mbps)) throw bad_rate();
       hop.low_table = r.get_bool();
       hop.vl = r.get_u8();
     }

@@ -48,18 +48,22 @@ class AdmissionControl {
     std::uint64_t seed = 1;
   };
 
+  /// Reads `graph` only while constructing; `routes` must outlive this.
   AdmissionControl(const network::FabricGraph& graph,
                    const network::Routes& routes,
                    std::vector<SlProfile> catalogue, Config cfg);
 
   /// Tries to establish a connection. On success the reservation is placed
-  /// on every output port of the path and the id is returned.
+  /// on every output port of the path and the id is returned. Throws
+  /// std::invalid_argument, before reserving anything, for a best-effort SL
+  /// or a rate that is NaN, infinite or negative.
   std::optional<ConnectionId> request(const ConnectionRequest& req);
 
   /// Admits a best-effort connection (an SL whose profile has no distance
   /// guarantee): accumulated weight on the SL's VL in every hop's
   /// low-priority table, counted against the reservable-bandwidth cap.
-  /// These are the connections graceful degradation sheds first.
+  /// These are the connections graceful degradation sheds first. Throws
+  /// std::invalid_argument for a guaranteed SL or an invalid rate.
   std::optional<ConnectionId> request_best_effort(const ConnectionRequest& req);
 
   struct DegradeResult {
@@ -87,7 +91,8 @@ class AdmissionControl {
   /// Dry-run of request() for a guaranteed-class request: true when every
   /// output port along the path reports TableManager::can_admit. Pure — no
   /// state or RNG is touched. A request() refusal while this holds is a
-  /// Theorem-1 false reject; the churn engine audits exactly that.
+  /// Theorem-1 false reject; the churn engine audits exactly that. Throws
+  /// std::invalid_argument for a best-effort SL or an invalid rate.
   bool can_admit_path(const ConnectionRequest& req) const;
 
   /// The record of a live or released (not yet forgotten) connection.
@@ -133,7 +138,8 @@ class AdmissionControl {
   /// over the same graph, routes, catalogue and Config. Existing connection
   /// records are discarded. Does NOT program any simulator — callers run
   /// configure_fabric/program afterwards. Throws std::runtime_error on
-  /// mismatched topology or config fingerprints.
+  /// mismatched topology or config fingerprints, and on a connection whose
+  /// request or hop rate is NaN, infinite or negative.
   void load_state(util::BinReader& r);
 
   /// Consistency audit over every port manager
@@ -189,7 +195,6 @@ class AdmissionControl {
   /// Doubles slot_index_ (from 16 entries) and re-indexes every record.
   void grow_index();
 
-  const network::FabricGraph& graph_;
   const network::Routes& routes_;
   std::vector<SlProfile> catalogue_;
   Config cfg_;

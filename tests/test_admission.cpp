@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -136,6 +137,83 @@ TEST(Admission, ThrowsOnBestEffortSl) {
   const auto hosts = f.graph.hosts();
   EXPECT_THROW(ac.request(req(hosts[0], hosts[1], 11, 64, 1.0)),
                std::invalid_argument);
+}
+
+TEST(Admission, RejectsNonFiniteOrNegativeRatesBeforeReservingAnything) {
+  // Comparisons with NaN are false, so a NaN rate would pass every
+  // bandwidth check on every hop and poison each port's reserved total.
+  Fixture f(network::gen::line(3, 1));
+  AdmissionControl ac(f.graph, f.routes, paper_catalogue(), cfg());
+  const auto hosts = f.graph.hosts();
+  const auto expect_named = [](const auto& call, double rate) {
+    try {
+      call();
+      ADD_FAILURE() << "rate " << rate << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::to_string(rate)),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(), -1.0}) {
+    const auto guaranteed = req(hosts[0], hosts[2], 2, 8, bad);
+    auto best_effort = guaranteed;
+    best_effort.sl = 10;
+    expect_named([&] { (void)ac.request(guaranteed); }, bad);
+    expect_named([&] { (void)ac.request_best_effort(best_effort); }, bad);
+    expect_named([&] { (void)ac.can_admit_path(guaranteed); }, bad);
+  }
+  EXPECT_EQ(ac.accepted(), 0u);
+  EXPECT_EQ(ac.rejected(), 0u);
+  for (const auto& port : f.routes.path(hosts[0], hosts[2]))
+    EXPECT_EQ(ac.port_manager(port.node, port.port).reserved_mbps(), 0.0);
+  std::string why;
+  EXPECT_TRUE(ac.audit_full(&why)) << why;
+  EXPECT_TRUE(ac.request(req(hosts[0], hosts[2], 2, 8, 0.0)).has_value());
+}
+
+TEST(Admission, MixedRateHopsEachGetTheirOwnRequirement) {
+  // h0 -1x- s0 -4x- s1 -1x- h1: the path's link rates go A, B, A, so a
+  // requirement computed for one hop must not be reused on the next.
+  network::FabricGraph g;
+  const auto s0 = g.add_switch(2);
+  const auto s1 = g.add_switch(2);
+  const auto h0 = g.add_host();
+  const auto h1 = g.add_host();
+  g.connect(h0, 0, s0, 0, iba::Link{iba::LinkRate::k1x});
+  g.connect(s0, 1, s1, 0, iba::Link{iba::LinkRate::k4x});
+  g.connect(s1, 1, h1, 0, iba::Link{iba::LinkRate::k1x});
+  Fixture f(std::move(g));
+  AdmissionControl ac(f.graph, f.routes, paper_catalogue(), cfg());
+  const double mbps = 300.0;
+  const auto expect_per_hop = [&](ConnectionId id, unsigned distance) {
+    const auto hops = ac.connection(id).hops;
+    ASSERT_EQ(hops.size(), 3u);
+    for (const auto& hop : hops) {
+      const auto link = iba::link_mbps(f.graph.link(hop.port.node,
+                                                    hop.port.port).rate);
+      EXPECT_EQ(hop.requirement,
+                *arbtable::compute_requirement(mbps, link, distance))
+          << "node " << hop.port.node << " port " << int{hop.port.port};
+    }
+    EXPECT_NE(hops[0].requirement, hops[1].requirement);
+    EXPECT_EQ(hops[0].requirement, hops[2].requirement);
+  };
+
+  const auto guaranteed = req(h0, h1, 2, 8, mbps);
+  EXPECT_TRUE(ac.can_admit_path(guaranteed));
+  const auto id = ac.request(guaranteed);
+  ASSERT_TRUE(id.has_value());
+  expect_per_hop(*id, 8);
+  auto best_effort = guaranteed;
+  best_effort.sl = 10;
+  const auto be = ac.request_best_effort(best_effort);
+  ASSERT_TRUE(be.has_value());
+  expect_per_hop(*be, iba::kArbTableEntries);
+  std::string why;
+  EXPECT_TRUE(ac.audit_full(&why)) << why;
 }
 
 TEST(Admission, LegacySchemePutsDbInLowTable) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -555,6 +556,76 @@ TEST(Snapshot, RestoredLastIdRefusesRequestsBeforeReservingAnyHop) {
       if (!graph.peer(node, port)) continue;
       EXPECT_EQ(admission.port_manager(node, port).reserved_mbps(), 0.0)
           << "node " << node << " port " << p;
+    }
+  }
+}
+
+TEST(Snapshot, RestoreRejectsNonFiniteOrNegativeRates) {
+  // A NaN rate passes every later bandwidth check (comparisons with NaN are
+  // false), so a blob carrying a non-finite or negative request or hop rate
+  // is refused, even under a valid CRC.
+  const std::uint64_t seed = 53;
+  const auto graph = make_small_fabric();
+  const subnet::SubnetManager sm(graph);
+  qos::AdmissionControl::Config ac;
+  ac.seed = seed;
+  qos::AdmissionControl admission(graph, sm.routes(), qos::paper_catalogue(),
+                                  ac);
+  const auto hosts = graph.hosts();
+  qos::ConnectionRequest req;
+  req.src_host = hosts.front();
+  req.dst_host = hosts.back();
+  req.sl = 7;
+  req.max_distance = 64;
+  req.wire_mbps = 1.0;
+  const auto id = admission.request(req);
+  ASSERT_TRUE(id.has_value());
+  const auto blob = control::save_world(
+      1, seed, control::World{&admission, nullptr, nullptr, nullptr});
+
+  // The record starts (id, src, dst); its rate follows the u8 SL and the u32
+  // distance, and the first hop's rate follows the u64 hop count, the hop's
+  // port (u32 node, u8 port), its u32 handle and its four u32 requirement
+  // fields.
+  const auto payload = control::open_envelope(blob);
+  util::BinWriter record;
+  record.put_u32(*id);
+  record.put_u32(req.src_host);
+  record.put_u32(req.dst_host);
+  const auto rec = std::search(payload.begin(), payload.end(),
+                               record.bytes().begin(), record.bytes().end());
+  ASSERT_NE(rec, payload.end());
+  const std::size_t rate_at = static_cast<std::size_t>(rec - payload.begin()) +
+                              12 + 1 + 4;
+  const std::size_t hop_rate_at = rate_at + 8 + 8 + 4 + 1 + 4 + 16;
+  const auto double_bytes = [](double v) {
+    util::BinWriter w;
+    w.put_double(v);
+    return w.bytes();
+  };
+  const auto one = double_bytes(1.0);
+  for (const auto at : {rate_at, hop_rate_at})
+    ASSERT_TRUE(std::equal(one.begin(), one.end(),
+                           payload.begin() + static_cast<std::ptrdiff_t>(at)))
+        << "offset " << at << " does not hold the 1 Mbps rate";
+
+  const auto restore = [&](const std::vector<std::uint8_t>& b) {
+    qos::AdmissionControl fresh(graph, sm.routes(), qos::paper_catalogue(),
+                                ac);
+    (void)control::restore_world(
+        b, seed, control::World{&fresh, nullptr, nullptr, nullptr});
+  };
+  EXPECT_NO_THROW(restore(reframe(blob, hop_rate_at, one)));
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), -2.5}) {
+    for (const auto at : {rate_at, hop_rate_at}) {
+      try {
+        restore(reframe(blob, at, double_bytes(bad)));
+        ADD_FAILURE() << "rate " << bad << " at offset " << at << " restored";
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("rate"), std::string::npos)
+            << e.what();
+      }
     }
   }
 }

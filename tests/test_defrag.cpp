@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "arbtable/table_manager.hpp"
@@ -100,6 +101,42 @@ TEST(Defrag, NoMovesWhenAlreadyPacked) {
   EXPECT_EQ(m.stats().defrag_moves, moves_before)
       << "a bit-reversal-packed table needs no relocation";
   EXPECT_TRUE(m.check_invariants());
+}
+
+TEST(Defrag, ExplicitRunIsRenderedOnTheNextRead) {
+  // Without defrag on release, free offsets 0 and 1 of four distance-4
+  // sequences (bit-reversal order 0, 2, 1, 3), read the tables, then
+  // defragment by hand: both survivors move, and the next read shows them
+  // at their new slots.
+  TableManager m(cfg(false));
+  const auto r4 = fat_req(4);
+  std::vector<SeqHandle> h;
+  for (int i = 0; i < 4; ++i) {
+    const auto got = m.allocate(static_cast<iba::VirtualLane>(1 + i), r4, 1.0);
+    ASSERT_TRUE(got.has_value());
+    h.push_back(*got);
+  }
+  m.release(h[0], r4, 1.0);
+  m.release(h[2], r4, 1.0);
+  ASSERT_TRUE(m.check_invariants());  // renders the fragmented layout
+  ASSERT_FALSE(m.can_admit(5, fat_req(2), 1.0));
+
+  m.defragment();
+  EXPECT_EQ(m.stats().defrag_moves, 2u);
+  std::string why;
+  ASSERT_TRUE(m.check_invariants(&why)) << why;
+  const auto& table = m.table().high();
+  for (const auto k : {1, 3}) {
+    EXPECT_EQ(m.sequence(h[k]).positions().size(), 16u);
+    for (const auto p : m.sequence(h[k]).positions())
+      EXPECT_EQ(table[p], (iba::ArbTableEntry{
+                              static_cast<iba::VirtualLane>(1 + k), 200}))
+          << "slot " << p;
+  }
+  EXPECT_TRUE(m.audit_free_set_optimality(&why)) << why;
+  EXPECT_TRUE(m.allocate(5, fat_req(2), 1.0).has_value())
+      << "the packed masks must offer the freed half as one E_{1,j}";
+  EXPECT_TRUE(m.check_invariants(&why)) << why;
 }
 
 TEST(Defrag, MaxGapNeverWorseAfterDefrag) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -369,6 +371,55 @@ TEST(LowTableAudit, CatchesAStaleOrCorruptRender) {
   table.low()[10] = {7, 1};  // beyond the three rendered entries
   EXPECT_FALSE(m.check_invariants(&why));
   EXPECT_NE(why.find("slot 10"), std::string::npos) << why;
+}
+
+TEST(HighTableAudit, CatchesAStaleOrCorruptRender) {
+  TableManager m(cfg());
+  const auto r8 = req_for(10.0, 8);
+  const auto r16 = req_for(4.0, 16);
+  const auto a = m.allocate(3, r8, 10.0);
+  const auto b = m.allocate(4, r16, 4.0);
+  ASSERT_TRUE(a && b);
+  std::string why;
+  ASSERT_TRUE(m.check_invariants(&why)) << why;
+  ASSERT_TRUE(m.audit_free_set_optimality(&why)) << why;
+
+  // Corrupt the rendered table behind the manager's back (test only).
+  auto& table = const_cast<iba::VlArbitrationTable&>(m.table());
+  const unsigned first = *m.sequence(*a).positions().begin();
+  table.high()[first].weight = 1;
+  EXPECT_FALSE(m.check_invariants(&why));
+  EXPECT_NE(why.find("slot " + std::to_string(first)), std::string::npos)
+      << why;
+
+  // The next change re-renders and repairs the table, for both audits.
+  ASSERT_EQ(m.allocate(4, r16, 4.0), b);  // shares b's sequence
+  EXPECT_TRUE(m.check_invariants(&why)) << why;
+  // A stray entry in a free slot fragments the rendered table: the Theorem-1
+  // audit reads the rendered entries, not the manager's masks.
+  const unsigned free_slot = static_cast<unsigned>(
+      std::countr_zero(~(m.sequence(*a).slots | m.sequence(*b).slots)));
+  table.high()[free_slot] = {5, 1};
+  EXPECT_FALSE(m.check_invariants(&why));
+  EXPECT_NE(why.find("slot " + std::to_string(free_slot)), std::string::npos)
+      << why;
+  EXPECT_FALSE(m.audit_free_set_optimality(&why));
+  // The Theorem-1 audit renders a pending change before it reads.
+  m.release(*b, r16, 4.0);
+  EXPECT_TRUE(m.audit_free_set_optimality(&why)) << why;
+  EXPECT_TRUE(m.check_invariants(&why)) << why;
+}
+
+TEST(TableManager, InvariantsFailOnANanReservation) {
+  // Comparisons with NaN are false, so a NaN total passes every `a > b`
+  // bandwidth check; the audit must not.
+  TableManager m(cfg());
+  const auto r = req_for(10.0, 8);
+  ASSERT_TRUE(
+      m.allocate(3, r, std::numeric_limits<double>::quiet_NaN()).has_value());
+  std::string why;
+  EXPECT_FALSE(m.check_invariants(&why));
+  EXPECT_NE(why.find("bandwidth"), std::string::npos) << why;
 }
 
 TEST(TableManager, ChurnWithDefrag) {

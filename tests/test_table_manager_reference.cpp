@@ -12,6 +12,8 @@
 // every few steps so that one render covers a batch of low-weight changes.
 // Some cases end with a phase of large best-effort rates, so that
 // add_low_weight meets the bandwidth cap as well as the 64-entry limit.
+// Defrag-heavy cases spread requests over every data VL and release more
+// often, so most releases drop a sequence's last sharer and defragment.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -377,6 +379,8 @@ struct DiffCase {
   int read_every = 1;
   /// Steps 2000 on add best-effort weight at 100-299 Mbps.
   bool large_low_rates = false;
+  /// Releases at 40% instead of 30%, requests on 15 VLs instead of 6.
+  bool defrag_heavy = false;
 };
 
 void PrintTo(const DiffCase& c, std::ostream* os) {
@@ -384,12 +388,14 @@ void PrintTo(const DiffCase& c, std::ostream* os) {
       << " seed " << c.seed;
   if (c.read_every != 1) *os << " read every " << c.read_every;
   if (c.large_low_rates) *os << " large low rates";
+  if (c.defrag_heavy) *os << " defrag-heavy";
 }
 
 class TableManagerReference : public ::testing::TestWithParam<DiffCase> {};
 
 TEST_P(TableManagerReference, RandomChurnMatchesReferenceEveryStep) {
-  const auto [policy, defrag, seed, read_every, large_low_rates] = GetParam();
+  const auto [policy, defrag, seed, read_every, large_low_rates,
+              defrag_heavy] = GetParam();
   TableManager::Config cfg;
   cfg.link_data_mbps = 2000.0;
   cfg.reservable_fraction = 0.8;
@@ -427,15 +433,17 @@ TEST_P(TableManagerReference, RandomChurnMatchesReferenceEveryStep) {
         << "step " << step;
   };
 
+  const std::uint64_t release_below = defrag_heavy ? 40 : 30;
+  const unsigned high_vls = defrag_heavy ? 15 : 6;
   for (int step = 0; step < 3000; ++step) {
     const auto roll = rng.below(100);
-    if (roll < 30 && !high.empty()) {
+    if (roll < release_below && !high.empty()) {
       const auto idx = rng.below(high.size());
       const High c = high[idx];
       high.erase(high.begin() + static_cast<std::ptrdiff_t>(idx));
       fast.release(c.handle, c.req, c.mbps);
       ref.release(c.handle, c.req, c.mbps);
-    } else if (roll < 40) {
+    } else if (roll < release_below + 10) {
       // The last third of a large-rate case adds little weight at large
       // rates, so after the 64-entry limit the bandwidth cap binds.
       const bool large = large_low_rates && step >= 2000;
@@ -451,14 +459,14 @@ TEST_P(TableManagerReference, RandomChurnMatchesReferenceEveryStep) {
       low_reject_entries += fast.stats().reject_entries - before.reject_entries;
       low_reject_bandwidth +=
           fast.stats().reject_bandwidth - before.reject_bandwidth;
-    } else if (roll < 48 && !lows.empty()) {
+    } else if (roll < release_below + 18 && !lows.empty()) {
       const auto idx = rng.below(lows.size());
       const Low l = lows[idx];
       lows.erase(lows.begin() + static_cast<std::ptrdiff_t>(idx));
       fast.remove_low_weight(l.vl, l.weight, l.mbps);
       ref.remove_low_weight(l.vl, l.weight, l.mbps);
     } else {
-      const auto vl = static_cast<iba::VirtualLane>(rng.below(6));
+      const auto vl = static_cast<iba::VirtualLane>(rng.below(high_vls));
       const unsigned dist = kDistances[rng.below(std::size(kDistances))];
       const double mbps = 0.5 + static_cast<double>(rng.below(30));
       const auto req = compute_requirement(mbps, cfg.link_data_mbps, dist);
@@ -478,6 +486,7 @@ TEST_P(TableManagerReference, RandomChurnMatchesReferenceEveryStep) {
       // A restored manager renders the same tables on its first read.
       TableManager restored(cfg);
       restored.configure_low_priority(low);
+      (void)restored.table();  // a render before the restore must not last
       util::BinReader r(bytes);
       restored.load_state(r);
       ASSERT_NO_FATAL_FAILURE(expect_same_tables(restored, step));
@@ -491,7 +500,7 @@ TEST_P(TableManagerReference, RandomChurnMatchesReferenceEveryStep) {
   ASSERT_NO_FATAL_FAILURE(expect_same_tables(fast, 3000));
   // The churn must have exercised what it is meant to compare.
   EXPECT_GT(fast.stats().allocations, 100u);
-  EXPECT_GT(fast.stats().shares, 100u);
+  EXPECT_GT(fast.stats().shares, defrag_heavy ? 10u : 100u);
   EXPECT_GT(fast.stats().reject_entries, 0u);
   EXPECT_GT(low_reject_entries, 0u) << "the 64-entry low-table limit is hit";
   if (large_low_rates) {
@@ -499,6 +508,10 @@ TEST_P(TableManagerReference, RandomChurnMatchesReferenceEveryStep) {
   }
   if (defrag && policy != FillPolicy::kScattered) {
     EXPECT_GT(fast.stats().defrag_moves, 0u);
+  }
+  if (defrag_heavy) {
+    EXPECT_GT(fast.stats().defrag_runs, 500u);
+    EXPECT_GT(fast.stats().defrag_moves, 500u);
   }
 }
 
@@ -516,7 +529,13 @@ INSTANTIATE_TEST_SUITE_P(
                       DiffCase{FillPolicy::kBitReversal, true, 15, 7, true},
                       DiffCase{FillPolicy::kSequential, false, 12, 3, true},
                       DiffCase{FillPolicy::kRandom, true, 13, 5, true},
-                      DiffCase{FillPolicy::kScattered, false, 16, 4, true}),
+                      DiffCase{FillPolicy::kScattered, false, 16, 4, true},
+                      DiffCase{FillPolicy::kBitReversal, true, 21, 3, false,
+                               true},
+                      DiffCase{FillPolicy::kSequential, true, 22, 2, false,
+                               true},
+                      DiffCase{FillPolicy::kRandom, true, 23, 5, false,
+                               true}),
     [](const ::testing::TestParamInfo<DiffCase>& info) {
       std::string name = to_string(info.param.policy);
       name.erase(std::remove(name.begin(), name.end(), '-'), name.end());
@@ -525,6 +544,7 @@ INSTANTIATE_TEST_SUITE_P(
       if (info.param.read_every != 1)
         name += "_read" + std::to_string(info.param.read_every);
       if (info.param.large_low_rates) name += "_largelow";
+      if (info.param.defrag_heavy) name += "_defragheavy";
       return name;
     });
 
