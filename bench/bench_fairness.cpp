@@ -1,4 +1,4 @@
-// Crossbar-scheduler fairness ablation: the zoo (wrr|islip|matrix|abr) under
+// Crossbar-scheduler fairness ablation: the zoo (wrr|islip|matrix) under
 // three adversarial single-switch patterns.
 //
 // The paper's arbitration tables govern each output LINK; upstream of them
@@ -18,10 +18,9 @@
 //                over the seven contenders is the fairness headline.
 //
 // Every pattern also carries best-effort flows on SL8 (low-priority table),
-// so abr's explicit-rate lane has something to meter: its xbar.throttled
-// counter appears per row. All (scheduler x pattern) runs are independent
-// simulations run via util::parallel_for — reports are byte-identical for
-// any --jobs value.
+// clashing at two shared sinks. All (scheduler x pattern) runs are
+// independent simulations run via util::parallel_for — reports are
+// byte-identical for any --jobs value.
 #include <array>
 #include <cmath>
 #include <iostream>
@@ -63,9 +62,9 @@ const char* pattern_name(Pattern p) {
   return "?";
 }
 
-constexpr std::array<sched::CrossbarImpl, 4> kImpls = {
+constexpr std::array<sched::CrossbarImpl, 3> kImpls = {
     sched::CrossbarImpl::kWrr, sched::CrossbarImpl::kIslip,
-    sched::CrossbarImpl::kMatrix, sched::CrossbarImpl::kAbr};
+    sched::CrossbarImpl::kMatrix};
 
 /// One SL per host pair on the high-priority table, best effort on VL8 in
 /// the low table. The limit keeps low-priority from total starvation so the
@@ -162,9 +161,8 @@ void add_pattern_flows(sim::Simulator& sim, const network::FabricGraph& g,
   }
   // Best-effort load on SL8 (low-priority table), deliberately clashing:
   // every host floods one of TWO shared sinks, so four BE heads contend for
-  // each sink's crossbar output and the schedulers' best-effort policies
-  // (abr's max-min rate lane vs. positional tie-breaks) become visible in
-  // the Jain(BE) column and the xbar.throttled counter.
+  // each sink's crossbar output and the schedulers' tie-breaks become
+  // visible in the Jain(BE) column.
   for (unsigned i = 0; i < kHosts; ++i) {
     unsigned dst = (i % 2) ? kHosts - 1 : kHosts - 2;
     if (dst == i) dst = (dst == kHosts - 1) ? kHosts - 2 : kHosts - 1;
@@ -329,7 +327,6 @@ int main(int argc, char** argv) try {
           w.kv("iterations", xbar_counter(row, "xbar.iterations"));
           w.kv("blocked_output", xbar_counter(row, "xbar.blocked_output"));
           w.kv("blocked_space", xbar_counter(row, "xbar.blocked_space"));
-          w.kv("throttled", xbar_counter(row, "xbar.throttled"));
           w.end_object();
           w.end_object();
         }
@@ -344,8 +341,7 @@ int main(int argc, char** argv) try {
       std::cout << "--- " << pattern_name(pattern) << " ---\n";
       util::TablePrinter table({"crossbar", "Jain(QoS)", "Jain(BE)",
                                 "QoS Mbps", "BE Mbps", "miss frac",
-                                "SL delay lo..hi (us)", "SL p99 hi (us)",
-                                "throttled"});
+                                "SL delay lo..hi (us)", "SL p99 hi (us)"});
       for (const auto& row : rows) {
         if (row.pattern != pattern) continue;
         double lo = 0.0, hi = 0.0, p99 = 0.0;
@@ -365,8 +361,7 @@ int main(int argc, char** argv) try {
                        util::TablePrinter::pct(row.miss_fraction, 2),
                        util::TablePrinter::num(lo, 1) + ".." +
                            util::TablePrinter::num(hi, 1),
-                       util::TablePrinter::num(p99, 1),
-                       std::to_string(xbar_counter(row, "xbar.throttled"))});
+                       util::TablePrinter::num(p99, 1)});
       }
       table.print(std::cout);
       std::cout << "\n";
@@ -376,9 +371,8 @@ int main(int argc, char** argv) try {
                  "under EVERY scheduler (the arbitration tables, not the\n"
                  "crossbar, own the guarantees); the discriminator is the\n"
                  "best-effort column under bursty load, where pointer memory\n"
-                 "(islip), least-recently-served order (matrix) and abr's\n"
-                 "explicit-rate lane (nonzero throttled) each pick different\n"
-                 "winners among the clashing SL8 flows.\n";
+                 "(islip) and least-recently-served order (matrix) each pick\n"
+                 "different winners among the clashing SL8 flows.\n";
   }
 
   cli.warn_unused(std::cerr);

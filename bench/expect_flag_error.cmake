@@ -1,7 +1,7 @@
 # Runs BENCH with `FLAG VALUE` and fails unless the bench rejects the flag:
-# exit status 2 and an "error:" line on stderr that names FLAG. A crash
-# (an uncaught exception ends in SIGABRT) or a run that accepts the value
-# fails the test.
+# exit status 2 and an "error:" line on stderr that names FLAG (and, when
+# EXPECT is given, contains that text too). A crash (an uncaught exception
+# ends in SIGABRT) or a run that accepts the value fails the test.
 #
 #   cmake -DBENCH=path/to/bench -DFLAG=--mtu -DVALUE=512 -P expect_flag_error.cmake
 execute_process(
@@ -17,4 +17,10 @@ string(FIND "${err}" "error: " at_error)
 string(FIND "${err}" "${FLAG}" at_flag)
 if(at_error EQUAL -1 OR at_flag EQUAL -1)
   message(FATAL_ERROR "${FLAG} ${VALUE}: stderr lacks an 'error:' line naming the flag:\n${err}")
+endif()
+if(DEFINED EXPECT)
+  string(FIND "${err}" "${EXPECT}" at_expect)
+  if(at_expect EQUAL -1)
+    message(FATAL_ERROR "${FLAG} ${VALUE}: stderr lacks '${EXPECT}':\n${err}")
+  endif()
 endif()

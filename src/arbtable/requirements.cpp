@@ -11,9 +11,12 @@ namespace ibarb::arbtable {
 unsigned bandwidth_to_weight(double bandwidth_mbps, double link_data_mbps) {
   assert(bandwidth_mbps >= 0.0 && link_data_mbps > 0.0);
   const double share = bandwidth_mbps / link_data_mbps;
-  const auto w = static_cast<unsigned>(
-      std::ceil(share * static_cast<double>(iba::kFullTableWeight)));
-  return std::max(1u, w);  // even a tiny trickle needs one weight unit
+  // Saturate before the cast: every weight past the full table is refused
+  // alike, and casting a double beyond unsigned's range is undefined.
+  const double w =
+      std::min(static_cast<double>(iba::kFullTableWeight + 1),
+               std::ceil(share * static_cast<double>(iba::kFullTableWeight)));
+  return std::max(1u, static_cast<unsigned>(w));  // a trickle needs one unit
 }
 
 double weight_to_bandwidth(unsigned weight, double link_data_mbps) {

@@ -16,17 +16,13 @@
 //   * MatrixCrossbar— per-output triangular priority-matrix arbiter
 //                     (Orion's RR/MATRIX Arbiter family): least-recently-
 //                     served wins, so no requesting input starves.
-//   * AbrCrossbar   — guaranteed VLs (those in the output's high-priority
-//                     arbitration table) ride the WRR core untouched; best-
-//                     effort heads go through an ATM-ABR-style explicit-rate
-//                     fair-share lane (max-min over served bytes).
 //
 // The scheduler sees one switch through a CrossbarPorts view
-// (sched/ports.hpp) and owns all of its own pointer/matrix/rate state, so
+// (sched/ports.hpp) and owns all of its own pointer/matrix state, so
 // schedulers are per-switch instances and every decision is a pure function
 // of simulation state — deterministic and byte-identical across --jobs like
 // everything else. Each scheduler is a template over its view, and a switch
-// holds its scheduler in a Crossbar (a std::variant of the four): one
+// holds its scheduler in a Crossbar (a std::variant of the three): one
 // dispatch per schedule() call, and every view query inside it a direct
 // call.
 //
@@ -38,7 +34,6 @@
 #include <stdexcept>
 #include <variant>
 
-#include "sched/abr_crossbar.hpp"
 #include "sched/crossbar_impl.hpp"
 #include "sched/islip_crossbar.hpp"
 #include "sched/matrix_crossbar.hpp"
@@ -73,15 +68,13 @@ class Crossbar {
   }
 
  private:
-  using Policy =
-      std::variant<WrrCrossbar, IslipCrossbar, MatrixCrossbar, AbrCrossbar>;
+  using Policy = std::variant<WrrCrossbar, IslipCrossbar, MatrixCrossbar>;
 
   static Policy make(CrossbarImpl impl, unsigned ports) {
     switch (impl) {
       case CrossbarImpl::kWrr: return WrrCrossbar(ports);
       case CrossbarImpl::kIslip: return IslipCrossbar(ports);
       case CrossbarImpl::kMatrix: return MatrixCrossbar(ports);
-      case CrossbarImpl::kAbr: return AbrCrossbar(ports);
     }
     throw std::invalid_argument("Crossbar: unknown CrossbarImpl");
   }

@@ -17,17 +17,15 @@ enum class CrossbarImpl : std::uint8_t {
   kWrr,     ///< Rotating-priority input/VL round-robin (pre-refactor path).
   kIslip,   ///< iSLIP(k): iterative grant/accept with pointer desync.
   kMatrix,  ///< Per-output Orion-style triangular priority-matrix arbiter.
-  kAbr,     ///< WRR for guaranteed VLs + ABR explicit-rate best-effort lane.
 };
 
-inline constexpr std::string_view kCrossbarImplNames = "wrr|islip|matrix|abr";
+inline constexpr std::string_view kCrossbarImplNames = "wrr|islip|matrix";
 
 constexpr const char* crossbar_impl_name(CrossbarImpl impl) noexcept {
   switch (impl) {
     case CrossbarImpl::kWrr: return "wrr";
     case CrossbarImpl::kIslip: return "islip";
     case CrossbarImpl::kMatrix: return "matrix";
-    case CrossbarImpl::kAbr: return "abr";
   }
   return "?";
 }
@@ -37,7 +35,6 @@ constexpr std::optional<CrossbarImpl> parse_crossbar_impl(
   if (name == "wrr") return CrossbarImpl::kWrr;
   if (name == "islip") return CrossbarImpl::kIslip;
   if (name == "matrix") return CrossbarImpl::kMatrix;
-  if (name == "abr") return CrossbarImpl::kAbr;
   return std::nullopt;
 }
 

@@ -19,7 +19,6 @@ namespace ibarb::sched {
 /// transfer, which immediately makes its input and output busy.
 ///
 ///  * port_count()   — crossbar ports of the switch.
-///  * now()          — current simulated time (the ABR lane's rate epochs).
 ///  * input_ready(in) — input may feed the crossbar: wired, not already
 ///    transferring, and holding at least one packet.
 ///  * input_occupancy(in) — bit v set when input `in` holds a packet on VL
@@ -30,10 +29,6 @@ namespace ibarb::sched {
 ///  * output_free(out) — output is not currently receiving a transfer.
 ///  * output_accepts(in, vl, out) — the output queue has room for the head
 ///    of (in, vl) on the VL the output's SLtoVL table assigns it.
-///  * head_guaranteed(in, vl, out) — the head of (in, vl) is guaranteed
-///    traffic at `out`: management (VL15), or mapped onto a VL served by the
-///    output's high-priority arbitration table. The ABR lane never
-///    throttles these.
 ///  * grant(in, vl, out) — commits a transfer of the head of (in, vl) into
 ///    `out`: marks both ports busy and schedules the completion. The caller
 ///    must have established eligibility (input_ready, output_free,
@@ -42,14 +37,12 @@ template <class P>
 concept CrossbarPorts = requires(P& p, const P& cp, iba::PortIndex port,
                                  iba::VirtualLane vl) {
   { cp.port_count() } -> std::convertible_to<unsigned>;
-  { cp.now() } -> std::convertible_to<iba::Cycle>;
   { cp.input_ready(port) } -> std::convertible_to<bool>;
   { cp.input_occupancy(port) } -> std::convertible_to<std::uint16_t>;
   { cp.head_output(port, vl) } -> std::convertible_to<iba::PortIndex>;
   { cp.head_bytes(port, vl) } -> std::convertible_to<std::uint32_t>;
   { cp.output_free(port) } -> std::convertible_to<bool>;
   { cp.output_accepts(port, vl, port) } -> std::convertible_to<bool>;
-  { cp.head_guaranteed(port, vl, port) } -> std::convertible_to<bool>;
   p.grant(port, vl, port);
 };
 
@@ -78,7 +71,7 @@ class VlRoundRobin {
   unsigned start_;
 };
 
-/// Base of the four schedulers: the always-on decision accounting, folded
+/// Base of the three schedulers: the always-on decision accounting, folded
 /// across switches into xbar.* telemetry by the simulator's snapshot probe
 /// (plain increments — the matching loop is a hot path).
 class CrossbarScheduler {
@@ -89,8 +82,6 @@ class CrossbarScheduler {
     std::uint64_t iterations = 0;  ///< Matching iterations / scan passes.
     std::uint64_t blocked_output = 0;  ///< Head deferred: output busy.
     std::uint64_t blocked_space = 0;   ///< Head deferred: output VL full.
-    std::uint64_t throttled = 0;   ///< ABR lane: best-effort head deferred
-                                   ///< by the explicit-rate fair share.
   };
 
   const Stats& stats() const noexcept { return stats_; }

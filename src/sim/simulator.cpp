@@ -47,8 +47,6 @@ class XbarView {
 
   unsigned port_count() const { return static_cast<unsigned>(sw_.in.size()); }
 
-  iba::Cycle now() const { return sim_.now_cur(); }
-
   bool input_ready(iba::PortIndex in) const {
     const InputPort& ip = sw_.in[in];
     return ip.wired && !ip.xbar_tx_busy && !ip.buffers.all_empty();
@@ -77,15 +75,6 @@ class XbarView {
     const iba::VirtualLane out_vl =
         p.management ? iba::kManagementVl : op.sl_map.map(p.sl);
     return op.queues.can_accept(out_vl, head_bytes(in, vl));
-  }
-
-  bool head_guaranteed(iba::PortIndex in, iba::VirtualLane vl,
-                       iba::PortIndex out) const {
-    const iba::Packet& p = head(in, vl);
-    if (p.management) return true;
-    const OutputPort& op = sw_.out[out];
-    const iba::VirtualLane out_vl = op.sl_map.map(p.sl);
-    return (op.arbiter.high_vl_mask() >> out_vl) & 1u;
   }
 
   void grant(iba::PortIndex in, iba::VirtualLane vl, iba::PortIndex out) {
@@ -297,14 +286,12 @@ Simulator::Simulator(const network::FabricGraph& graph,
       xs.iterations += s.iterations;
       xs.blocked_output += s.blocked_output;
       xs.blocked_space += s.blocked_space;
-      xs.throttled += s.throttled;
     }
     snap.add_counter("xbar.rounds", xs.rounds);
     snap.add_counter("xbar.grants", xs.grants);
     snap.add_counter("xbar.iterations", xs.iterations);
     snap.add_counter("xbar.blocked_output", xs.blocked_output);
     snap.add_counter("xbar.blocked_space", xs.blocked_space);
-    snap.add_counter("xbar.throttled", xs.throttled);
   });
 
   if (cfg_.sample_every > 0) {

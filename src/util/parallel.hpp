@@ -25,16 +25,19 @@ namespace ibarb::util {
 template <typename Body>
 void parallel_for(ThreadPool& pool, std::size_t n, Body&& body) {
   if (n == 0) return;
-  auto next = std::make_shared<std::atomic<std::size_t>>(0);
-  auto errors = std::make_shared<std::vector<std::exception_ptr>>(n);
-  auto lane = [next, errors, n, &body]() {
+  // Locals captured by reference: every lane has returned once the f.get()
+  // loop below ends, so none outlives them, and the exceptions are freed on
+  // this thread only.
+  std::atomic<std::size_t> next{0};
+  std::vector<std::exception_ptr> errors(n);
+  auto lane = [&next, &errors, n, &body]() {
     for (;;) {
-      const std::size_t i = next->fetch_add(1, std::memory_order_relaxed);
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= n) return;
       try {
         body(i);
       } catch (...) {
-        (*errors)[i] = std::current_exception();
+        errors[i] = std::current_exception();
       }
     }
   };
@@ -45,7 +48,7 @@ void parallel_for(ThreadPool& pool, std::size_t n, Body&& body) {
   lane();
   for (auto& f : futures) f.get();
 
-  for (const auto& e : *errors)
+  for (const auto& e : errors)
     if (e) std::rethrow_exception(e);
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -172,6 +173,31 @@ TEST(Admission, RejectsNonFiniteOrNegativeRatesBeforeReservingAnything) {
   std::string why;
   EXPECT_TRUE(ac.audit_full(&why)) << why;
   EXPECT_TRUE(ac.request(req(hosts[0], hosts[2], 2, 8, 0.0)).has_value());
+}
+
+TEST(Admission, RefusesARateWhoseWeightWouldWrap) {
+  // ceil(share * 16320) == 2^32 + 100: cast straight to a 32-bit unsigned,
+  // the weight would wrap to 100 units, a small and feasible request.
+  Fixture f(network::gen::line(3, 1));
+  AdmissionControl ac(f.graph, f.routes, paper_catalogue(), cfg());
+  const auto hosts = f.graph.hosts();
+  const double link = iba::link_mbps(f.graph.link(hosts[0], 0).rate);
+  const double full = static_cast<double>(iba::kFullTableWeight);
+  const double wraps = 4294967296.0 + 100.0;
+  const double mbps = (wraps - 0.5) / full * link;
+  ASSERT_EQ(std::ceil(mbps / link * full), wraps);
+  EXPECT_EQ(arbtable::compute_requirement(mbps, link, 8), std::nullopt);
+
+  EXPECT_FALSE(ac.request(req(hosts[0], hosts[2], 2, 8, mbps)).has_value());
+  EXPECT_EQ(ac.accepted(), 0u);
+  EXPECT_EQ(ac.rejected(), 1u);
+  for (const auto& port : f.routes.path(hosts[0], hosts[2])) {
+    const auto& m = ac.port_manager(port.node, port.port);
+    EXPECT_EQ(m.reserved_mbps(), 0.0);
+    EXPECT_EQ(m.free_entries(), iba::kArbTableEntries);
+  }
+  std::string why;
+  EXPECT_TRUE(ac.audit_full(&why)) << why;
 }
 
 TEST(Admission, MixedRateHopsEachGetTheirOwnRequirement) {

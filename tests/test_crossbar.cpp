@@ -10,9 +10,6 @@
 //    throughput on saturated uniform traffic within N cells.
 //  * Matrix property: a persistent requester is never starved — it wins
 //    within N-1 losses, and contended service is exactly fair.
-//  * ABR properties: guaranteed heads are never throttled; best-effort
-//    served bytes converge to equal shares (max-min on a single
-//    bottleneck); the rate view decays.
 //  * Cross-scheduler probes: work conservation after every full matching
 //    round, grant-eligibility at commit time (asserted inside the mock),
 //    deterministic replay, Theorem 1 (zero deadline misses end-to-end)
@@ -26,7 +23,6 @@
 #include <vector>
 
 #include "paper_runner.hpp"
-#include "sched/abr_crossbar.hpp"
 #include "sched/crossbar.hpp"
 #include "sched/islip_crossbar.hpp"
 #include "sched/matrix_crossbar.hpp"
@@ -41,7 +37,6 @@ namespace {
 struct MockPacket {
   iba::PortIndex out = 0;
   std::uint32_t bytes = 288;
-  bool guaranteed = true;
 };
 
 struct Grant {
@@ -73,7 +68,6 @@ class MockFabric {
     std::fill(in_busy_.begin(), in_busy_.end(), false);
     std::fill(out_busy_.begin(), out_busy_.end(), false);
   }
-  void advance(iba::Cycle cycles) { time_ += cycles; }
   const std::vector<Grant>& grants() const { return grants_; }
   std::uint64_t queued() const {
     std::uint64_t n = 0;
@@ -99,7 +93,6 @@ class MockFabric {
 
   // --- the CrossbarPorts view ---------------------------------------------
   unsigned port_count() const { return ports_; }
-  iba::Cycle now() const { return time_; }
   bool input_ready(iba::PortIndex in) const {
     return !in_busy_[in] && input_occupancy(in) != 0;
   }
@@ -124,10 +117,6 @@ class MockFabric {
                       iba::PortIndex out) const {
     return !out_full_[out];
   }
-  bool head_guaranteed(iba::PortIndex in, iba::VirtualLane vl,
-                       iba::PortIndex) const {
-    return q_[in][vl].front().guaranteed;
-  }
   void grant(iba::PortIndex in, iba::VirtualLane vl,
              iba::PortIndex out) {
     // Commit-time contract: every grant must be eligible right now. A
@@ -150,7 +139,6 @@ class MockFabric {
   std::vector<bool> out_busy_;
   std::vector<bool> out_full_;
   std::vector<Grant> grants_;
-  iba::Cycle time_ = 0;
 };
 static_assert(CrossbarPorts<MockFabric>);
 
@@ -315,7 +303,7 @@ TEST(Islip, NoInputOrOutputGrantedTwiceWithinOneMatch) {
   for (unsigned i = 0; i < kPorts; ++i)
     for (unsigned v = 0; v < kPorts; ++v)
       f.push(i, static_cast<iba::VirtualLane>(v),
-             {static_cast<iba::PortIndex>(v), 288, true});
+             {static_cast<iba::PortIndex>(v), 288});
 
   islip.schedule(f, -1);
   // One matching round on an idle fabric: at most one grant per input and
@@ -349,7 +337,7 @@ TEST(Islip, PointersDesynchronizeToFullThroughputWithinNCells) {
         while (f.input_occupancy(i) == 0 ||
                !(f.input_occupancy(i) & (1u << v)))
           f.push(i, static_cast<iba::VirtualLane>(v),
-                 {static_cast<iba::PortIndex>(v), 288, true});
+                 {static_cast<iba::PortIndex>(v), 288});
   };
 
   std::size_t prev = 0;
@@ -383,7 +371,7 @@ TEST(Islip, RandomPermutationServedCompletelyWithinNCells) {
     IslipCrossbar islip(kPorts);
     for (unsigned i = 0; i < kPorts; ++i)
       for (unsigned n = 0; n < 2 * kPorts; ++n)
-        f.push(i, 0, {static_cast<iba::PortIndex>(perm[i]), 288, true});
+        f.push(i, 0, {static_cast<iba::PortIndex>(perm[i]), 288});
 
     std::size_t prev = 0;
     for (unsigned cell = 0; cell < 2 * kPorts; ++cell) {
@@ -409,7 +397,7 @@ TEST(Matrix, PersistentRequesterIsNeverStarved) {
   // Every input hammers output 0 forever.
   for (unsigned i = 0; i < kPorts; ++i)
     for (unsigned n = 0; n < kRounds; ++n)
-      f.push(i, 0, {0, 288, true});
+      f.push(i, 0, {0, 288});
 
   std::array<unsigned, kPorts> served{};
   for (unsigned cell = 0; cell < kRounds; ++cell) {
@@ -439,12 +427,12 @@ TEST(Matrix, NewRequesterCannotBargeAheadForever) {
 
   // Input 3 waits alone first; then input 0 (higher seed priority: the
   // matrix is seeded with index order) joins every cell.
-  for (unsigned n = 0; n < 8; ++n) f.push(3, 0, {0, 288, true});
+  for (unsigned n = 0; n < 8; ++n) f.push(3, 0, {0, 288});
   matrix.schedule(f, -1);
   ASSERT_EQ(f.grants().back().in, 3u);  // alone: wins immediately
   f.release_all();
 
-  for (unsigned n = 0; n < 8; ++n) f.push(0, 0, {0, 288, true});
+  for (unsigned n = 0; n < 8; ++n) f.push(0, 0, {0, 288});
   // From here both contend. 3 was just served (lowest priority), so 0 wins
   // once; then strict alternation — neither ever waits more than one cell.
   std::vector<unsigned> order;
@@ -458,83 +446,6 @@ TEST(Matrix, NewRequesterCannotBargeAheadForever) {
 }
 
 // ---------------------------------------------------------------------------
-// ABR-lane properties.
-// ---------------------------------------------------------------------------
-
-TEST(Abr, GuaranteedHeadsAreNeverThrottled) {
-  constexpr unsigned kPorts = 4;
-  constexpr unsigned kCells = 32;
-  MockFabric f(kPorts);
-  AbrCrossbar abr(kPorts);
-  // Input 0: guaranteed backlog to output 0. Inputs 1..3: best-effort
-  // backlog contending for output 1.
-  for (unsigned n = 0; n < kCells; ++n) {
-    f.push(0, 0, {0, 288, true});
-    for (unsigned i = 1; i < kPorts; ++i)
-      f.push(i, 1, {1, 288, false});
-  }
-
-  for (unsigned cell = 0; cell < kCells; ++cell) {
-    const std::size_t before = f.grants().size();
-    abr.schedule(f, -1);
-    // Work conservation across both lanes: the guaranteed head AND one
-    // best-effort contender start every cell.
-    ASSERT_EQ(f.grants().size() - before, 2u) << "cell " << cell;
-    EXPECT_EQ(f.grants()[before].in, 0u)
-        << "guaranteed lane must be scheduled first";
-    f.release_all();
-  }
-  // The two losing best-effort contenders were throttled every cell; the
-  // guaranteed flow never was (it is scheduled before the rate lane runs).
-  EXPECT_EQ(abr.stats().throttled, (kPorts - 2) * kCells);
-}
-
-TEST(Abr, BestEffortSharesConvergeToMaxMinEquality) {
-  constexpr unsigned kPorts = 4;
-  constexpr unsigned kCells = 600;
-  MockFabric f(kPorts);
-  AbrCrossbar abr(kPorts);
-  // Three best-effort flows into output 0 with very different packet
-  // sizes. Equal packet COUNTS would skew bytes 1:4:16; the explicit-rate
-  // lane must equalize BYTES instead.
-  const std::array<std::uint32_t, 3> sizes{128, 512, 2048};
-  const auto refill = [&] {
-    for (unsigned i = 0; i < 3; ++i)
-      if (!(f.input_occupancy(i) & 1u)) f.push(i, 0, {0, sizes[i], false});
-  };
-
-  for (unsigned cell = 0; cell < kCells; ++cell) {
-    refill();
-    abr.schedule(f, -1);
-    f.release_all();
-  }
-
-  std::array<std::uint64_t, 3> served{};
-  for (unsigned i = 0; i < 3; ++i) served[i] = abr.served_bytes(i, 0);
-  const auto [lo, hi] = std::minmax_element(served.begin(), served.end());
-  EXPECT_GT(*lo, 0u);
-  // Max-min on one bottleneck: equal shares, to within one largest packet.
-  EXPECT_LE(*hi - *lo, 2048u) << served[0] << " " << served[1] << " "
-                              << served[2];
-}
-
-TEST(Abr, RateViewDecaysAcrossEpochs) {
-  constexpr unsigned kPorts = 2;
-  MockFabric f(kPorts);
-  AbrCrossbar abr(kPorts);
-  f.push(0, 0, {0, 1000, false});
-  abr.schedule(f, -1);
-  ASSERT_EQ(abr.served_bytes(0, 0), 1000u);
-  f.release_all();
-
-  // Two epochs later the counter has halved twice: old service stops
-  // dominating the allocation forever.
-  f.advance(2 * AbrCrossbar::kRateEpochCycles);
-  abr.schedule(f, -1);  // empty round; just rolls the epoch
-  EXPECT_EQ(abr.served_bytes(0, 0), 250u);
-}
-
-// ---------------------------------------------------------------------------
 // Cross-scheduler invariant probes.
 // ---------------------------------------------------------------------------
 
@@ -543,8 +454,7 @@ class EverySchedulerTest : public ::testing::TestWithParam<CrossbarImpl> {};
 INSTANTIATE_TEST_SUITE_P(Zoo, EverySchedulerTest,
                          ::testing::Values(CrossbarImpl::kWrr,
                                            CrossbarImpl::kIslip,
-                                           CrossbarImpl::kMatrix,
-                                           CrossbarImpl::kAbr),
+                                           CrossbarImpl::kMatrix),
                          [](const auto& info) {
                            return crossbar_impl_name(info.param);
                          });
@@ -564,12 +474,10 @@ MockFabric drive_random(Crossbar& sched, unsigned ports,
       MockPacket p;
       p.out = static_cast<iba::PortIndex>(rng.uniform(0, ports));
       p.bytes = 64 + static_cast<std::uint32_t>(rng.uniform(0, 4096));
-      p.guaranteed = rng.chance(0.5);
       f.push(in, vl, p);
       sched.schedule(f, static_cast<int>(in));
     } else if (r < 0.8) {
       f.release_all();
-      f.advance(1 + static_cast<iba::Cycle>(rng.uniform(0, 5000)));
       sched.schedule(f, -1);
     } else {
       f.set_output_full(static_cast<unsigned>(rng.uniform(0, ports)),
@@ -648,13 +556,12 @@ TEST(CrossbarSelection, ParseKnowsEveryName) {
   EXPECT_EQ(parse_crossbar_impl("wrr"), CrossbarImpl::kWrr);
   EXPECT_EQ(parse_crossbar_impl("islip"), CrossbarImpl::kIslip);
   EXPECT_EQ(parse_crossbar_impl("matrix"), CrossbarImpl::kMatrix);
-  EXPECT_EQ(parse_crossbar_impl("abr"), CrossbarImpl::kAbr);
+  EXPECT_FALSE(parse_crossbar_impl("abr").has_value());
   EXPECT_FALSE(parse_crossbar_impl("WRR").has_value());
   EXPECT_FALSE(parse_crossbar_impl("islip2").has_value());
   EXPECT_FALSE(parse_crossbar_impl("").has_value());
   for (const auto impl :
-       {CrossbarImpl::kWrr, CrossbarImpl::kIslip, CrossbarImpl::kMatrix,
-        CrossbarImpl::kAbr})
+       {CrossbarImpl::kWrr, CrossbarImpl::kIslip, CrossbarImpl::kMatrix})
     EXPECT_EQ(parse_crossbar_impl(crossbar_impl_name(impl)), impl);
 }
 
@@ -667,13 +574,13 @@ TEST(CrossbarSelection, CliFlagRejectsUnknownAtParseTime) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("--crossbar"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("fifo"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("wrr|islip|matrix|abr"),
+    EXPECT_NE(std::string(e.what()).find("wrr|islip|matrix"),
               std::string::npos);
   }
 }
 
 TEST(CrossbarSelection, CliFlagAcceptsEveryKnownName) {
-  for (const char* name : {"wrr", "islip", "matrix", "abr"}) {
+  for (const char* name : {"wrr", "islip", "matrix"}) {
     const char* argv[] = {"bench", "--crossbar", name};
     const util::Cli cli(3, argv);
     EXPECT_EQ(bench::config_from_cli(cli).crossbar,

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <iterator>
 #include <vector>
 
@@ -469,6 +470,62 @@ TEST(EventQueueDifferential, CascadeInterleavedWithOutOfOrderKeyedPushes) {
   }
   while (!reference.empty()) ASSERT_TRUE(pop_checked());
   EXPECT_TRUE(queue.empty());
+}
+
+TEST(EventQueueDifferential, PushesSweepTheStatsHorizon) {
+  // Residency is measured from the last pop: a push at last pop + 2^16 - 1
+  // is near (bin 16), one at + 2^16 or + 2^16 + 1 is an overflow push.
+  // Every round pushes at those three distances, and pops advance the last
+  // pop by varying steps, so the edge sweeps across cycles already queued
+  // and across epoch boundaries while order must stay exact.
+  util::Xoshiro256 rng(413);
+  EventQueue queue;
+  std::vector<std::pair<iba::Cycle, std::uint32_t>> reference;  // unpopped
+  std::uint32_t stamp = 0;
+  iba::Cycle last_pop = 0;
+  constexpr iba::Cycle kHorizon = iba::Cycle{1} << 16;
+  std::uint64_t beyond = 0;
+  std::array<std::uint64_t, EventQueue::kResidencyBins> bins{};
+  const auto push = [&](iba::Cycle t) {
+    const iba::Cycle dist = t - last_pop;  // never behind the last pop here
+    if (dist >= kHorizon) {
+      ++beyond;
+      ++bins.back();
+    } else {
+      ++bins[static_cast<std::size_t>(std::bit_width(dist))];
+    }
+    Event e = at(t);
+    e.aux = stamp++;
+    queue.push(e);
+    reference.emplace_back(t, e.aux);
+  };
+  const auto pop_checked = [&]() -> ::testing::AssertionResult {
+    const auto it = std::min_element(reference.begin(), reference.end());
+    const auto want = *it;
+    reference.erase(it);
+    const Event e = queue.pop();
+    last_pop = e.time;
+    if (e.time == want.first && e.aux == want.second && e.seq == want.second)
+      return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << "popped (" << e.time << ", " << e.aux << "), expected ("
+           << want.first << ", " << want.second << ")";
+  };
+
+  for (int round = 0; round < 3'000; ++round) {
+    push(last_pop + kHorizon - 1);
+    push(last_pop + kHorizon);
+    push(last_pop + kHorizon + 1);
+    // Near traffic: mostly zero to three cycles ahead, so consecutive
+    // rounds' edges overlap, sometimes far enough to jump ahead.
+    for (int i = 0; i < 2; ++i)
+      push(last_pop + (rng.chance(0.8) ? rng.below(4) : rng.below(40'000)));
+    for (int i = 0; i < 4; ++i) ASSERT_TRUE(pop_checked());
+  }
+  while (!reference.empty()) ASSERT_TRUE(pop_checked());
+  EXPECT_TRUE(queue.empty());
+  EXPECT_EQ(queue.stats().overflow_pushes, beyond);
+  EXPECT_EQ(queue.stats().residency_log2, bins);
 }
 
 }  // namespace

@@ -82,6 +82,8 @@ TEST(ComputeRequirement, ReservationCoversRequest) {
 
 TEST(ComputeRequirement, InfeasibleBeyondLink) {
   EXPECT_FALSE(compute_requirement(kLink * 1.01, kLink, 64).has_value());
+  // 8.16e12 weight units: beyond unsigned's range, not merely the table's.
+  EXPECT_EQ(compute_requirement(1e12, kLink, 8), std::nullopt);
 }
 
 TEST(ComputeRequirement, FullLinkIsFeasible) {

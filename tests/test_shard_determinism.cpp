@@ -190,7 +190,6 @@ struct AxisCell {
 constexpr AxisCell kAxisCells[] = {
     {"islip", sched::CrossbarImpl::kIslip, "irregular", "updown"},
     {"matrix", sched::CrossbarImpl::kMatrix, "irregular", "updown"},
-    {"abr", sched::CrossbarImpl::kAbr, "irregular", "updown"},
     {"torus3d", sched::CrossbarImpl::kWrr, "torus3d:x=3,y=3,z=3,hosts=1",
      "minimal-vl-escape"},
     {"dragonfly", sched::CrossbarImpl::kWrr, "dragonfly:a=2,h=1,p=1",
