@@ -23,6 +23,12 @@
 // the exact (time, seq) key, so the global order is identical to a single
 // totally-ordered queue. tests/test_event_queue.cpp checks that order
 // against a sorted reference model; docs/PERF.md has the argument.
+//
+// The head is memoized with its time, which a fine bucket implies and a
+// heap node carries, so finding it reads a slot only to break a same-time
+// tie. pop() finds the next head at once and prefetches its slot, so that
+// load overlaps the handler that runs in between; a push later than the
+// memoized head cannot displace it and keeps the memo.
 #pragma once
 
 #include <array>
@@ -101,6 +107,7 @@ class EventQueue {
     ++stats_.pushes;
     const iba::Cycle t = e.time;
     record_residency(t >= last_pop_ && t - last_pop_ < kSpan, t - last_pop_);
+    forget_head_unless_later(t);
     place(alloc_slot(std::move(e)), /*keyed=*/false);
   }
 
@@ -124,6 +131,7 @@ class EventQueue {
       const iba::Cycle dist = e.time >= origin ? e.time - origin : 0;
       record_residency(dist < kSpan, dist);
     }
+    forget_head_unless_later(e.time);
     place(alloc_slot(std::move(e)), /*keyed=*/true);
   }
 
@@ -156,6 +164,9 @@ class EventQueue {
   /// wheel.
   const Event& top() { return pool_[peek().idx]; }
 
+  /// The head's time, without reading the head's slot.
+  iba::Cycle top_time() { return peek().time; }
+
   const Stats& stats() const noexcept { return stats_; }
 
   Event pop() {
@@ -185,10 +196,16 @@ class EventQueue {
     ++stats_.residency_log2[bin];
   }
 
+  /// A push at or before the memoized head's time may order first: at the
+  /// same time a push_keyed can carry a smaller seq. A later one cannot.
+  void forget_head_unless_later(iba::Cycle t) {
+    if (t <= cached_peek_.time) peek_valid_ = false;
+  }
+
   Event pop_impl() {
     const Peek p = peek();
     peek_valid_ = false;
-    const iba::Cycle t = pool_[p.idx].time;
+    const iba::Cycle t = p.time;
     if (p.from_wheel) {
       Bucket& bk = fine_.buckets[p.bucket];
       bk.head = next_[p.idx];
@@ -206,13 +223,19 @@ class EventQueue {
     --size_;
     Event out = std::move(pool_[p.idx]);
     free_.push_back(p.idx);
+    // A cascade stays lazy: it would move the epoch before the handler's
+    // pushes are placed.
+    if (size_ > 0 && (fine_.count > 0 || coarse_.count == 0)) {
+      cached_peek_ = find_peek();
+      peek_valid_ = true;
+      __builtin_prefetch(&pool_[cached_peek_.idx]);
+    }
     return out;
   }
 
   // --- Shared slab pool ----------------------------------------------------
 
   std::uint32_t alloc_slot(Event&& e) {
-    peek_valid_ = false;
     if (++size_ > stats_.peak_size) stats_.peak_size = size_;
     if (free_.empty()) {
       pool_.push_back(std::move(e));
@@ -424,13 +447,15 @@ class EventQueue {
   // --- Two-way (time, seq) merge of fine-wheel head and heap head ----------
 
   struct Peek {
+    iba::Cycle time = 0;
     std::uint32_t idx = 0;
-    bool from_wheel = false;
     std::uint32_t bucket = 0;
+    bool from_wheel = false;
   };
 
   /// Memoizes the merge so the usual top()-then-pop() pattern pays for one
-  /// bitmap search per event, not two. Invalidated by push and pop.
+  /// bitmap search per event, not two. Invalidated by a pop (which finds the
+  /// next head itself) and by a push at or before the head's time.
   const Peek& peek() {
     if (!peek_valid_) {
       cached_peek_ = find_peek();
@@ -439,21 +464,26 @@ class EventQueue {
     return cached_peek_;
   }
 
+  /// A fine bucket is one exact cycle of the current epoch, so only a
+  /// same-time tie with the heap's head reads the wheel head's slot.
   Peek find_peek() {
     assert(size_ > 0 && "peek/pop on an empty EventQueue");
     if (fine_.count == 0) {
-      if (coarse_.count == 0) return Peek{overflow_.front().idx, false, 0};
+      if (coarse_.count == 0) {
+        const HeapNode& h = overflow_.front();
+        return Peek{h.time, h.idx, 0, false};
+      }
       cascade();
     }
     const std::uint32_t b = fine_.first();
     const std::uint32_t wi = fine_.buckets[b].head;
+    const iba::Cycle wt = (epoch_ << kSpanBits) | b;
     if (!overflow_.empty()) {
-      const Event& w = pool_[wi];
       const HeapNode& h = overflow_.front();
-      if (h.time < w.time || (h.time == w.time && h.seq < w.seq))
-        return Peek{h.idx, false, 0};
+      if (h.time < wt || (h.time == wt && h.seq < pool_[wi].seq))
+        return Peek{h.time, h.idx, 0, false};
     }
-    return Peek{wi, true, b};
+    return Peek{wt, wi, b, true};
   }
 
   std::vector<Event> pool_;

@@ -43,19 +43,38 @@ struct FlowSpec {
   double on_fraction = 0.25;
 };
 
-struct FlowState {
-  FlowSpec spec;
-  util::Xoshiro256 rng{0};
+/// A flow's per-packet record: everything on_generate and a CBR reschedule
+/// read, in half a cache line (the fabric may hold tens of thousands of
+/// flows, and each generation touches one at random). The FlowSpec is not
+/// kept: add_flow moves its fields here, into FlowCold, and into the
+/// flow's ConnectionMetrics.
+struct alignas(32) FlowState {
   iba::Cycle next_nominal = 0;   ///< CBR drift-free clock.
+  /// FlowSpec::interval divided by the overdrive (set_flow_overdrive).
+  iba::Cycle interval = 0;
   std::uint32_t next_sequence = 0;
-  std::uint32_t burst_left = 0;  ///< kOnOffVbr packets left in this burst.
-  bool stopped = false;          ///< Set by Simulator::stop_flow.
+  std::uint32_t payload_bytes = 0;
+  iba::Lid src = iba::kInvalidLid;  ///< Source host LID (node id + 1).
+  iba::Lid dst = iba::kInvalidLid;  ///< Destination host LID.
+  iba::ServiceLevel sl = 0;
+  GeneratorKind kind = GeneratorKind::kCbr;
+  bool stopped : 1 = false;      ///< Set by Simulator::stop_flow.
   /// True while a kGenerate event for this flow sits in the queue. Lets
   /// resume_flow avoid double-scheduling the generator chain.
-  bool generator_scheduled = false;
-  /// Misbehaving-source multiplier on the generation rate (1.0 = nominal).
-  /// Set by Simulator::set_flow_overdrive during fault overload bursts.
-  double overdrive = 1.0;
+  bool scheduled : 1 = false;
+  bool management : 1 = false;   ///< VL15 traffic.
+  bool external : 1 = false;     ///< FlowSpec::external.
+};
+static_assert(sizeof(FlowState) <= 64, "one flow record per cache line");
+
+/// What only Poisson and VBR flows and set_flow_overdrive read, kept apart
+/// from the per-packet record (same index).
+struct FlowCold {
+  util::Xoshiro256 rng{0};
+  iba::Cycle interval = 0;  ///< FlowSpec::interval, before any overdrive.
+  double burst_mean_packets = 16.0;  ///< kOnOffVbr shape (FlowSpec).
+  double on_fraction = 0.25;
+  std::uint32_t burst_left = 0;  ///< kOnOffVbr packets left in this burst.
 };
 
 struct HostState {

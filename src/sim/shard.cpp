@@ -89,10 +89,9 @@ std::unique_ptr<ShardEngine> ShardEngine::create(Simulator& sim,
   // a sound bound for them.
   std::uint32_t min_wire = iba::kPacketOverheadBytes + sim.cfg_.max_payload_bytes;
   for (const FlowState& f : sim.flows_) {
-    const std::uint32_t wire = f.spec.external
-                                   ? iba::kPacketOverheadBytes
-                                   : f.spec.payload_bytes +
-                                         iba::kPacketOverheadBytes;
+    const std::uint32_t wire =
+        f.external ? iba::kPacketOverheadBytes
+                   : f.payload_bytes + iba::kPacketOverheadBytes;
     min_wire = std::min(min_wire, wire);
   }
 
@@ -420,14 +419,14 @@ void ShardEngine::worker(unsigned s) {
 
     EventQueue& q = ctx.queue;
     for (;;) {
-      const bool has_q = !q.empty() && q.top().time < end;
+      const bool has_q = !q.empty() && q.top_time() < end;
       const bool has_n = !ctx.nursery.empty();
       if (!has_q && !has_n) break;
       // Queue-vs-nursery tie at the same cycle: the queue event wins — its
       // key was assigned in an earlier window and the counter only grows.
       const bool from_q =
           has_q &&
-          (!has_n || q.top().time <= ctx.journal[ctx.nursery.front()].ev.time);
+          (!has_n || q.top_time() <= ctx.journal[ctx.nursery.front()].ev.time);
       Event e;
       if (from_q) {
         e = q.pop();
@@ -514,7 +513,7 @@ void ShardEngine::run_until(iba::Cycle t) {
     iba::Cycle min_next = iba::kNeverCycle;
     for (const auto& sc : shards_)
       if (!sc->queue.empty())
-        min_next = std::min(min_next, sc->queue.top().time);
+        min_next = std::min(min_next, sc->queue.top_time());
     if (min_next > t) {
       // Mirrors the sequential loop's trailing mark: every boundary <= t is
       // behind us even if no event crossed it.

@@ -17,6 +17,7 @@ namespace {
 /// LID convention used across the library: host LID = node id + 1 (LID 0 is
 /// reserved/invalid in IBA). The subnet manager mirrors this assignment.
 iba::Lid lid_of(iba::NodeId host) { return static_cast<iba::Lid>(host + 1); }
+iba::NodeId node_of(iba::Lid lid) { return static_cast<iba::NodeId>(lid) - 1; }
 
 /// True while the calling thread executes a shard window (sim/shard.cpp).
 bool in_parallel() { return t_shard != nullptr; }
@@ -48,8 +49,10 @@ class XbarView {
   unsigned port_count() const { return static_cast<unsigned>(sw_.in.size()); }
 
   bool input_ready(iba::PortIndex in) const {
-    const InputPort& ip = sw_.in[in];
-    return ip.wired && !ip.xbar_tx_busy && !ip.buffers.all_empty();
+    [[maybe_unused]] const InputPort& ip = sw_.in[in];
+    assert(sw_.input_ready(in) ==
+           (ip.wired && !ip.xbar_tx_busy && !ip.buffers.all_empty()));
+    return sw_.input_ready(in);
   }
 
   std::uint16_t input_occupancy(iba::PortIndex in) const {
@@ -82,6 +85,7 @@ class XbarView {
     OutputPort& op = sw_.out[out];
 
     ip.xbar_tx_busy = true;
+    sw_.clear_input_ready(in);
     op.xbar_rx_busy = true;
 
     const std::uint32_t wire = ip.buffers.front_bytes(vl);
@@ -344,7 +348,7 @@ void Simulator::push_event(Event e) {
 iba::NodeId Simulator::event_home_node(const Event& e) const {
   switch (e.type) {
     case EventType::kGenerate:
-      return flows_[e.aux].spec.src_host;
+      return node_of(flows_[e.aux].src);
     case EventType::kProbe:
     case EventType::kControl:
       return 0;  // Only ever migrated, never executed in parallel.
@@ -569,12 +573,24 @@ std::uint32_t Simulator::add_flow(const FlowSpec& spec) {
 
   const auto idx = static_cast<std::uint32_t>(flows_.size());
   FlowState fs;
-  fs.spec = spec;
-  fs.rng = util::Xoshiro256(cfg_.seed ^ (0x9e3779b97f4a7c15ull * (idx + 1)) ^
-                            spec.seed);
   fs.next_nominal = std::max(spec.start_offset, now_);
-  fs.generator_scheduled = !spec.external;
-  flows_.push_back(std::move(fs));
+  fs.interval = spec.interval;
+  fs.payload_bytes = spec.payload_bytes;
+  fs.src = lid_of(spec.src_host);
+  fs.dst = lid_of(spec.dst_host);
+  fs.sl = spec.sl;
+  fs.kind = spec.kind;
+  fs.scheduled = !spec.external;
+  fs.management = spec.management;
+  fs.external = spec.external;
+  flows_.push_back(fs);
+  FlowCold cold;
+  cold.rng = util::Xoshiro256(cfg_.seed ^ (0x9e3779b97f4a7c15ull * (idx + 1)) ^
+                              spec.seed);
+  cold.interval = spec.interval;
+  cold.burst_mean_packets = spec.burst_mean_packets;
+  cold.on_fraction = spec.on_fraction;
+  flow_cold_.push_back(cold);
 
   ConnectionMetrics cm;
   cm.sl = spec.sl;
@@ -608,11 +624,11 @@ void Simulator::resume_flow(std::uint32_t flow_index) {
   FlowState& f = flows_.at(flow_index);
   if (!f.stopped) return;
   f.stopped = false;
-  if (f.spec.external || f.generator_scheduled) return;
+  if (f.external || f.scheduled) return;
   // The generator chain died while stopped: restart it from the present
   // (the CBR nominal clock must not try to catch up on the outage).
   f.next_nominal = now_;
-  f.generator_scheduled = true;
+  f.scheduled = true;
   Event e;
   e.time = now_;
   e.type = EventType::kGenerate;
@@ -622,56 +638,50 @@ void Simulator::resume_flow(std::uint32_t flow_index) {
 
 void Simulator::set_flow_overdrive(std::uint32_t flow_index, double factor) {
   if (factor <= 0.0) throw std::invalid_argument("overdrive must be > 0");
-  flows_.at(flow_index).overdrive = factor;
+  // Misbehaving-source overdrive compresses the generator interval. Factor
+  // 1.0 restores the spec's interval in exact integer arithmetic.
+  const iba::Cycle nominal = flow_cold_.at(flow_index).interval;
+  flows_[flow_index].interval =
+      factor == 1.0 ? nominal
+                    : std::max<iba::Cycle>(
+                          1, static_cast<iba::Cycle>(
+                                 static_cast<double>(nominal) / factor));
 }
 
-void Simulator::schedule_flow(std::uint32_t flow_index,
-                              iba::Cycle not_before) {
+void Simulator::schedule_flow(std::uint32_t flow_index) {
   FlowState& f = flows_[flow_index];
-  // Misbehaving-source overdrive compresses every generator interval. The
-  // common factor-1.0 path stays in exact integer arithmetic.
-  const auto scaled = [&f](iba::Cycle interval) {
-    if (f.overdrive == 1.0) return interval;
-    return std::max<iba::Cycle>(
-        1, static_cast<iba::Cycle>(static_cast<double>(interval) /
-                                   f.overdrive));
-  };
-  iba::Cycle next = not_before;
-  switch (f.spec.kind) {
+  const auto interval = static_cast<double>(f.interval);
+  Event e;
+  switch (f.kind) {
     case GeneratorKind::kCbr:
       // Drift-free: advance the nominal clock, never the actual send time.
-      f.next_nominal += scaled(f.spec.interval);
-      next = f.next_nominal;
+      f.next_nominal += f.interval;
+      e.time = f.next_nominal;
       break;
     case GeneratorKind::kPoisson:
-      next = now_cur() + static_cast<iba::Cycle>(
-                             f.rng.exponential(static_cast<double>(
-                                 scaled(f.spec.interval))) + 1.0);
+      e.time = now_cur() +
+               static_cast<iba::Cycle>(
+                   flow_cold_[flow_index].rng.exponential(interval) + 1.0);
       break;
     case GeneratorKind::kOnOffVbr: {
-      if (f.burst_left > 0) {
-        --f.burst_left;
-        const auto peak = static_cast<iba::Cycle>(
-            static_cast<double>(scaled(f.spec.interval)) *
-                f.spec.on_fraction + 1.0);
-        next = now_cur() + peak;
+      FlowCold& c = flow_cold_[flow_index];
+      if (c.burst_left > 0) {
+        --c.burst_left;
+        e.time = now_cur() +
+                 static_cast<iba::Cycle>(interval * c.on_fraction + 1.0);
       } else {
         // Draw a new burst; the silence restores the long-run mean rate.
         const double burst =
-            1.0 + f.rng.exponential(f.spec.burst_mean_packets - 1.0);
-        f.burst_left = static_cast<std::uint32_t>(burst);
-        const double off_mean =
-            static_cast<double>(scaled(f.spec.interval)) * burst *
-            (1.0 - f.spec.on_fraction);
-        next = now_cur() +
-               static_cast<iba::Cycle>(f.rng.exponential(off_mean) + 1.0);
+            1.0 + c.rng.exponential(c.burst_mean_packets - 1.0);
+        c.burst_left = static_cast<std::uint32_t>(burst);
+        const double off_mean = interval * burst * (1.0 - c.on_fraction);
+        e.time = now_cur() +
+                 static_cast<iba::Cycle>(c.rng.exponential(off_mean) + 1.0);
       }
       break;
     }
   }
-  f.generator_scheduled = true;
-  Event e;
-  e.time = next;
+  f.scheduled = true;
   e.type = EventType::kGenerate;
   e.aux = flow_index;
   push_event(std::move(e));
@@ -679,17 +689,16 @@ void Simulator::schedule_flow(std::uint32_t flow_index,
 
 void Simulator::on_generate(std::uint32_t flow_index) {
   FlowState& f = flows_[flow_index];
-  f.generator_scheduled = false;
+  f.scheduled = false;
   if (f.stopped) return;  // torn down: neither generate nor reschedule
-  const FlowSpec& spec = f.spec;
   const iba::Cycle now = now_cur();
 
   iba::Packet p;
   p.connection = flow_index;
-  p.sl = spec.sl;
-  p.source = lid_of(spec.src_host);
-  p.destination = lid_of(spec.dst_host);
-  p.payload_bytes = spec.payload_bytes;
+  p.sl = f.sl;
+  p.source = f.src;
+  p.destination = f.dst;
+  p.payload_bytes = f.payload_bytes;
   p.sequence = f.next_sequence++;
   // Generated packets derive their id from (flow, sequence) — never from a
   // shared counter — so ids are identical whether a window runs on the
@@ -700,19 +709,20 @@ void Simulator::on_generate(std::uint32_t flow_index) {
   p.id = ((static_cast<std::uint64_t>(flow_index) + 1) << 32) |
          (p.sequence + 1);
   p.injected_at = now;
-  p.management = spec.management;
+  p.management = f.management;
   p.deadline = metrics_.connections[flow_index].deadline;
 
   metrics_.record_injection(flow_index, p);
 
-  HostState& host = hosts_[index_[spec.src_host]];
+  const iba::NodeId src = node_of(f.src);
+  HostState& host = hosts_[index_[src]];
   const iba::VirtualLane vl =
-      spec.management ? iba::kManagementVl : host.out.sl_map.map(spec.sl);
-  record_trace(now, TraceEvent::kInject, spec.src_host, 0, vl, p);
-  host.out.queues.push(vl, pool_at(spec.src_host).park(p), p.wire_bytes());
-  try_transmit(spec.src_host, 0);
+      f.management ? iba::kManagementVl : host.out.sl_map.map(f.sl);
+  record_trace(now, TraceEvent::kInject, src, 0, vl, p);
+  host.out.queues.push(vl, pool_at(src).park(p), p.wire_bytes());
+  try_transmit(src, 0);
 
-  schedule_flow(flow_index, now);
+  schedule_flow(flow_index);
 }
 
 void Simulator::try_transmit(iba::NodeId node, iba::PortIndex port) {
@@ -789,7 +799,9 @@ void Simulator::on_link_deliver(const Event& e) {
   }
   if (graph_.is_switch(e.node)) {
     SwitchState& sw = switches_[index_[e.node]];
-    sw.in[e.port].buffers.push(e.vl, e.pkt, wire);
+    InputPort& ip = sw.in[e.port];
+    ip.buffers.push(e.vl, e.pkt, wire);
+    if (!ip.xbar_tx_busy) sw.set_input_ready(e.port);
     schedule_crossbar(index_[e.node], static_cast<int>(e.port));
     return;
   }
@@ -858,6 +870,7 @@ void Simulator::on_xfer_complete(const Event& e) {
   }
 
   ip.xbar_tx_busy = false;
+  if (!ip.buffers.all_empty()) sw.set_input_ready(in_port);
   op.xbar_rx_busy = false;
 
   try_transmit(e.node, e.port);
@@ -919,21 +932,20 @@ std::uint64_t Simulator::inject_external(std::uint32_t flow_index,
                                          std::uint32_t payload_bytes,
                                          std::uint32_t sequence,
                                          std::uint8_t rc_op, bool rc_last) {
-  FlowState& f = flows_.at(flow_index);
-  if (!f.spec.external)
+  const FlowState& f = flows_.at(flow_index);
+  if (!f.external)
     throw std::invalid_argument("inject_external needs an external flow");
-  const FlowSpec& spec = f.spec;
 
   iba::Packet p;
   p.id = next_packet_id_++;
   p.connection = flow_index;
-  p.sl = spec.sl;
-  p.source = lid_of(spec.src_host);
-  p.destination = lid_of(spec.dst_host);
+  p.sl = f.sl;
+  p.source = f.src;
+  p.destination = f.dst;
   p.payload_bytes = payload_bytes;
   p.sequence = sequence;
   p.injected_at = now_;
-  p.management = spec.management;
+  p.management = f.management;
   p.rc_op = rc_op;
   p.rc_last = rc_last;
   p.deadline = metrics_.connections[flow_index].deadline;
@@ -941,12 +953,13 @@ std::uint64_t Simulator::inject_external(std::uint32_t flow_index,
 
   metrics_.record_injection(flow_index, p);
 
-  HostState& host = hosts_[index_[spec.src_host]];
+  const iba::NodeId src = node_of(f.src);
+  HostState& host = hosts_[index_[src]];
   const iba::VirtualLane vl =
-      spec.management ? iba::kManagementVl : host.out.sl_map.map(spec.sl);
-  record_trace(now_, TraceEvent::kInject, spec.src_host, 0, vl, p);
-  host.out.queues.push(vl, pool_at(spec.src_host).park(p), p.wire_bytes());
-  try_transmit(spec.src_host, 0);
+      f.management ? iba::kManagementVl : host.out.sl_map.map(f.sl);
+  record_trace(now_, TraceEvent::kInject, src, 0, vl, p);
+  host.out.queues.push(vl, pool_at(src).park(p), p.wire_bytes());
+  try_transmit(src, 0);
   return id;
 }
 
@@ -1009,22 +1022,22 @@ void Simulator::run_until(iba::Cycle t) {
     engine_->run_until(t);
     return;
   }
-  while (!queue_.empty() && queue_.top().time <= t) {
+  while (!queue_.empty() && queue_.top_time() <= t) {
     // Pending-event census at fixed marks (the queue.peak_size gauge): the
     // first event at or past a mark triggers a sample *before* it pops, so
     // the count covers everything still scheduled from the mark onwards —
     // the same census the parallel engine takes at its window barriers.
-    if (queue_.top().time >= next_pending_mark_)
+    if (queue_.top_time() >= next_pending_mark_)
       sample_pending(queue_.size() - serial_pending_releases_,
-                     queue_.top().time);
+                     queue_.top_time());
     // A series boundary B samples the state after every event with time
     // <= B, so commit pending boundaries before popping the first event
     // that crosses one — the pop itself belongs to the next window. This
     // is the same commit point the parallel orchestrator uses between
     // windows, which keeps sampled queue counters byte-identical.
-    if (series_ && queue_.top().time > series_->next_due()) {
+    if (series_ && queue_.top_time() > series_->next_due()) {
       obs::ScopedTimer timer(profiler_.get(), obs::PhaseProfiler::kSeries);
-      series_->advance_to(queue_.top().time);
+      series_->advance_to(queue_.top_time());
     }
     const Event e = queue_.pop();
     assert(e.time >= now_ && "time must not run backwards");

@@ -362,7 +362,8 @@ class Simulator {
   /// shard's while the engine holds the events, the simulator's otherwise.
   PacketPool& pool_at(iba::NodeId node);
   iba::PortIndex route_port(const SwitchState& sw, iba::Lid dst) const;
-  void schedule_flow(std::uint32_t flow_index, iba::Cycle not_before);
+  /// Pushes the flow's next kGenerate event.
+  void schedule_flow(std::uint32_t flow_index);
 
   const network::FabricGraph& graph_;
   SimConfig cfg_;
@@ -420,6 +421,7 @@ class Simulator {
   /// shard engine holds the events, whose workers own one pool each.
   PacketPool pool_;
   std::vector<FlowState> flows_;
+  std::vector<FlowCold> flow_cold_;  ///< Same index as flows_.
   Metrics metrics_;
   PacketTrace trace_;
   obs::TelemetryRegistry telemetry_;

@@ -8,6 +8,7 @@
 //    from it, at any time. Link transmission is a separate resource.
 #pragma once
 
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <vector>
@@ -58,8 +59,8 @@ struct OutputPort {
 };
 
 struct InputPort {
-  // The flags sit next to the buffers' occupancy mask, so the crossbar's
-  // input_ready test reads one cache line.
+  // The flags sit next to the buffers' occupancy mask, so a crossbar scan of
+  // a ready input reads one cache line.
   bool wired = false;
   bool xbar_tx_busy = false;        ///< Feeding the crossbar.
   PortBuffers buffers;   ///< Finite; capacity == advertised credits.
@@ -72,6 +73,22 @@ struct SwitchState {
   iba::NodeId node = iba::kInvalidNode;
   std::vector<InputPort> in;
   std::vector<OutputPort> out;
+  /// Bit p set while input p is wired, not feeding the crossbar and holds a
+  /// packet: the crossbar's input_ready test, without touching the port.
+  /// Kept by the simulator where those change (a link delivery, a crossbar
+  /// grant, a transfer's completion). PortIndex is 8 bits, hence 256 bits.
+  std::array<std::uint64_t, 4> ready_in{};
+
+  bool input_ready(iba::PortIndex p) const {
+    return (ready_in[p >> 6] >> (p & 63)) & 1u;
+  }
+  void set_input_ready(iba::PortIndex p) {
+    ready_in[p >> 6] |= 1ull << (p & 63);
+  }
+  void clear_input_ready(iba::PortIndex p) {
+    ready_in[p >> 6] &= ~(1ull << (p & 63));
+  }
+
   /// Linear forwarding table indexed by destination LID: the output port for
   /// every host LID. Seeded from Routes at construction and overwritten by
   /// the subnet manager's Set(LinearForwardingTable) MADs.

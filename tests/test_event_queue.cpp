@@ -77,6 +77,93 @@ TEST(EventQueue, TopDoesNotPop) {
   EXPECT_EQ(q.size(), 1u);
 }
 
+// The head is memoized with its time: after top() and after every pop().
+// These pin what a push does to that memo. Each case runs once with the
+// head in the fine wheel and once with it on the overflow heap (2^32
+// cycles and more ahead).
+
+Event keyed(iba::Cycle t, std::uint64_t seq) {
+  Event e = at(t);
+  e.seq = seq;
+  return e;
+}
+
+constexpr iba::Cycle kHeapBase = iba::Cycle{1} << 33;
+
+TEST(EventQueue, LaterPushKeepsTheMemoizedHead) {
+  for (const iba::Cycle base : {iba::Cycle{0}, kHeapBase}) {
+    EventQueue q;
+    Event head = at(base + 10);
+    head.aux = 1;
+    q.push(head);
+    ASSERT_EQ(q.top_time(), base + 10);
+    for (const iba::Cycle later :
+         {base + 11, base + 70'000, base + (iba::Cycle{1} << 32)}) {
+      Event e = at(later);
+      e.aux = 2;
+      q.push(e);
+      EXPECT_EQ(q.top_time(), base + 10);
+      EXPECT_EQ(q.top().aux, 1u);
+    }
+    // And after a pop, which memoizes the next head itself.
+    q.push(at(base + 20));
+    EXPECT_EQ(q.pop().time, base + 10);
+    q.push(at(base + 21));
+    EXPECT_EQ(q.top_time(), base + 11);
+    EXPECT_EQ(q.pop().time, base + 11);
+    EXPECT_EQ(q.pop().time, base + 20);
+    EXPECT_EQ(q.pop().time, base + 21);
+  }
+}
+
+TEST(EventQueue, SameTimeKeyedPushWithSmallerSeqOvertakesTheMemoizedHead) {
+  for (const iba::Cycle base : {iba::Cycle{0}, kHeapBase}) {
+    EventQueue q;
+    q.push_keyed(keyed(base + 5, 10), base, /*count_stats=*/false);
+    q.push_keyed(keyed(base + 9, 1), base, false);
+    ASSERT_EQ(q.top().seq, 10u);
+    q.push_keyed(keyed(base + 5, 3), base, false);
+    EXPECT_EQ(q.top_time(), base + 5);
+    EXPECT_EQ(q.top().seq, 3u);
+    // A larger seq at the same time stays behind.
+    q.push_keyed(keyed(base + 5, 12), base, false);
+    EXPECT_EQ(q.top().seq, 3u);
+    EXPECT_EQ(q.pop().seq, 3u);
+    // After the pop the memo holds seq 10; a smaller one overtakes again.
+    q.push_keyed(keyed(base + 5, 7), base, false);
+    EXPECT_EQ(q.top().seq, 7u);
+    for (const std::uint64_t want : {7u, 10u, 12u}) {
+      const Event e = q.pop();
+      EXPECT_EQ(e.time, base + 5);
+      EXPECT_EQ(e.seq, want);
+    }
+    EXPECT_EQ(q.pop().time, base + 9);
+    EXPECT_TRUE(q.empty());
+  }
+}
+
+TEST(EventQueue, EarlierPushOvertakesTheMemoizedHead) {
+  for (const iba::Cycle base : {iba::Cycle{0}, kHeapBase}) {
+    EventQueue q;
+    q.push(at(base + 100));
+    q.push(at(base + 300));
+    ASSERT_EQ(q.top_time(), base + 100);
+    q.push(at(base + 50));
+    EXPECT_EQ(q.top_time(), base + 50);
+    EXPECT_EQ(q.top().time, base + 50);
+    EXPECT_EQ(q.pop().time, base + 50);
+    EXPECT_EQ(q.pop().time, base + 100);
+    // The pop memoized 300; earlier pushes overtake it.
+    q.push(at(base + 200));
+    EXPECT_EQ(q.top_time(), base + 200);
+    EXPECT_EQ(q.pop().time, base + 200);
+    q.push(at(base + 150));
+    EXPECT_EQ(q.pop().time, base + 150);
+    EXPECT_EQ(q.pop().time, base + 300);
+    EXPECT_TRUE(q.empty());
+  }
+}
+
 TEST(EventQueue, PacketHandleRoundTrips) {
   // Events carry a 4-byte handle into a PacketPool, never the packet: the
   // handle survives the queue (wheel, coarse wheel and heap alike) and

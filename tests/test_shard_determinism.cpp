@@ -13,6 +13,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "faults/fault_injector.hpp"
 #include "faults/fault_plan.hpp"
@@ -317,6 +318,73 @@ TEST(ShardDeterminism, FaultStormIsShardFlagInvariant) {
   const auto sequential = storm_fingerprint(29, 1);
   const auto sharded = storm_fingerprint(29, 4);
   EXPECT_EQ(sequential, sharded);
+}
+
+/// A four-switch line with generated flows across it and one external
+/// flow whose header-only packets are injected between run_until slices.
+std::vector<sim::TraceRecord> external_flow_trace(unsigned shards) {
+  const auto g = network::gen::line(4, 2);
+  subnet::SubnetManager sm(g);
+  sim::SimConfig cfg;
+  cfg.shards = shards;
+  cfg.trace_capacity = 1u << 16;
+  sim::Simulator sim(g, sm.routes(), cfg);
+  iba::VlArbitrationTable t;
+  t.high()[0] = iba::ArbTableEntry{0, 100};
+  for (iba::NodeId n = 0; n < g.node_count(); ++n) {
+    const unsigned ports = g.is_switch(n) ? g.port_count(n) : 1;
+    for (unsigned p = 0; p < ports; ++p)
+      if (g.peer(n, static_cast<iba::PortIndex>(p)))
+        sim.set_output_arbitration(n, static_cast<iba::PortIndex>(p), t);
+  }
+  const auto hosts = g.hosts();
+  const auto flow = [&](std::size_t from, std::size_t to) {
+    sim::FlowSpec f;
+    f.src_host = hosts[from];
+    f.dst_host = hosts[to];
+    f.payload_bytes = 256;
+    f.interval = 3'000;
+    return f;
+  };
+  sim::FlowSpec ext = flow(2, 5);
+  ext.external = true;  // payload_bytes stays 256; injections carry none
+  const auto e = sim.add_flow(ext);
+  // A generated flow from every host, so some source sits next to a shard
+  // boundary.
+  for (std::size_t h = 0; h < hosts.size(); ++h)
+    sim.add_flow(flow(h, (h + 5) % hosts.size()));
+  std::uint32_t seq = 0;
+  for (iba::Cycle t = 5'000; t <= 60'000; t += 5'000) {
+    sim.run_until(t);
+    for (int k = 0; k < 4; ++k)
+      sim.inject_external(e, /*payload_bytes=*/0, seq++, 0, false);
+  }
+  sim.run_until(80'000);
+  EXPECT_EQ(sim.effective_shards(), shards);
+  EXPECT_EQ(sim.shard_fallback_reason(), "");
+  return sim.trace().chronological();
+}
+
+TEST(ShardDeterminism, ExternalFlowsAndGeneratorsMatchSequential) {
+  // The engine's window must be bounded by the header-only packets an
+  // external flow may carry, not by its spec's payload, and a generate
+  // event must run on the shard of its flow's source host.
+  const auto sequential = external_flow_trace(1);
+  const auto sharded = external_flow_trace(2);
+  ASSERT_EQ(sequential.size(), sharded.size());
+  std::size_t external_delivered = 0;
+  for (std::size_t i = 0; i < sequential.size(); ++i) {
+    const sim::TraceRecord& a = sequential[i];
+    const sim::TraceRecord& b = sharded[i];
+    ASSERT_EQ(a.time, b.time) << "record " << i;
+    ASSERT_EQ(a.event, b.event) << "record " << i;
+    ASSERT_EQ(a.node, b.node) << "record " << i;
+    ASSERT_EQ(a.port, b.port) << "record " << i;
+    ASSERT_EQ(a.packet, b.packet) << "record " << i;
+    if (a.event == sim::TraceEvent::kDeliver && a.connection == 0)
+      ++external_delivered;
+  }
+  EXPECT_EQ(external_delivered, 48u);
 }
 
 TEST(ShardDeterminism, UnshardableTopologyPinsSequentialFallback) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <functional>
 #include <limits>
 #include <stdexcept>
@@ -446,6 +447,121 @@ TEST(Simulator, VbrFlowKeepsLongRunMeanRate) {
   const auto& c = sim.metrics().connections[flow];
   // 8e6 / 2000 = 4000 expected; allow generous slack for burst variance.
   EXPECT_NEAR(static_cast<double>(c.rx_packets), 4000.0, 600.0);
+}
+
+/// One line per flow: how many packets its generator injected, and an
+/// FNV-1a hash over every (inject time, packet id) in order — the id
+/// carries the sequence number.
+std::string inject_fingerprint(const Simulator& sim, std::size_t flows) {
+  std::vector<std::uint64_t> count(flows, 0);
+  std::vector<std::uint64_t> hash(flows, 0xcbf29ce484222325ull);
+  const auto mix = [](std::uint64_t& h, std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xFF;
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const TraceRecord& r : sim.trace().chronological()) {
+    if (r.event != TraceEvent::kInject) continue;
+    ++count[r.connection];
+    mix(hash[r.connection], r.time);
+    mix(hash[r.connection], r.packet);
+  }
+  std::string out;
+  for (std::size_t f = 0; f < flows; ++f) {
+    char line[64];
+    std::snprintf(line, sizeof line, "%zu %llu %016llx\n", f,
+                  static_cast<unsigned long long>(count[f]),
+                  static_cast<unsigned long long>(hash[f]));
+    out += line;
+  }
+  return out;
+}
+
+TEST(Simulator, FlowGenerateTimesArePinnedThroughStopResumeAndOverdrive) {
+  // Every generator kind, driven through stop_flow, resume_flow and
+  // set_flow_overdrive (overdrive toggled back to 1.0 included). The
+  // figures are the simulator's output before the flow record was split
+  // into a per-packet and a cold part; any drift in a generate time, a
+  // sequence number or an RNG draw changes a hash.
+  const auto g = network::gen::single_switch(6);
+  const auto routes = network::compute_routes(g);
+  SimConfig cfg;
+  cfg.trace_capacity = 1u << 16;
+  cfg.seed = 77;
+  Simulator sim(g, routes, cfg);
+  program_all(sim, g, table_for({{0, 100}, {1, 100}, {2, 100}}));
+  const auto h = g.hosts();
+  auto poisson = cbr(h[1], h[2], 1, 128, 1800);
+  poisson.kind = GeneratorKind::kPoisson;
+  poisson.seed = 5;
+  auto vbr = cbr(h[2], h[3], 2, 64, 2000);
+  vbr.kind = GeneratorKind::kOnOffVbr;
+  vbr.on_fraction = 0.5;
+  vbr.burst_mean_packets = 4.0;
+  auto late_cbr = cbr(h[4], h[5], 0, 32, 2500);
+  late_cbr.start_offset = 7'000;
+  const auto c0 = sim.add_flow(cbr(h[0], h[1], 0, 256, 1500));
+  const auto p1 = sim.add_flow(poisson);
+  const auto v2 = sim.add_flow(vbr);
+  const auto c3 = sim.add_flow(late_cbr);
+
+  sim.run_until(20'000);
+  sim.stop_flow(c0);
+  sim.set_flow_overdrive(p1, 2.5);
+  sim.set_flow_overdrive(v2, 3.0);
+  sim.set_flow_overdrive(c3, 1.7);
+  sim.run_until(40'000);
+  sim.resume_flow(c0);
+  sim.set_flow_overdrive(c0, 2.0);
+  sim.resume_flow(c3);  // never stopped: a no-op
+  sim.run_until(60'000);
+  for (const auto f : {c0, p1, v2, c3}) sim.set_flow_overdrive(f, 1.0);
+  sim.stop_flow(v2);
+  sim.stop_flow(p1);
+  sim.run_until(61'000);
+  sim.resume_flow(p1);  // restarts the chain only if it died meanwhile
+  sim.run_until(80'000);
+  sim.resume_flow(v2);
+  sim.run_until(100'000);
+
+  EXPECT_EQ(inject_fingerprint(sim, 4),
+            "0 68 40c3cbf0250dc23b\n"
+            "1 92 7ccafd2b562c8d55\n"
+            "2 106 a3b7e197ac611a58\n"
+            "3 48 2f8c72e82281364a\n");
+}
+
+TEST(Simulator, RoutesThroughInputPortsAboveSixtyThree) {
+  // A 100-port switch: the crossbar's ready-input mask spans two words.
+  // Inputs p and p + 64 carry traffic at once, so a mask that aliased them
+  // would stall or misreport an input (debug builds also check every mask
+  // read against the port's own state).
+  constexpr unsigned kPorts = 100;
+  const auto g = network::gen::single_switch(kPorts, kPorts);
+  const auto routes = network::compute_routes(g);
+  Simulator sim(g, routes, SimConfig{});
+  program_all(sim, g, table_for({{0, 100}, {1, 100}}));
+  const auto h = g.hosts();
+  std::vector<std::uint32_t> flows;
+  for (unsigned p = 0; p < kPorts; ++p) {
+    flows.push_back(
+        sim.add_flow(cbr(h[p], h[(p + 64) % kPorts], 0, 256, 1500)));
+    // A second flow per input converging on a few outputs, so inputs
+    // queue behind busy crossbar outputs.
+    flows.push_back(
+        sim.add_flow(cbr(h[p], h[(p % 4) * 25 + 3], 1, 128, 4000)));
+  }
+  sim.metrics().start_window(0);
+  sim.run_until(200'000);
+  for (const auto f : flows) sim.stop_flow(f);
+  sim.run_until(2'000'000);
+  EXPECT_EQ(sim.packets_in_network(), 0u);
+  for (const auto f : flows) {
+    const auto& c = sim.metrics().connections[f];
+    EXPECT_GT(c.rx_packets, 0u) << "flow " << f;
+    EXPECT_EQ(c.rx_packets, c.tx_packets) << "flow " << f;
+  }
 }
 
 TEST(Simulator, AddFlowRejectsMalformedVbrShape) {
