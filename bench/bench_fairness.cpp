@@ -104,7 +104,6 @@ struct Row {
   double jain_be = 0.0;
   double qos_mbps = 0.0;      ///< Delivered wire Mbps, all QoS lanes.
   double be_mbps = 0.0;       ///< Delivered wire Mbps, best-effort lanes.
-  double miss_fraction = 0.0;
   std::array<SlRow, kHosts> sl{};
   obs::Snapshot telemetry;    ///< Per-run snapshot (xbar.* et al).
 };
@@ -195,12 +194,10 @@ Row run_one(sched::CrossbarImpl impl, Pattern pattern, std::uint64_t seed) {
   const auto& m = sim.metrics();
   const double window = static_cast<double>(m.window_length());
   std::vector<double> qos_bytes, be_bytes;
-  std::uint64_t qos_rx = 0, qos_miss = 0, qos_wire = 0, be_wire = 0;
+  std::uint64_t qos_wire = 0, be_wire = 0;
   for (const auto& c : m.connections) {
     if (c.qos) {
       qos_bytes.push_back(static_cast<double>(c.rx_wire_bytes));
-      qos_rx += c.rx_packets;
-      qos_miss += c.deadline_misses;
       qos_wire += c.rx_wire_bytes;
       auto& s = row.sl[c.sl % kHosts];
       s.rx += c.rx_packets;
@@ -228,9 +225,6 @@ Row run_one(sched::CrossbarImpl impl, Pattern pattern, std::uint64_t seed) {
       row.sl[sd.sl].p99_us = worst;
     }
   }
-  if (qos_rx > 0)
-    row.miss_fraction =
-        static_cast<double>(qos_miss) / static_cast<double>(qos_rx);
   if (window > 0.0) {
     const double to_mbps = 8.0 * 1000.0 / (window * iba::kNsPerCycle);
     row.qos_mbps = static_cast<double>(qos_wire) * to_mbps;
@@ -307,7 +301,6 @@ int main(int argc, char** argv) try {
           w.kv("jain_be", row.jain_be);
           w.kv("qos_delivered_mbps", row.qos_mbps);
           w.kv("be_delivered_mbps", row.be_mbps);
-          w.kv("miss_fraction", row.miss_fraction);
           w.key("sl");
           w.begin_array();
           for (unsigned sl = 0; sl < kHosts; ++sl) {
@@ -340,7 +333,7 @@ int main(int argc, char** argv) try {
     for (const auto pattern : kPatterns) {
       std::cout << "--- " << pattern_name(pattern) << " ---\n";
       util::TablePrinter table({"crossbar", "Jain(QoS)", "Jain(BE)",
-                                "QoS Mbps", "BE Mbps", "miss frac",
+                                "QoS Mbps", "BE Mbps",
                                 "SL delay lo..hi (us)", "SL p99 hi (us)"});
       for (const auto& row : rows) {
         if (row.pattern != pattern) continue;
@@ -358,7 +351,6 @@ int main(int argc, char** argv) try {
                        util::TablePrinter::num(row.jain_be, 4),
                        util::TablePrinter::num(row.qos_mbps, 1),
                        util::TablePrinter::num(row.be_mbps, 1),
-                       util::TablePrinter::pct(row.miss_fraction, 2),
                        util::TablePrinter::num(lo, 1) + ".." +
                            util::TablePrinter::num(hi, 1),
                        util::TablePrinter::num(p99, 1)});

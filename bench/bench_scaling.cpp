@@ -7,15 +7,7 @@
 //
 // 64 switches is expensive; it runs only with --full.
 //
-// A second phase measures the parallel simulation core (ISSUE 7): the same
-// 16-switch scenario with large packets (MTU 4096 stretches the lookahead
-// window) timed sequentially and with --speedup-shards workers, reported as
-// a speedup row. The numbers are wall-clock and honest: with fewer hardware
-// threads than shards the sharded run *loses* (barrier churn on one core);
-// the byte-identical-output check runs either way. --skip-speedup omits the
-// phase.
-//
-// A third phase measures the structured-topology registry (ISSUE 9): per
+// A second phase measures the structured-topology registry: per
 // (family, size) cell it builds the fabric, routes it with the family's
 // engine, checks the channel-dependency graph for cycles, times flat-CSR
 // route lookups under a global allocation counter (the column must read 0),
@@ -30,7 +22,6 @@
 #include <cstdlib>
 #include <iostream>
 #include <new>
-#include <thread>
 
 #include "iba/arbiter.hpp"
 #include "network/registry.hpp"
@@ -93,54 +84,7 @@ SizeRow summarize(const bench::PaperRun& run) {
   return row;
 }
 
-struct SpeedupRow {
-  unsigned shards = 0;     ///< Requested worker count.
-  unsigned effective = 0;  ///< What the run actually used (fallback = 1).
-  double seconds = 0.0;    ///< Simulation phase only (setup excluded).
-  std::uint64_t events = 0;
-  sim::ShardLoadStats load;  ///< Per-shard balance (empty when sequential).
-};
-
-/// Max/min per-shard event ratio: 1.0 is a perfect split, 0.0 when a shard
-/// processed nothing (or the run was sequential).
-double load_ratio(const sim::ShardLoadStats& load) {
-  if (load.events.size() < 2) return 0.0;
-  const auto [lo, hi] =
-      std::minmax_element(load.events.begin(), load.events.end());
-  return *lo > 0 ? double(*hi) / double(*lo) : 0.0;
-}
-
-/// Fraction of the workers' aggregate wall clock spent blocked on window
-/// barriers — the load-imbalance tax the shard_balance figure tracks.
-double barrier_wait_share(const sim::ShardLoadStats& load, double seconds) {
-  if (load.barrier_wait_ns.empty() || seconds <= 0.0) return 0.0;
-  double wait_ns = 0.0;
-  for (const auto ns : load.barrier_wait_ns) wait_ns += double(ns);
-  return wait_ns / (seconds * 1e9 * double(load.barrier_wait_ns.size()));
-}
-
-/// Times the simulation phase of one fig4-class run (16 switches, MTU 4096)
-/// at the given shard count, via the two-phase PaperRun form so fabric and
-/// workload construction stay out of the measurement.
-SpeedupRow time_sharded_run(bench::PaperRunConfig cfg, unsigned shards) {
-  cfg.switches = 16;
-  cfg.mtu = iba::Mtu::kMtu4096;
-  cfg.shards = shards;
-  bench::PaperRun run(cfg, bench::PaperRun::DeferSim{});
-  const auto t0 = std::chrono::steady_clock::now();
-  run.run();
-  SpeedupRow row;
-  row.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  row.shards = shards;
-  row.effective = run.sim->effective_shards();
-  row.events = run.summary.events;
-  row.load = run.sim->shard_load();
-  return row;
-}
-
-// --- Topology-registry scaling phase (ISSUE 9) ----------------------------
+// --- Topology-registry scaling phase -------------------------------------
 
 struct TopoCase {
   const char* spec;     ///< Registry grammar string (network/registry.hpp).
@@ -300,24 +244,6 @@ int main(int argc, char** argv) try {
   const auto sweep =
       bench::run_sweep(cfgs, bench::sweep_options_from_cli(cli, "scaling"));
 
-  const bool skip_speedup = cli.get_bool("skip-speedup", false);
-  const auto speedup_shards =
-      static_cast<unsigned>(cli.get_int_in("speedup-shards", 4, 1, 64));
-  const unsigned hw_threads = std::thread::hardware_concurrency();
-  SpeedupRow seq_row, par_row;
-  if (!skip_speedup) {
-    if (!sf.json)
-      std::cerr << "[speedup] 16-switch MTU-4096 run, sequential...\n";
-    seq_row = time_sharded_run(base, 1);
-    if (!sf.json)
-      std::cerr << "[speedup] same run, --shards " << speedup_shards
-                << "...\n";
-    par_row = time_sharded_run(base, speedup_shards);
-  }
-  const double speedup =
-      skip_speedup || par_row.seconds <= 0.0 ? 0.0
-                                             : seq_row.seconds / par_row.seconds;
-
   const bool skip_topo = cli.get_bool("skip-topo", false);
   std::vector<TopoRow> topo_rows;
   if (!skip_topo) {
@@ -352,51 +278,6 @@ int main(int argc, char** argv) try {
       }
       w.end_array();
     });
-    if (!skip_speedup) {
-      report.figure("shards_speedup", [&](util::JsonWriter& w) {
-        const auto row_obj = [&w](const SpeedupRow& r) {
-          w.begin_object();
-          w.kv("shards", static_cast<std::uint64_t>(r.shards));
-          w.kv("effective_shards", static_cast<std::uint64_t>(r.effective));
-          w.kv("seconds", r.seconds);
-          w.kv("events", r.events);
-          w.end_object();
-        };
-        w.begin_object();
-        w.kv("switches", std::uint64_t{16});
-        w.kv("mtu_bytes", std::uint64_t{4096});
-        w.kv("hw_threads", static_cast<std::uint64_t>(hw_threads));
-        w.key("sequential");
-        row_obj(seq_row);
-        w.key("sharded");
-        row_obj(par_row);
-        w.kv("speedup", speedup);
-        // The determinism contract holds regardless of the wall clock.
-        w.kv("events_identical", seq_row.events == par_row.events);
-        w.end_object();
-      });
-      report.figure("shard_balance", [&](util::JsonWriter& w) {
-        const auto& load = par_row.load;
-        w.begin_object();
-        w.kv("shards", static_cast<std::uint64_t>(par_row.shards));
-        w.kv("effective_shards",
-             static_cast<std::uint64_t>(par_row.effective));
-        w.kv("windows", load.windows);
-        w.key("events_per_shard").begin_array();
-        for (const auto e : load.events) w.value(e);
-        w.end_array();
-        w.key("barrier_wait_ns_per_shard").begin_array();
-        for (const auto ns : load.barrier_wait_ns) w.value(ns);
-        w.end_array();
-        // max/min per-shard events: 1.0 = perfect balance. Wall-clock-free,
-        // so it is stable across machines (the wait share below is not).
-        w.kv("load_ratio", load_ratio(load));
-        w.kv("barrier_wait_share",
-             barrier_wait_share(load, par_row.seconds));
-        w.kv("orchestrator_wait_ns", load.orchestrator_wait_ns);
-        w.end_object();
-      });
-    }
     if (!skip_topo) {
       report.figure("topo_scaling", [&](util::JsonWriter& w) {
         w.begin_array();
@@ -445,36 +326,6 @@ int main(int argc, char** argv) try {
     table.print(std::cout);
     std::cout << "\nExpected shape: deadline compliance stays at 100% across\n"
                  "sizes (pass --full to include the 64-switch network).\n";
-    if (!skip_speedup) {
-      std::cout << "\n=== Parallel core: 16 switches, MTU 4096 ===\n\n";
-      util::TablePrinter sp({"shards", "effective", "seconds", "events",
-                             "speedup"});
-      sp.add_row({"1", std::to_string(seq_row.effective),
-                  util::TablePrinter::num(seq_row.seconds, 2),
-                  std::to_string(seq_row.events), "1.00"});
-      sp.add_row({std::to_string(par_row.shards),
-                  std::to_string(par_row.effective),
-                  util::TablePrinter::num(par_row.seconds, 2),
-                  std::to_string(par_row.events),
-                  util::TablePrinter::num(speedup, 2)});
-      sp.print(std::cout);
-      std::cout << "\n(" << hw_threads << " hardware threads; a speedup needs "
-                << "at least shards+1 of them — see docs/PARALLEL.md. Event "
-                << "counts must match regardless: "
-                << (seq_row.events == par_row.events ? "OK" : "MISMATCH")
-                << ")\n";
-      if (!par_row.load.events.empty()) {
-        std::cout << "shard balance: load ratio (max/min events) "
-                  << util::TablePrinter::num(load_ratio(par_row.load), 2)
-                  << ", barrier-wait share "
-                  << util::TablePrinter::num(
-                         100.0 *
-                             barrier_wait_share(par_row.load, par_row.seconds),
-                         1)
-                  << "% of worker wall clock over " << par_row.load.windows
-                  << " windows\n";
-      }
-    }
     if (!skip_topo) {
       std::cout << "\n=== Topology registry: structured families ===\n\n";
       util::TablePrinter tp({"topology", "routing", "switches", "hosts",

@@ -53,8 +53,10 @@ PaperRunConfig config_from_cli(const util::Cli& cli, PaperRunConfig base) {
     base.warmup = 500'000;
   }
   if (const auto impl = crossbar_from_cli(cli)) base.crossbar = *impl;
-  base.shards =
-      static_cast<unsigned>(cli.get_int_in("shards", base.shards, 1, 64));
+  if (cli.has("shards"))
+    throw std::invalid_argument(
+        "flag --shards is not supported: runs are sequential (use --jobs to "
+        "run independent simulations in parallel)");
   base.topo = cli.get("topo", base.topo);
   try {
     (void)network::TopologySpec::parse(base.topo);
@@ -101,7 +103,6 @@ PaperRun::PaperRun(PaperRunConfig c, DeferSim) : cfg(c) {
   sc.max_payload_bytes = iba::mtu_bytes(cfg.mtu);
   sc.buffer_packets = cfg.buffer_packets;
   sc.seed = cfg.seed;
-  sc.shards = cfg.shards;
   sc.crossbar_impl = cfg.crossbar;
   sc.trace_capacity = cfg.trace_capacity;
   sc.sample_every = cfg.sample_every;

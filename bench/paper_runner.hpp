@@ -48,9 +48,6 @@ struct PaperRunConfig {
   bool profile = false;
   /// Crossbar scheduler (--crossbar).
   sched::CrossbarImpl crossbar = sched::CrossbarImpl::kWrr;
-  /// Parallel simulation shards (--shards, 1..64); 1 is the sequential
-  /// core. Output is byte-identical for any value.
-  unsigned shards = 1;
   /// Topology spec ("family:k=v,...", network/registry.hpp; --topo). For
   /// the irregular family, --switches/--seed still fill in any parameter
   /// the spec leaves unset, so the pre-registry flags keep working
@@ -62,9 +59,10 @@ struct PaperRunConfig {
 
 /// Applies the common bench flags on top of `base`: the paper knobs
 /// (--switches --mtu --seed --packets --warmup --besteffort-load --quick)
-/// and the run axes (--crossbar --shards --topo --routing). This is the one
+/// and the run axes (--crossbar --topo --routing). This is the one
 /// parser of each flag: a malformed value throws std::invalid_argument
-/// naming the flag and the values it takes.
+/// naming the flag and the values it takes. The retired --shards flag
+/// throws too: runs are sequential.
 PaperRunConfig config_from_cli(const util::Cli& cli, PaperRunConfig base = {});
 
 /// --crossbar on its own: the scheduler it names, or nullopt when absent.

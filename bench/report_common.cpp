@@ -153,10 +153,7 @@ bool emit_trace(const std::string& path, const sim::PacketTrace& trace,
 }
 
 bool emit_run_trace(const std::string& path, const PaperRun& run) {
-  std::vector<obs::PhaseSpan> spans;
-  auto counters = series_tracks(run);
-  run.sim->export_shard_tracks(spans, counters);
-  return emit_trace(path, run.sim->trace(), spans, counters);
+  return emit_trace(path, run.sim->trace(), {}, series_tracks(run));
 }
 
 }  // namespace ibarb::bench

@@ -80,10 +80,8 @@ bool emit_trace(const std::string& path, const sim::PacketTrace& trace,
                 const std::vector<obs::PhaseSpan>& spans = {},
                 const std::vector<obs::CounterTrack>& counters = {});
 
-/// The standard --trace-out export for a paper run: the packet-trace ring,
-/// the series counter tracks, and — when the run profiled under --shards N
-/// — one Perfetto track per shard (window spans plus events / barrier-wait
-/// / channel-depth counter tracks; see docs/OBSERVABILITY.md).
+/// The standard --trace-out export for a paper run: the packet-trace ring
+/// and the series counter tracks.
 bool emit_run_trace(const std::string& path, const PaperRun& run);
 
 }  // namespace ibarb::bench

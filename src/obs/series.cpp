@@ -14,10 +14,8 @@
 
 namespace ibarb::obs {
 
-constinit thread_local std::size_t t_series_lane = 0;
-
 bool is_quarantined_name(std::string_view name) noexcept {
-  return name.rfind("profile.", 0) == 0 || name.rfind("shard.", 0) == 0;
+  return name.rfind("profile.", 0) == 0;
 }
 
 namespace {
@@ -84,12 +82,6 @@ SeriesRecorder::SeriesRecorder(const TelemetryRegistry& registry,
   if (cfg_.capacity % 2 != 0) ++cfg_.capacity;
   window_cycles_ = cfg_.sample_every;
   next_due_ = cfg_.sample_every;  // 0 when disabled; advance_to never fires.
-  lanes_.resize(1);
-}
-
-void SeriesRecorder::set_lanes(std::size_t n) {
-  if (n < 1) n = 1;
-  if (n > lanes_.size()) lanes_.resize(n);
 }
 
 void SeriesRecorder::note_connection(std::uint32_t conn, unsigned sl,
@@ -131,8 +123,7 @@ void SeriesRecorder::record_delivery(std::uint32_t conn, unsigned sl,
       if (delay > contracted) ++w.late;
     }
   }
-  auto& lane = lanes_[t_series_lane < lanes_.size() ? t_series_lane : 0];
-  SlWindow& s = lane[sl];
+  SlWindow& s = cur_sl_[sl];
   s.hist.record(delay);
   ++s.rx;
   if (delay > s.max) s.max = delay;
@@ -201,23 +192,8 @@ void SeriesRecorder::commit(std::uint64_t boundary) {
     w = ConnWindow{};
   }
 
-  // Fold worker lanes into lane 0 in ascending (lane, SL) order. Each
-  // per-SL merge is commutative and associative, so the folded windows are
-  // byte-identical to what a single-lane recording of the same deliveries
-  // would hold regardless of how deliveries were spread across lanes.
-  auto& cur_sl = lanes_[0];
-  for (std::size_t l = 1; l < lanes_.size(); ++l) {
-    for (auto& [sl, w] : lanes_[l]) {
-      SlWindow& into = cur_sl[sl];
-      into.hist.merge(w.hist);
-      into.rx += w.rx;
-      if (w.max > into.max) into.max = w.max;
-    }
-    lanes_[l].clear();
-  }
-
   // Per-SL delay windows (sparse: only SLs that delivered traffic).
-  for (auto& [sl, w] : cur_sl) {
+  for (auto& [sl, w] : cur_sl_) {
     SlSeries& s = sls_[sl];
     s.hist.resize(windows - 1);
     s.rx.resize(windows - 1, 0);
@@ -233,7 +209,7 @@ void SeriesRecorder::commit(std::uint64_t boundary) {
       s.max.push_back(0);
     }
   }
-  cur_sl.clear();
+  cur_sl_.clear();
 
   if (times_.size() == cfg_.capacity) {
     decimate();

@@ -88,14 +88,6 @@ class VlFifo {
     return out;
   }
 
-  /// Visits every queued handle in queue order, by reference: the shard
-  /// engine re-parks a FIFO's packets when it moves them between pools.
-  template <class Fn>
-  void for_each_handle(Fn&& fn) {
-    for (std::uint32_t i = 0; i < size_; ++i)
-      fn(ring_[(head_ + i) & mask()].handle);
-  }
-
  private:
   struct Entry {
     PacketHandle handle;
@@ -166,12 +158,6 @@ class PortBuffers {
     if (fifos_[v].empty())
       occupancy_ &= static_cast<std::uint16_t>(~(1u << v));
     return out;
-  }
-
-  /// Visits every queued handle of every VL (see VlFifo::for_each_handle).
-  template <class Fn>
-  void for_each_handle(Fn&& fn) {
-    for (auto& f : fifos_) f.for_each_handle(fn);
   }
 
   const VlFifo& vl(iba::VirtualLane v) const { return fifos_[v]; }

@@ -14,8 +14,8 @@
 //    finds the earliest occupied bucket with three countr_zero steps.
 //  * The coarse wheel has 2^16 epoch buckets for the epochs E+1 .. E+2^16-1
 //    (2^32 cycles ahead). When the fine wheel runs empty, the next occupied
-//    epoch bucket cascades into it, each event inserted by sequence (the
-//    push_keyed rule), and E advances to that epoch.
+//    epoch bucket cascades into it in push order, and E advances to that
+//    epoch.
 //  * A binary min-heap ordered by (time, seq) takes the rest: events behind
 //    the current epoch, or 2^32 cycles or more ahead.
 //
@@ -50,13 +50,6 @@ enum class EventType : std::uint8_t {
   kXferComplete,  ///< Crossbar transfer into (node, port) output finished.
   kProbe,         ///< Periodic bookkeeping (phase control).
   kControl,       ///< Simulator::call_at callback (aux = callback id).
-  /// Parallel engine only: upstream credit return for a crossbar transfer
-  /// that may cross a shard boundary (node/port = upstream output, aux =
-  /// wire bytes). The sequential core releases the credits inline at the
-  /// start of on_xfer_complete; the shard engine reifies that half as its
-  /// own event, keyed to pop immediately before the transfer-completion it
-  /// belongs to (src/sim/shard.hpp).
-  kCreditRelease,
 };
 
 struct Event {
@@ -64,8 +57,8 @@ struct Event {
   std::uint64_t seq = 0;  ///< Tie-breaker; assigned by the queue.
   iba::NodeId node = iba::kInvalidNode;
   std::uint32_t aux = 0;  ///< Flow index (kGenerate) / input port (kXfer).
-  /// kLinkDeliver: the packet on the wire, a handle into the pool of the
-  /// shard that owns `node` (sim/packet_pool.hpp).
+  /// kLinkDeliver: the packet on the wire, a handle into the simulator's
+  /// pool (sim/packet_pool.hpp).
   PacketHandle pkt = kNoPacket;
   EventType type = EventType::kProbe;
   iba::PortIndex port = 0;
@@ -108,53 +101,7 @@ class EventQueue {
     const iba::Cycle t = e.time;
     record_residency(t >= last_pop_ && t - last_pop_ < kSpan, t - last_pop_);
     forget_head_unless_later(t);
-    place(alloc_slot(std::move(e)), /*keyed=*/false);
-  }
-
-  /// Parallel-shard push (src/sim/shard.cpp): `e.seq` arrives preset with
-  /// the engine's replayed sequential key instead of being stamped from the
-  /// monotone counter, and residency/overflow statistics are measured from
-  /// `origin` — the cycle the event was created at — so a sharded run's
-  /// telemetry matches the sequential run's no matter when a window barrier
-  /// handed the event over. `count_stats` is false for engine-internal
-  /// events (credit releases, queue migration) that have no sequential
-  /// counterpart. Unlike push(), a fine bucket is kept sorted by seq:
-  /// same-cycle events from different creator nodes of one shard can arrive
-  /// out of key order, and bucket order must *be* (time, seq) order for the
-  /// merge to stay deterministic. Keys arrive nearly sorted, so the
-  /// tail-append fast path dominates.
-  void push_keyed(Event e, iba::Cycle origin, bool count_stats) {
-    if (count_stats) {
-      ++stats_.pushes;
-      // The sequential core pushes with the last pop == creation cycle, so
-      // its residency bin and overflow counter are functions of t - origin.
-      const iba::Cycle dist = e.time >= origin ? e.time - origin : 0;
-      record_residency(dist < kSpan, dist);
-    }
-    forget_head_unless_later(e.time);
-    place(alloc_slot(std::move(e)), /*keyed=*/true);
-  }
-
-  /// Raises the monotone tie-break counter to at least `floor`, so events
-  /// push()ed after a shard-engine drain-back sort after every migrated key.
-  void ensure_seq_floor(std::uint64_t floor) {
-    if (next_seq_ < floor) next_seq_ = floor;
-  }
-
-  /// Next value the monotone counter would stamp. The shard engine reads it
-  /// on adopt() to seed its replayed counter above every existing key.
-  std::uint64_t next_seq() const noexcept { return next_seq_; }
-
-  /// Counts an event the shard engine executed without ever queueing it (a
-  /// same-window "nursery" event, src/sim/shard.hpp): one push and one pop,
-  /// with the residency bin the sequential core would have recorded for an
-  /// event created at `origin` and due at `t`. Keeps the queue telemetry a
-  /// pure function of the event order rather than of window placement.
-  void count_bypass(iba::Cycle t, iba::Cycle origin) {
-    ++stats_.pushes;
-    ++stats_.pops;
-    const iba::Cycle dist = t >= origin ? t - origin : 0;
-    record_residency(dist < kSpan, dist);
+    place(alloc_slot(std::move(e)));
   }
 
   bool empty() const noexcept { return size_ == 0; }
@@ -171,38 +118,6 @@ class EventQueue {
 
   Event pop() {
     ++stats_.pops;
-    return pop_impl();
-  }
-
-  /// Shard-engine migration pop: identical order, but not counted — the
-  /// event was already popped (or will be popped) once by whichever engine
-  /// executes it, and telemetry must see exactly one pop per handled event.
-  Event pop_uncounted() { return pop_impl(); }
-
- private:
-  static constexpr unsigned kSpanBits = 16;
-  static constexpr std::uint32_t kSpan = 1u << kSpanBits;
-  static constexpr std::uint64_t kMask = kSpan - 1;
-  static constexpr std::uint32_t kNull = 0xFFFF'FFFFu;
-
-  void record_residency(bool near, iba::Cycle dist) {
-    std::size_t bin = kResidencyBins - 1;
-    if (near) {
-      bin = static_cast<std::size_t>(std::bit_width(dist));
-      if (bin >= kResidencyBins) bin = kResidencyBins - 1;
-    } else {
-      ++stats_.overflow_pushes;
-    }
-    ++stats_.residency_log2[bin];
-  }
-
-  /// A push at or before the memoized head's time may order first: at the
-  /// same time a push_keyed can carry a smaller seq. A later one cannot.
-  void forget_head_unless_later(iba::Cycle t) {
-    if (t <= cached_peek_.time) peek_valid_ = false;
-  }
-
-  Event pop_impl() {
     const Peek p = peek();
     peek_valid_ = false;
     const iba::Cycle t = p.time;
@@ -231,6 +146,30 @@ class EventQueue {
       __builtin_prefetch(&pool_[cached_peek_.idx]);
     }
     return out;
+  }
+
+ private:
+  static constexpr unsigned kSpanBits = 16;
+  static constexpr std::uint32_t kSpan = 1u << kSpanBits;
+  static constexpr std::uint64_t kMask = kSpan - 1;
+  static constexpr std::uint32_t kNull = 0xFFFF'FFFFu;
+
+  void record_residency(bool near, iba::Cycle dist) {
+    std::size_t bin = kResidencyBins - 1;
+    if (near) {
+      bin = static_cast<std::size_t>(std::bit_width(dist));
+      if (bin >= kResidencyBins) bin = kResidencyBins - 1;
+    } else {
+      ++stats_.overflow_pushes;
+    }
+    ++stats_.residency_log2[bin];
+  }
+
+  /// A push before the memoized head's time orders first. A push at the
+  /// same time carries a larger seq, and a later one is later; both keep
+  /// the memo.
+  void forget_head_unless_later(iba::Cycle t) {
+    if (t < cached_peek_.time) peek_valid_ = false;
   }
 
   // --- Shared slab pool ----------------------------------------------------
@@ -335,42 +274,13 @@ class EventQueue {
     ++lv.count;
   }
 
-  /// Sequence-ordered insert (preset keys may arrive out of order).
-  void insert_keyed(Level& lv, std::uint32_t b, std::uint32_t idx) {
-    const std::uint64_t seq = pool_[idx].seq;
-    Bucket& bk = lv.buckets[b];
-    ++lv.count;
-    if (!lv.occupied(b)) {
-      bk.head = bk.tail = idx;
-      lv.set(b);
-    } else if (pool_[bk.tail].seq <= seq) {
-      next_[bk.tail] = idx;
-      bk.tail = idx;
-    } else if (pool_[bk.head].seq > seq) {
-      next_[idx] = bk.head;
-      bk.head = idx;
-    } else {
-      std::uint32_t p = bk.head;
-      while (next_[p] != kNull && pool_[next_[p]].seq <= seq) p = next_[p];
-      next_[idx] = next_[p];
-      next_[p] = idx;
-      if (next_[idx] == kNull) bk.tail = idx;
-    }
-  }
-
   /// Routes a slotted event to the fine wheel (current epoch), the coarse
-  /// wheel (the next 2^16 - 1 epochs) or the heap (anything else). Coarse
-  /// buckets are plain FIFOs even for keyed pushes: the cascade sorts.
-  void place(std::uint32_t idx, bool keyed) {
+  /// wheel (the next 2^16 - 1 epochs) or the heap (anything else).
+  void place(std::uint32_t idx) {
     const iba::Cycle t = pool_[idx].time;
     const iba::Cycle ep = t >> kSpanBits;
     if (ep == epoch_) {
-      const auto b = static_cast<std::uint32_t>(t & kMask);
-      if (keyed) {
-        insert_keyed(fine_, b, idx);
-      } else {
-        append(fine_, b, idx);
-      }
+      append(fine_, static_cast<std::uint32_t>(t & kMask), idx);
     } else if (ep > epoch_ && ep - epoch_ < kSpan) {
       append(coarse_, static_cast<std::uint32_t>(ep & kMask), idx);
     } else {
@@ -382,6 +292,8 @@ class EventQueue {
   /// Moves the earliest occupied coarse epoch into the (empty) fine wheel
   /// and makes it current. Every coarse event lies in (epoch_, epoch_ +
   /// 2^16), so the cyclic scan from epoch_ + 1 meets the earliest first.
+  /// The coarse bucket holds its events in push (seq) order and the fine
+  /// wheel is empty, so appending keeps each fine bucket in seq order.
   void cascade() {
     assert(fine_.count == 0 && coarse_.count > 0);
     const auto from = static_cast<std::uint32_t>((epoch_ + 1) & kMask);
@@ -396,8 +308,7 @@ class EventQueue {
       const std::uint32_t nxt = next_[idx];
       next_[idx] = kNull;
       --coarse_.count;
-      insert_keyed(fine_, static_cast<std::uint32_t>(pool_[idx].time & kMask),
-                   idx);
+      append(fine_, static_cast<std::uint32_t>(pool_[idx].time & kMask), idx);
       idx = nxt;
     }
   }

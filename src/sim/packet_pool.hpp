@@ -9,10 +9,7 @@
 // packets in flight. The free-list pool is the flit-recycling scheme of
 // booksim2's Flit::New/Free (SNIPPETS.md).
 //
-// Every pool has exactly one writer. The sequential core owns one per
-// simulator; under --shards each shard worker owns its own, and a packet
-// that crosses a shard channel is re-parked in the consumer's pool
-// (docs/PARALLEL.md).
+// Each simulator owns one pool.
 #pragma once
 
 #include <cstdint>

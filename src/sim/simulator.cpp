@@ -4,11 +4,8 @@
 #include <array>
 #include <bit>
 #include <cassert>
-#include <cstdio>
 #include <stdexcept>
 #include <string>
-
-#include "sim/shard.hpp"
 
 namespace ibarb::sim {
 
@@ -18,9 +15,6 @@ namespace {
 /// reserved/invalid in IBA). The subnet manager mirrors this assignment.
 iba::Lid lid_of(iba::NodeId host) { return static_cast<iba::Lid>(host + 1); }
 iba::NodeId node_of(iba::Lid lid) { return static_cast<iba::NodeId>(lid) - 1; }
-
-/// True while the calling thread executes a shard window (sim/shard.cpp).
-bool in_parallel() { return t_shard != nullptr; }
 
 /// Out of line and cold so that output_port, which the datapath calls per
 /// packet, stays small enough to inline.
@@ -44,7 +38,7 @@ class XbarView {
  public:
   XbarView(Simulator& sim, std::uint32_t switch_index)
       : sim_(sim), sw_(sim.switches_[switch_index]),
-        pool_(sim.pool_at(sw_.node)) {}
+        pool_(sim.pool_) {}
 
   unsigned port_count() const { return static_cast<unsigned>(sw_.in.size()); }
 
@@ -94,34 +88,13 @@ class XbarView {
         1, static_cast<iba::Cycle>(static_cast<double>(link_cycles) /
                                    iba::kCrossbarSpeedup));
     Event done;
-    done.time = sim_.now_cur() + iba::kCrossbarDelay + xfer_cycles;
+    done.time = sim_.now_ + iba::kCrossbarDelay + xfer_cycles;
     done.type = EventType::kXferComplete;
     done.node = sw_.node;
     done.port = out;
     done.vl = vl;
     done.aux = in;
-    const iba::Cycle done_time = done.time;
-    sim_.push_event(done);
-
-    if (in_parallel()) {
-      // The upstream credit release this transfer will perform is fully
-      // determined now. on_xfer_complete applies it inline — before its
-      // local work — on the sequential path; here it becomes its own event
-      // so it can cross a shard boundary. The shard engine keys it
-      // immediately *before* the kXferComplete above, no event anywhere can
-      // order between the two halves, and they touch disjoint port state —
-      // so the split is unobservable.
-      const auto up = sim_.graph_.peer(sw_.node, in);
-      assert(up.has_value());
-      Event rel;
-      rel.time = done_time;
-      rel.type = EventType::kCreditRelease;
-      rel.node = up->node;
-      rel.port = up->port;
-      rel.vl = vl;
-      rel.aux = wire;
-      sim_.push_event(rel);
-    }
+    sim_.queue_.push(done);
   }
 
  private:
@@ -137,6 +110,10 @@ class XbarView {
 Simulator::Simulator(const network::FabricGraph& graph,
                      const network::Routes& routes, SimConfig cfg)
     : graph_(graph), cfg_(cfg), trace_(cfg.trace_capacity) {
+  if (cfg_.shards != 1)
+    throw std::invalid_argument(
+        "Simulator: SimConfig::shards is " + std::to_string(cfg_.shards) +
+        "; runs are sequential, so it must be 1");
   buffer_capacity_bytes_ =
       cfg_.buffer_packets *
       (cfg_.max_payload_bytes + iba::kPacketOverheadBytes);
@@ -207,16 +184,12 @@ Simulator::Simulator(const network::FabricGraph& graph,
   // output ports; per-VL output occupancy peaks keep the "which VL starved?"
   // question answerable without per-port blow-up.
   telemetry_.add_probe([this](obs::Snapshot& snap) {
-    EventQueue::Stats qs = queue_.stats();
-    qs.pops -= serial_release_pops_;
-    if (engine_) engine_->fold_stats(qs);
+    const EventQueue::Stats& qs = queue_.stats();
     snap.add_counter("queue.pushes", qs.pushes);
     snap.add_counter("queue.pops", qs.pops);
     snap.add_counter("queue.overflow_pushes", qs.overflow_pushes);
-    // Pending-event census sampled at fixed kPendingSampleEvery marks — the
-    // one queue-depth figure the sequential and the sharded engine compute
-    // identically (a true per-push peak is tie-order-sensitive and would
-    // break the shard-count-invariance of snapshots).
+    // Pending-event census sampled at fixed kPendingSampleEvery marks, not
+    // the per-push peak in qs: the goldens and perfbench read this value.
     snap.merge_gauge("queue.peak_size", static_cast<double>(pending_peak_),
                      obs::MergePolicy::kMax);
     snap.add_histogram("queue.residency_log2", qs.residency_log2.data(),
@@ -305,55 +278,21 @@ Simulator::Simulator(const network::FabricGraph& graph,
     metrics_.set_series(series_.get());
   }
 
-  if (cfg_.shards == 0) cfg_.shards = 1;
-
   if (cfg_.profile) {
     profiler_ = std::make_unique<obs::PhaseProfiler>();
-    // profile.* and shard.* are the quarantined families: published only
-    // when profiling is opted into, never sampled into the series, never
-    // part of a determinism byte-compare. Under --shards the per-worker
-    // profilers fold into one fleet-wide total, and the shard engine
-    // publishes its health counters alongside.
+    // profile.* is the quarantined family: published only when profiling is
+    // opted into, never sampled into the series, never part of a
+    // determinism byte-compare.
     telemetry_.add_probe([this](obs::Snapshot& snap) {
-      obs::PhaseProfiler folded = *profiler_;
-      if (engine_) engine_->fold_profile(folded);
       for (int i = 0; i < obs::PhaseProfiler::kPhaseCount; ++i) {
         const auto p = static_cast<obs::PhaseProfiler::Phase>(i);
         const std::string base =
             std::string("profile.") + obs::PhaseProfiler::name(p);
-        snap.merge_gauge(base + "_ms", folded.total_ms(p),
+        snap.merge_gauge(base + "_ms", profiler_->total_ms(p),
                          obs::MergePolicy::kSum);
-        snap.add_counter(base + "_calls", folded.calls(p));
+        snap.add_counter(base + "_calls", profiler_->calls(p));
       }
-      if (engine_) engine_->publish_shard_stats(snap);
     });
-  }
-}
-
-Simulator::~Simulator() = default;
-
-iba::Cycle Simulator::now_cur() const {
-  return t_shard != nullptr ? t_shard->now : now_;
-}
-
-void Simulator::push_event(Event e) {
-  if (engine_ && engine_->active()) {
-    const iba::NodeId home = event_home_node(e);
-    engine_->route_push(std::move(e), home);
-    return;
-  }
-  queue_.push(std::move(e));
-}
-
-iba::NodeId Simulator::event_home_node(const Event& e) const {
-  switch (e.type) {
-    case EventType::kGenerate:
-      return node_of(flows_[e.aux].src);
-    case EventType::kProbe:
-    case EventType::kControl:
-      return 0;  // Only ever migrated, never executed in parallel.
-    default:
-      return e.node;
   }
 }
 
@@ -361,96 +300,6 @@ void Simulator::sample_pending(std::uint64_t pending, iba::Cycle through) {
   if (pending > pending_peak_) pending_peak_ = pending;
   next_pending_mark_ =
       (through / kPendingSampleEvery + 1) * kPendingSampleEvery;
-}
-
-bool Simulator::parallel_ready() {
-  if (cfg_.shards <= 1) return false;
-  // Hazards the parallel engine cannot reproduce byte-identically: inline
-  // callbacks with cross-shard visibility (fault hooks, delivery listeners,
-  // call_at controls) and purge barriers whose bookkeeping is shared mutable
-  // state. Observers — tracing, series sampling, profiling — are NOT
-  // hazards: each shard records into its own plane and the orchestrator
-  // merges them deterministically at window barriers (docs/PARALLEL.md).
-  const char* hazard = nullptr;
-  if (hooks_ != nullptr) {
-    hazard = "fault-hooks";
-  } else if (delivery_listener_ != nullptr) {
-    hazard = "delivery-listener";
-  } else if (!controls_.empty()) {
-    hazard = "pending-controls";
-  } else if (!purged_flows_.empty()) {
-    hazard = "purge-barriers";
-  }
-  if (hazard != nullptr) {
-    fallback_reason_ = hazard;
-    if (!shard_fallback_warned_) {
-      shard_fallback_warned_ = true;
-      std::fprintf(stderr,
-                   "ibarb: --shards %u requested, but %s cannot be reproduced "
-                   "in parallel; using the sequential core (output is "
-                   "unchanged)\n",
-                   cfg_.shards, hazard);
-    }
-    if (engine_ && engine_->active()) engine_->surrender(queue_);
-    return false;
-  }
-  if (!engine_) {
-    std::string error;
-    engine_ = ShardEngine::create(*this, cfg_.shards, error);
-    if (!engine_) {
-      fallback_reason_ = "unshardable-topology";
-      if (!shard_fallback_warned_) {
-        shard_fallback_warned_ = true;
-        std::fprintf(stderr, "ibarb: %s\n", error.c_str());
-      }
-      cfg_.shards = 1;
-      return false;
-    }
-  }
-  if (!engine_->active()) {
-    engine_->adopt(queue_);
-    // Give every shard worker its own series delivery lane, folded at each
-    // commit — the one SeriesRecorder hot hook that is not already
-    // single-writer under the shard partition.
-    if (series_) series_->set_lanes(engine_->shards());
-  }
-  fallback_reason_.clear();
-  return true;
-}
-
-ShardLoadStats Simulator::shard_load() const {
-  ShardLoadStats out;
-  if (engine_) engine_->fill_load(out);
-  return out;
-}
-
-void Simulator::export_shard_tracks(
-    std::vector<obs::PhaseSpan>& spans,
-    std::vector<obs::CounterTrack>& counters) const {
-  if (engine_) engine_->export_tracks(spans, counters);
-}
-
-obs::PhaseProfiler* Simulator::cur_profiler() const {
-  const ShardCtx* const c = t_shard;
-  return c != nullptr ? c->profiler.get() : profiler_.get();
-}
-
-void Simulator::record_trace(iba::Cycle time, TraceEvent event,
-                             iba::NodeId node, iba::PortIndex port,
-                             iba::VirtualLane vl, const iba::Packet& p) {
-  if (!trace_.enabled()) return;
-  ShardCtx* const c = t_shard;
-  if (c == nullptr) {
-    trace_.record(time, event, node, port, vl, p);
-    return;
-  }
-  // Parallel window: park the record in the shard's window-local buffer,
-  // tagged with the emitting handler's identity; the orchestrator merges
-  // every buffer into the shared ring in final (time, key) order after
-  // barrier D, reproducing the sequential ring byte for byte.
-  c->trace_buf.push_back(ShardCtx::PendingTrace{
-      TraceRecord{time, event, node, port, vl, p.id, p.connection},
-      c->handler_known, c->handler_seq, c->handler_self});
 }
 
 OutputPort& Simulator::checked_output_port(const char* where,
@@ -472,12 +321,6 @@ OutputPort& Simulator::checked_output_port(const char* where,
          " ports)");
   }
   return output_port(node, port);
-}
-
-PacketPool& Simulator::pool_at(iba::NodeId node) {
-  if (ShardCtx* const c = t_shard; c != nullptr) return c->pool;
-  if (engine_ && engine_->active()) return engine_->pool_of(node);
-  return pool_;
 }
 
 void Simulator::set_output_arbitration(iba::NodeId node, iba::PortIndex port,
@@ -600,18 +443,12 @@ std::uint32_t Simulator::add_flow(const FlowSpec& spec) {
   metrics_.connections.push_back(cm);
   if (series_) series_->note_connection(idx, spec.sl, spec.qos, spec.deadline);
 
-  if (engine_)
-    engine_->note_flow_wire(spec.external
-                                ? iba::kPacketOverheadBytes
-                                : spec.payload_bytes +
-                                      iba::kPacketOverheadBytes);
-
   if (!spec.external) {
     Event e;
     e.time = std::max(spec.start_offset, now_);
     e.type = EventType::kGenerate;
     e.aux = idx;
-    push_event(std::move(e));
+    queue_.push(std::move(e));
   }
   return idx;
 }
@@ -633,7 +470,7 @@ void Simulator::resume_flow(std::uint32_t flow_index) {
   e.time = now_;
   e.type = EventType::kGenerate;
   e.aux = flow_index;
-  push_event(std::move(e));
+  queue_.push(std::move(e));
 }
 
 void Simulator::set_flow_overdrive(std::uint32_t flow_index, double factor) {
@@ -659,7 +496,7 @@ void Simulator::schedule_flow(std::uint32_t flow_index) {
       e.time = f.next_nominal;
       break;
     case GeneratorKind::kPoisson:
-      e.time = now_cur() +
+      e.time = now_ +
                static_cast<iba::Cycle>(
                    flow_cold_[flow_index].rng.exponential(interval) + 1.0);
       break;
@@ -667,7 +504,7 @@ void Simulator::schedule_flow(std::uint32_t flow_index) {
       FlowCold& c = flow_cold_[flow_index];
       if (c.burst_left > 0) {
         --c.burst_left;
-        e.time = now_cur() +
+        e.time = now_ +
                  static_cast<iba::Cycle>(interval * c.on_fraction + 1.0);
       } else {
         // Draw a new burst; the silence restores the long-run mean rate.
@@ -675,7 +512,7 @@ void Simulator::schedule_flow(std::uint32_t flow_index) {
             1.0 + c.rng.exponential(c.burst_mean_packets - 1.0);
         c.burst_left = static_cast<std::uint32_t>(burst);
         const double off_mean = interval * burst * (1.0 - c.on_fraction);
-        e.time = now_cur() +
+        e.time = now_ +
                  static_cast<iba::Cycle>(c.rng.exponential(off_mean) + 1.0);
       }
       break;
@@ -684,14 +521,14 @@ void Simulator::schedule_flow(std::uint32_t flow_index) {
   f.scheduled = true;
   e.type = EventType::kGenerate;
   e.aux = flow_index;
-  push_event(std::move(e));
+  queue_.push(std::move(e));
 }
 
 void Simulator::on_generate(std::uint32_t flow_index) {
   FlowState& f = flows_[flow_index];
   f.scheduled = false;
   if (f.stopped) return;  // torn down: neither generate nor reschedule
-  const iba::Cycle now = now_cur();
+  const iba::Cycle now = now_;
 
   iba::Packet p;
   p.connection = flow_index;
@@ -700,12 +537,10 @@ void Simulator::on_generate(std::uint32_t flow_index) {
   p.destination = f.dst;
   p.payload_bytes = f.payload_bytes;
   p.sequence = f.next_sequence++;
-  // Generated packets derive their id from (flow, sequence) — never from a
-  // shared counter — so ids are identical whether a window runs on the
-  // sequential core or on any shard worker, and trace files byte-compare
-  // across shard counts. External injections (inject_external) keep the
-  // monotone counter; those ids stay below 2^32, so the domains never
-  // collide.
+  // Generated packets derive their id from (flow, sequence), never from a
+  // shared counter, so a packet's id depends only on its own flow. External
+  // injections (inject_external) keep the monotone counter; those ids stay
+  // below 2^32, so the domains never collide.
   p.id = ((static_cast<std::uint64_t>(flow_index) + 1) << 32) |
          (p.sequence + 1);
   p.injected_at = now;
@@ -718,8 +553,8 @@ void Simulator::on_generate(std::uint32_t flow_index) {
   HostState& host = hosts_[index_[src]];
   const iba::VirtualLane vl =
       f.management ? iba::kManagementVl : host.out.sl_map.map(f.sl);
-  record_trace(now, TraceEvent::kInject, src, 0, vl, p);
-  host.out.queues.push(vl, pool_at(src).park(p), p.wire_bytes());
+  trace_.record(now, TraceEvent::kInject, src, 0, vl, p);
+  host.out.queues.push(vl, pool_.park(p), p.wire_bytes());
   try_transmit(src, 0);
 
   schedule_flow(flow_index);
@@ -734,7 +569,7 @@ void Simulator::try_transmit(iba::NodeId node, iba::PortIndex port) {
 
   const auto ready = op.ready_bytes();
   const auto decision = [&] {
-    obs::ScopedTimer timer(cur_profiler(), obs::PhaseProfiler::kArbitration);
+    obs::ScopedTimer timer(profiler_.get(), obs::PhaseProfiler::kArbitration);
     return op.arbiter.arbitrate(ready);
   }();
   if (!decision) return;
@@ -743,9 +578,8 @@ void Simulator::try_transmit(iba::NodeId node, iba::PortIndex port) {
   const PacketHandle h = op.queues.pop(decision->vl);
   op.credits.consume(decision->vl, wire);
   op.tx_busy = true;
-  const iba::Cycle now = now_cur();
-  record_trace(now, TraceEvent::kLinkTx, node, port, decision->vl,
-               pool_at(node)[h]);
+  const iba::Cycle now = now_;
+  trace_.record(now, TraceEvent::kLinkTx, node, port, decision->vl, pool_[h]);
 
   auto ser = iba::serialization_cycles(wire, op.link.rate);
   if (hooks_) ser = hooks_->stretch_serialization(node, port, ser);
@@ -756,7 +590,7 @@ void Simulator::try_transmit(iba::NodeId node, iba::PortIndex port) {
   done.type = EventType::kTxComplete;
   done.node = node;
   done.port = port;
-  push_event(std::move(done));
+  queue_.push(std::move(done));
 
   Event arrive;
   arrive.time = now + ser + op.link.propagation_delay;
@@ -765,7 +599,7 @@ void Simulator::try_transmit(iba::NodeId node, iba::PortIndex port) {
   arrive.port = op.peer.port;
   arrive.vl = decision->vl;
   arrive.pkt = h;
-  push_event(arrive);
+  queue_.push(arrive);
 }
 
 void Simulator::on_tx_complete(iba::NodeId node, iba::PortIndex port) {
@@ -774,22 +608,21 @@ void Simulator::on_tx_complete(iba::NodeId node, iba::PortIndex port) {
 }
 
 void Simulator::on_link_deliver(const Event& e) {
-  const iba::Cycle now = now_cur();
-  PacketPool& pool = pool_at(e.node);
-  const iba::Packet& p = pool[e.pkt];
+  const iba::Cycle now = now_;
+  const iba::Packet& p = pool_[e.pkt];
   const std::uint32_t wire = p.wire_bytes();
   auto verdict = FaultHooks::RxVerdict::kDeliver;
   if (hooks_ && !p.management) {
-    obs::ScopedTimer timer(cur_profiler(), obs::PhaseProfiler::kFaultHooks);
+    obs::ScopedTimer timer(profiler_.get(), obs::PhaseProfiler::kFaultHooks);
     verdict = hooks_->on_link_rx(e.node, e.port, p);
   }
   if (verdict == FaultHooks::RxVerdict::kDrop) {
     // Discarded on arrival (corrupted past the CRC, or a drop-fault window).
     // The receiver still frees the notional buffer, so upstream credits are
     // returned — a lost packet must not wedge the sender.
-    record_trace(now, TraceEvent::kDrop, e.node, e.port, e.vl, p);
+    trace_.record(now, TraceEvent::kDrop, e.node, e.port, e.vl, p);
     metrics_.record_drop(p.connection);
-    pool.release(e.pkt);
+    pool_.release(e.pkt);
     const auto up = graph_.peer(e.node, e.port);
     assert(up.has_value());
     OutputPort& upstream = output_port(up->node, up->port);
@@ -806,21 +639,19 @@ void Simulator::on_link_deliver(const Event& e) {
     return;
   }
   // Host sink: record, then return credits to the upstream switch port
-  // immediately (hosts drain their receive buffers at line rate). The
-  // upstream port is the host's own uplink switch — same shard — so this
-  // stays inline in parallel windows too.
-  record_trace(now, TraceEvent::kDeliver, e.node, e.port, e.vl, p);
+  // immediately (hosts drain their receive buffers at line rate).
+  trace_.record(now, TraceEvent::kDeliver, e.node, e.port, e.vl, p);
   {
-    obs::ScopedTimer timer(cur_profiler(), obs::PhaseProfiler::kMetrics);
+    obs::ScopedTimer timer(profiler_.get(), obs::PhaseProfiler::kMetrics);
     metrics_.record_delivery(p.connection, p, now);
   }
   if (delivery_listener_) {
     // The listener may inject (and so park) packets: hand it a copy, since
     // a park can move the pool's storage.
-    const iba::Packet delivered = pool.take(e.pkt);
+    const iba::Packet delivered = pool_.take(e.pkt);
     delivery_listener_(delivered, now);
   } else {
-    pool.release(e.pkt);
+    pool_.release(e.pkt);
   }
   const auto up = graph_.peer(e.node, 0);
   assert(up.has_value());
@@ -838,34 +669,28 @@ void Simulator::on_xfer_complete(const Event& e) {
   const std::uint32_t wire = ip.buffers.front_bytes(e.vl);
   const PacketHandle h = ip.buffers.pop(e.vl);
 
-  // Input buffer space freed: return credits to whoever feeds this port. In
-  // a parallel window the feeder may live on another shard, so the release
-  // travels as the kCreditRelease event XbarView::grant emitted alongside
-  // this one (keyed right before it — see on_credit_release).
-  if (!in_parallel()) {
-    const auto up = graph_.peer(e.node, in_port);
-    assert(up.has_value());
-    OutputPort& upstream = output_port(up->node, up->port);
-    upstream.credits.release(e.vl, wire);
-    try_transmit(up->node, up->port);
-  }
+  // Input buffer space freed: return credits to whoever feeds this port.
+  const auto up = graph_.peer(e.node, in_port);
+  assert(up.has_value());
+  OutputPort& upstream = output_port(up->node, up->port);
+  upstream.credits.release(e.vl, wire);
+  try_transmit(up->node, up->port);
 
   // Enqueue at the output on the VL this port's SLtoVL table dictates —
   // unless recovery abandoned this connection on this port (the packet was
   // in flight when the purge ran; queuing it now would strand it on a VL
   // whose arbitration weight left with the reservation).
-  PacketPool& pool = pool_at(e.node);
-  const iba::Packet& p = pool[h];
+  const iba::Packet& p = pool_[h];
   const iba::VirtualLane out_vl =
       p.management ? iba::kManagementVl : op.sl_map.map(p.sl);
   if (!p.management && !purged_flows_.empty() &&
       purged_flows_.count({op.flat_id, p.connection}) > 0) {
-    record_trace(now_cur(), TraceEvent::kDrop, e.node, e.port, out_vl, p);
+    trace_.record(now_, TraceEvent::kDrop, e.node, e.port, out_vl, p);
     metrics_.record_drop(p.connection);
-    pool.release(h);
+    pool_.release(h);
     ++purged_late_;
   } else {
-    record_trace(now_cur(), TraceEvent::kXbar, e.node, e.port, out_vl, p);
+    trace_.record(now_, TraceEvent::kXbar, e.node, e.port, out_vl, p);
     op.queues.push(out_vl, h, wire);
   }
 
@@ -880,12 +705,6 @@ void Simulator::on_xfer_complete(const Event& e) {
 void Simulator::schedule_crossbar(std::uint32_t switch_index, int only_input) {
   XbarView view(*this, switch_index);
   xbar_[switch_index].schedule(view, only_input);
-}
-
-void Simulator::on_credit_release(const Event& e) {
-  OutputPort& op = output_port(e.node, e.port);
-  op.credits.release(e.vl, e.aux);
-  try_transmit(e.node, e.port);
 }
 
 void Simulator::handle(const Event& e) {
@@ -912,9 +731,6 @@ void Simulator::handle(const Event& e) {
       fn();
       break;
     }
-    case EventType::kCreditRelease:
-      on_credit_release(e);
-      break;
   }
 }
 
@@ -925,7 +741,7 @@ void Simulator::call_at(iba::Cycle t, std::function<void()> fn) {
   e.time = std::max(t, now_);
   e.type = EventType::kControl;
   e.aux = id;
-  push_event(std::move(e));
+  queue_.push(std::move(e));
 }
 
 std::uint64_t Simulator::inject_external(std::uint32_t flow_index,
@@ -957,8 +773,8 @@ std::uint64_t Simulator::inject_external(std::uint32_t flow_index,
   HostState& host = hosts_[index_[src]];
   const iba::VirtualLane vl =
       f.management ? iba::kManagementVl : host.out.sl_map.map(f.sl);
-  record_trace(now_, TraceEvent::kInject, src, 0, vl, p);
-  host.out.queues.push(vl, pool_at(src).park(p), p.wire_bytes());
+  trace_.record(now_, TraceEvent::kInject, src, 0, vl, p);
+  host.out.queues.push(vl, pool_.park(p), p.wire_bytes());
   try_transmit(src, 0);
   return id;
 }
@@ -971,7 +787,6 @@ void Simulator::kick_port(iba::NodeId node, iba::PortIndex port) {
 std::uint64_t Simulator::flush_output_queue(iba::NodeId node,
                                             iba::PortIndex port) {
   OutputPort& op = checked_output_port("flush_output_queue", node, port);
-  PacketPool& pool = pool_at(node);
   std::uint64_t flushed = 0;
   // Queued packets never consumed this port's credits (that happens when
   // serialization starts), so discarding them is pure local state.
@@ -979,9 +794,9 @@ std::uint64_t Simulator::flush_output_queue(iba::NodeId node,
     const auto vl = static_cast<iba::VirtualLane>(
         std::countr_zero(op.queues.occupancy()));
     const PacketHandle h = op.queues.pop(vl);
-    record_trace(now_, TraceEvent::kDrop, node, port, vl, pool[h]);
-    metrics_.record_drop(pool[h].connection);
-    pool.release(h);
+    trace_.record(now_, TraceEvent::kDrop, node, port, vl, pool_[h]);
+    metrics_.record_drop(pool_[h].connection);
+    pool_.release(h);
     ++flushed;
   }
   return flushed;
@@ -991,16 +806,15 @@ std::uint64_t Simulator::purge_flow_from_output(iba::NodeId node,
                                                 iba::PortIndex port,
                                                 std::uint32_t flow) {
   OutputPort& op = checked_output_port("purge_flow_from_output", node, port);
-  PacketPool& pool = pool_at(node);
   std::uint64_t purged = 0;
   // Like flushed packets, queued packets hold no credits yet: removal is
   // pure local state.
   for (unsigned v = 0; v < iba::kMaxVirtualLanes; ++v) {
     const auto vl = static_cast<iba::VirtualLane>(v);
-    for (const PacketHandle h : op.queues.extract_connection(vl, flow, pool)) {
-      record_trace(now_, TraceEvent::kDrop, node, port, vl, pool[h]);
-      metrics_.record_drop(pool[h].connection);
-      pool.release(h);
+    for (const PacketHandle h : op.queues.extract_connection(vl, flow, pool_)) {
+      trace_.record(now_, TraceEvent::kDrop, node, port, vl, pool_[h]);
+      metrics_.record_drop(pool_[h].connection);
+      pool_.release(h);
       ++purged;
     }
   }
@@ -1018,44 +832,28 @@ void Simulator::clear_flow_purge(iba::NodeId node, iba::PortIndex port,
 }
 
 void Simulator::run_until(iba::Cycle t) {
-  if (parallel_ready()) {
-    engine_->run_until(t);
-    return;
-  }
   while (!queue_.empty() && queue_.top_time() <= t) {
     // Pending-event census at fixed marks (the queue.peak_size gauge): the
     // first event at or past a mark triggers a sample *before* it pops, so
-    // the count covers everything still scheduled from the mark onwards —
-    // the same census the parallel engine takes at its window barriers.
+    // the count covers everything still scheduled from the mark onwards.
     if (queue_.top_time() >= next_pending_mark_)
-      sample_pending(queue_.size() - serial_pending_releases_,
-                     queue_.top_time());
+      sample_pending(queue_.size(), queue_.top_time());
     // A series boundary B samples the state after every event with time
     // <= B, so commit pending boundaries before popping the first event
-    // that crosses one — the pop itself belongs to the next window. This
-    // is the same commit point the parallel orchestrator uses between
-    // windows, which keeps sampled queue counters byte-identical.
+    // that crosses one — the pop itself belongs to the next window.
     if (series_ && queue_.top_time() > series_->next_due()) {
       obs::ScopedTimer timer(profiler_.get(), obs::PhaseProfiler::kSeries);
       series_->advance_to(queue_.top_time());
     }
     const Event e = queue_.pop();
     assert(e.time >= now_ && "time must not run backwards");
-    // A credit release handed back by ShardEngine::surrender: engine
-    // bookkeeping with no sequential counterpart, excluded from the pop and
-    // event counters exactly like the shard workers exclude theirs.
-    if (e.type == EventType::kCreditRelease) {
-      ++serial_release_pops_;
-      --serial_pending_releases_;
-    }
     now_ = e.time;
-    if (e.type != EventType::kCreditRelease) ++events_;
+    ++events_;
     obs::ScopedTimer timer(profiler_.get(), obs::PhaseProfiler::kDispatch);
     handle(e);
   }
   if (now_ < t) now_ = t;
-  if (t >= next_pending_mark_)
-    sample_pending(queue_.size() - serial_pending_releases_, t);
+  if (t >= next_pending_mark_) sample_pending(queue_.size(), t);
   // All events <= t are handled, so every boundary <= t is complete — flush
   // them even if no later event arrives to cross the boundary (idempotent;
   // run_paper_phases calls run_until in probe steps).

@@ -27,11 +27,6 @@
 #include "sim/switch.hpp"
 #include "sim/trace.hpp"
 
-namespace ibarb::obs {
-struct CounterTrack;
-struct PhaseSpan;
-}  // namespace ibarb::obs
-
 namespace ibarb::sim {
 
 struct SimConfig {
@@ -56,18 +51,9 @@ struct SimConfig {
   /// --crossbar). kWrr reproduces the pre-refactor
   /// grant sequence — and so the whole event order — bit-for-bit.
   sched::CrossbarImpl crossbar_impl = sched::CrossbarImpl::kWrr;
-  /// Number of switch-affine shard workers for the parallel engine
-  /// (--shards; see docs/PARALLEL.md). 1 keeps the classic
-  /// sequential loop. Values > 1 engage src/sim/shard.hpp for runs the
-  /// engine can reproduce byte-identically. Observers — tracing, series
-  /// sampling, profiling — ride the parallel path: each shard records into
-  /// its own plane and the orchestrator merges them deterministically at
-  /// window barriers. Anything the engine cannot reproduce (fault hooks,
-  /// delivery listeners, pending call_at controls, active purge barriers,
-  /// an unshardable topology) falls back to the sequential path — with a
-  /// one-shot stderr diagnostic and the reason exposed via
-  /// Simulator::shard_fallback_reason() — so output is invariant in this
-  /// knob by construction.
+  /// Must be 1: runs are sequential, and the constructor throws
+  /// std::invalid_argument for any other value. The field remains only
+  /// because the benchmark sources (perfbench/) set it, like queue_impl.
   unsigned shards = 1;
 };
 
@@ -108,30 +94,16 @@ class FaultHooks {
   }
 };
 
-class ShardEngine;
-
-/// Per-shard load counters for bench_scaling's shard_balance figure:
-/// parallel arrays indexed by shard id. Empty when the parallel engine
-/// never engaged. Events are deterministic; the wait fields are wall-clock
-/// and therefore quarantined from determinism compares.
-struct ShardLoadStats {
-  std::vector<std::uint64_t> events;
-  std::vector<std::uint64_t> barrier_wait_ns;
-  std::uint64_t windows = 0;
-  std::uint64_t orchestrator_wait_ns = 0;
-};
-
 class Simulator {
   friend class XbarView;  ///< sched::CrossbarPorts view (simulator.cpp).
-  friend class ShardEngine;  ///< Parallel window engine (sim/shard.hpp).
 
  public:
   /// `routes` seeds every switch's linear forwarding table and is not kept:
   /// from then on the switches forward by their own tables, which
-  /// set_forwarding() overwrites.
+  /// set_forwarding() overwrites. Throws std::invalid_argument unless
+  /// cfg.shards is 1.
   Simulator(const network::FabricGraph& graph, const network::Routes& routes,
             SimConfig cfg);
-  ~Simulator();  ///< Out-of-line: ShardEngine is incomplete here.
 
   /// The telemetry probe registered at construction captures `this`.
   Simulator(const Simulator&) = delete;
@@ -273,30 +245,6 @@ class Simulator {
   /// Runs all probes and returns the deterministic instrument snapshot.
   obs::Snapshot telemetry_snapshot() { return telemetry_.snapshot(); }
 
-  /// The shard count the run is actually using: SimConfig::shards, pinned
-  /// back to 1 once an unshardable topology forced the sequential fallback.
-  /// Lets tests assert the parallel engine really engaged (or refused)
-  /// instead of trusting the requested flag.
-  unsigned effective_shards() const noexcept { return cfg_.shards; }
-
-  /// Why the last run_until took the sequential core although --shards > 1
-  /// was requested: one of "fault-hooks", "delivery-listener",
-  /// "pending-controls", "purge-barriers", "unshardable-topology". Empty
-  /// while the parallel engine is engaged — and always empty when only one
-  /// shard was requested in the first place.
-  const std::string& shard_fallback_reason() const noexcept {
-    return fallback_reason_;
-  }
-
-  /// Per-shard load/wait counters for the shard_balance figure; empty
-  /// vectors when the parallel engine never engaged.
-  ShardLoadStats shard_load() const;
-
-  /// Appends the per-worker Perfetto tracks (recorded under --profile with
-  /// shards > 1) for obs::write_chrome_trace; no-op otherwise.
-  void export_shard_tracks(std::vector<obs::PhaseSpan>& spans,
-                           std::vector<obs::CounterTrack>& counters) const;
-
   /// The time-series recorder, or null when SimConfig::sample_every == 0.
   /// The fault/recovery layer stamps state transitions through this; benches
   /// call finalize() on it after their last run_until.
@@ -308,40 +256,10 @@ class Simulator {
   void on_link_deliver(const Event& e);
   void on_tx_complete(iba::NodeId node, iba::PortIndex port);
   void on_xfer_complete(const Event& e);
-  /// Parallel engine only: applies a reified upstream credit return (the
-  /// half of on_xfer_complete that crosses a shard boundary).
-  void on_credit_release(const Event& e);
 
-  // --- Parallel-engine plumbing (src/sim/shard.hpp) -----------------------
-
-  /// All handler pushes go through here: straight into queue_ on the
-  /// sequential path, keyed and routed to the owning shard when the engine
-  /// holds the events.
-  void push_event(Event e);
-  /// The clock handlers must read: the executing shard's when inside a
-  /// parallel window (thread-local), the global now_ otherwise.
-  iba::Cycle now_cur() const;
-  /// The node whose shard owns (and whose worker executes) an event.
-  iba::NodeId event_home_node(const Event& e) const;
-  /// Decides sequential vs parallel for the next run_until: builds/activates
-  /// the engine when shards > 1 and no hazard is present, or surrenders the
-  /// events back to queue_ (warning once and pinning shards = 1 when the
-  /// topology itself cannot be sharded).
-  bool parallel_ready();
   /// Records a pending-event census (the queue.peak_size gauge) and advances
-  /// the mark past `through`. Both engines call this at identical points.
+  /// the mark past `through`.
   void sample_pending(std::uint64_t pending, iba::Cycle through);
-  /// Every trace emission goes through here: straight into the ring on the
-  /// sequential path; inside a parallel window, into the executing shard's
-  /// buffer (tagged with the handler identity) for the deterministic merge
-  /// after barrier D.
-  void record_trace(iba::Cycle time, TraceEvent event, iba::NodeId node,
-                    iba::PortIndex port, iba::VirtualLane vl,
-                    const iba::Packet& p);
-  /// The profiler a ScopedTimer must charge: the executing shard worker's
-  /// inside a parallel window, the simulator's otherwise. Null (timer
-  /// no-ops) unless SimConfig::profile.
-  obs::PhaseProfiler* cur_profiler() const;
 
   void try_transmit(iba::NodeId node, iba::PortIndex port);
   /// Runs the switch's crossbar scheduler (sched::CrossbarScheduler) over an
@@ -357,10 +275,6 @@ class Simulator {
   /// Validates (node, port) for a public entry point named `where`.
   OutputPort& checked_output_port(const char* where, iba::NodeId node,
                                   iba::PortIndex port);
-  /// The pool holding the packets queued at `node` and in events homed
-  /// there: the executing shard's inside a parallel window, the owning
-  /// shard's while the engine holds the events, the simulator's otherwise.
-  PacketPool& pool_at(iba::NodeId node);
   iba::PortIndex route_port(const SwitchState& sw, iba::Lid dst) const;
   /// Pushes the flow's next kGenerate event.
   void schedule_flow(std::uint32_t flow_index);
@@ -374,26 +288,12 @@ class Simulator {
   std::uint64_t events_ = 0;
   std::uint64_t next_packet_id_ = 1;
 
-  /// Lazily-built parallel engine (cfg_.shards > 1); owns the pending
-  /// events whenever engine_->active().
-  std::unique_ptr<ShardEngine> engine_;
-  bool shard_fallback_warned_ = false;
-  /// See shard_fallback_reason().
-  std::string fallback_reason_;
   /// Pending-event census for the queue.peak_size gauge, sampled at fixed
-  /// cycle marks so sequential and sharded runs publish the same value (a
-  /// true per-push peak is tie-order-sensitive).
+  /// cycle marks rather than at every push. The goldens and perfbench read
+  /// this value, so it must keep this definition.
   static constexpr iba::Cycle kPendingSampleEvery = 4096;
   std::uint64_t pending_peak_ = 0;
   iba::Cycle next_pending_mark_ = kPendingSampleEvery;
-  /// kCreditRelease events executed on the sequential path (only possible
-  /// after a ShardEngine::surrender handed them back): their queue pops are
-  /// engine bookkeeping with no sequential counterpart, so the snapshot
-  /// probe subtracts them — the serial twin of ShardCtx::internal_pops.
-  std::uint64_t serial_release_pops_ = 0;
-  /// kCreditRelease events currently in queue_ (same provenance), excluded
-  /// from the pending-event census like ShardCtx::pending_releases.
-  std::uint64_t serial_pending_releases_ = 0;
 
   FaultHooks* hooks_ = nullptr;
   /// Active purge barriers: (flat output port, connection). A packet of a
@@ -417,8 +317,7 @@ class Simulator {
   /// port_base_[node] points at the node's output port 0 (a switch's out
   /// vector, or a host's injection port): output_port in one load.
   std::vector<OutputPort*> port_base_;
-  /// Packets of the sequential core (sim/packet_pool.hpp); empty while the
-  /// shard engine holds the events, whose workers own one pool each.
+  /// Every packet in the fabric (sim/packet_pool.hpp).
   PacketPool pool_;
   std::vector<FlowState> flows_;
   std::vector<FlowCold> flow_cold_;  ///< Same index as flows_.

@@ -45,16 +45,8 @@ class PacketTrace {
   void record(iba::Cycle time, TraceEvent event, iba::NodeId node,
               iba::PortIndex port, iba::VirtualLane vl,
               const iba::Packet& p) {
-    append(TraceRecord{time, event, node, port, vl, p.id, p.connection});
-  }
-
-  /// Appends an already-built record with the same ring semantics as
-  /// record(). This is the shard engine's merge path: workers buffer
-  /// records per window and the orchestrator appends them in final
-  /// (time, replay-key) order, so the ring's contents match a sequential
-  /// run byte for byte.
-  void append(const TraceRecord& r) {
     if (capacity_ == 0) return;
+    const TraceRecord r{time, event, node, port, vl, p.id, p.connection};
     if (ring_.size() < capacity_) {
       ring_.push_back(r);
     } else {

@@ -25,7 +25,7 @@ namespace ibarb::util {
 ///                       telemetry; nondeterministic, never byte-compared)
 ///   --quiet             suppress progress/timing chatter on stderr
 ///
-/// The run axes (--crossbar, --shards, --topo, --routing) are not part of
+/// The run axes (--crossbar, --topo, --routing) are not part of
 /// this block: bench::config_from_cli parses them, so a bench that never
 /// builds a PaperRun reports them as unused flags.
 ///

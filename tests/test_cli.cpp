@@ -225,10 +225,10 @@ TEST(Cli, StdFlagsMarksBlockAsQueried) {
 TEST(Cli, StdFlagsLeavesTheRunAxesUnused) {
   // The run axes belong to bench::config_from_cli. A bench that only calls
   // std_flags must name them as unused instead of silently ignoring them.
-  const auto cli = make({"--shards", "4", "--crossbar", "islip", "--topo",
+  const auto cli = make({"--crossbar", "islip", "--topo",
                          "torus3d:x=3,y=3,z=3", "--routing", "fattree-dmodk"});
   (void)cli.std_flags();
-  EXPECT_EQ(cli.unused_flags(), "--crossbar, --routing, --shards, --topo");
+  EXPECT_EQ(cli.unused_flags(), "--crossbar, --routing, --topo");
 }
 
 // --- bench::config_from_cli: the one parser of the paper knobs and run axes.
@@ -247,7 +247,6 @@ std::string config_error(std::vector<const char*> args) {
 TEST(ConfigFromCli, DefaultsAreThePaperRun) {
   const auto cfg = bench::config_from_cli(make({}));
   EXPECT_EQ(cfg.crossbar, sched::CrossbarImpl::kWrr);
-  EXPECT_EQ(cfg.shards, 1u);
   EXPECT_EQ(cfg.topo, "irregular");
   EXPECT_EQ(cfg.routing, "updown");
 }
@@ -278,14 +277,14 @@ TEST(ConfigFromCli, ValidatesRoutingAtParseTime) {
   }
 }
 
-TEST(ConfigFromCli, ShardsTakeOneToSixtyFour) {
-  for (const char* ok : {"1", "4", "64"})
-    EXPECT_EQ(bench::config_from_cli(make({"--shards", ok})).shards,
-              std::stoul(ok));
-  // 0 is not a shard count: the sequential core is --shards 1.
-  for (const char* bad : {"0", "65", "-4", "four", "4x"}) {
-    const auto msg = config_error({"--shards", bad});
-    EXPECT_NE(msg.find("--shards"), std::string::npos) << bad << ": " << msg;
+TEST(ConfigFromCli, ShardsIsRefused) {
+  // Runs are sequential: --shards is refused whatever its value, with a
+  // diagnostic that names the flag and says why.
+  for (const char* value : {"1", "4", "64", "four"}) {
+    const auto msg = config_error({"--shards", value});
+    EXPECT_NE(msg.find("--shards"), std::string::npos) << value << ": " << msg;
+    EXPECT_NE(msg.find("sequential"), std::string::npos)
+        << value << ": " << msg;
   }
 }
 

@@ -82,12 +82,6 @@ TEST(EventQueue, TopDoesNotPop) {
 // head in the fine wheel and once with it on the overflow heap (2^32
 // cycles and more ahead).
 
-Event keyed(iba::Cycle t, std::uint64_t seq) {
-  Event e = at(t);
-  e.seq = seq;
-  return e;
-}
-
 constexpr iba::Cycle kHeapBase = iba::Cycle{1} << 33;
 
 TEST(EventQueue, LaterPushKeepsTheMemoizedHead) {
@@ -116,26 +110,30 @@ TEST(EventQueue, LaterPushKeepsTheMemoizedHead) {
   }
 }
 
-TEST(EventQueue, SameTimeKeyedPushWithSmallerSeqOvertakesTheMemoizedHead) {
+TEST(EventQueue, SameTimePushStaysBehindTheMemoizedHead) {
   for (const iba::Cycle base : {iba::Cycle{0}, kHeapBase}) {
     EventQueue q;
-    q.push_keyed(keyed(base + 5, 10), base, /*count_stats=*/false);
-    q.push_keyed(keyed(base + 9, 1), base, false);
-    ASSERT_EQ(q.top().seq, 10u);
-    q.push_keyed(keyed(base + 5, 3), base, false);
+    Event head = at(base + 5);
+    head.aux = 1;
+    q.push(head);
+    q.push(at(base + 9));
+    ASSERT_EQ(q.top().aux, 1u);
+    // A push at the head's time carries a larger seq, so it orders after.
+    Event tie = at(base + 5);
+    tie.aux = 2;
+    q.push(tie);
     EXPECT_EQ(q.top_time(), base + 5);
-    EXPECT_EQ(q.top().seq, 3u);
-    // A larger seq at the same time stays behind.
-    q.push_keyed(keyed(base + 5, 12), base, false);
-    EXPECT_EQ(q.top().seq, 3u);
-    EXPECT_EQ(q.pop().seq, 3u);
-    // After the pop the memo holds seq 10; a smaller one overtakes again.
-    q.push_keyed(keyed(base + 5, 7), base, false);
-    EXPECT_EQ(q.top().seq, 7u);
-    for (const std::uint64_t want : {7u, 10u, 12u}) {
+    EXPECT_EQ(q.top().aux, 1u);
+    EXPECT_EQ(q.pop().aux, 1u);
+    // After the pop the memo holds the tie; another one queues behind it.
+    Event tie2 = at(base + 5);
+    tie2.aux = 3;
+    q.push(tie2);
+    EXPECT_EQ(q.top().aux, 2u);
+    for (const std::uint32_t want : {2u, 3u}) {
       const Event e = q.pop();
       EXPECT_EQ(e.time, base + 5);
-      EXPECT_EQ(e.seq, want);
+      EXPECT_EQ(e.aux, want);
     }
     EXPECT_EQ(q.pop().time, base + 9);
     EXPECT_TRUE(q.empty());
@@ -358,82 +356,6 @@ TEST(EventQueueDifferential, DrainAndRefillCrossesTheHorizon) {
   run_differential(script);
 }
 
-TEST(EventQueueDifferential, PushKeyedOutOfOrderKeys) {
-  // push_keyed (the shard engine's merge insert) keeps each event's preset
-  // key and sorts it into its wheel bucket, so same-cycle events arriving in
-  // any key order must still pop in (time, key) order. Keys beyond the
-  // horizon go to the overflow heap and merge back by the same key.
-  for (const bool count_stats : {false, true}) {
-    SCOPED_TRACE(count_stats ? "count_stats" : "uncounted");
-    util::Xoshiro256 rng(408);
-    EventQueue queue;
-    std::vector<std::pair<iba::Cycle, std::uint64_t>> reference;  // unpopped
-    std::uint64_t pushed = 0;
-    // `origin` is the creation cycle the statistics measure residency from.
-    const auto push = [&](iba::Cycle t, std::uint64_t key, iba::Cycle origin) {
-      Event e = at(t);
-      e.seq = key;
-      queue.push_keyed(e, origin, count_stats);
-      reference.emplace_back(t, key);
-      ++pushed;
-    };
-    const auto pop_checked = [&]() -> ::testing::AssertionResult {
-      const auto it = std::min_element(reference.begin(), reference.end());
-      const auto want = *it;
-      reference.erase(it);
-      const Event e = queue.pop();
-      if (e.time == want.first && e.seq == want.second)
-        return ::testing::AssertionSuccess();
-      return ::testing::AssertionFailure()
-             << "popped (" << e.time << ", " << e.seq << "), expected ("
-             << want.first << ", " << want.second << ")";
-    };
-
-    // One bucket through every sorted-insert branch: empty, tail append,
-    // new head, and a mid-list walk; then three keys past the horizon.
-    for (const std::uint64_t key : {50, 70, 10, 30, 90, 20, 80})
-      push(10, key, 0);
-    for (const std::uint64_t key : {60, 40, 55})
-      push(10 + (1u << 16) + 5, key, 0);
-    ASSERT_TRUE(pop_checked());
-
-    // Rounds of shuffled keys over a few near cycles and one far cycle,
-    // half-drained between rounds so the window slides.
-    std::uint64_t next_key = 1'000;
-    iba::Cycle base = 200;
-    for (int round = 0; round < 40; ++round) {
-      const iba::Cycle cycles[] = {base + rng.below(300), base + rng.below(300),
-                                   base + rng.below(300),
-                                   base + (1u << 16) + rng.below(1u << 17)};
-      std::vector<std::uint64_t> keys(24 + rng.below(40));
-      for (auto& k : keys) k = next_key++;
-      for (std::size_t i = keys.size() - 1; i > 0; --i)
-        std::swap(keys[i], keys[rng.below(i + 1)]);
-      for (const auto k : keys)
-        push(cycles[rng.below(std::size(cycles))], k, base);
-      for (std::size_t i = 0; i < keys.size() / 2; ++i)
-        ASSERT_TRUE(pop_checked());
-      base += 400;
-    }
-    while (!reference.empty()) ASSERT_TRUE(pop_checked());
-    EXPECT_TRUE(queue.empty());
-
-    const auto& stats = queue.stats();
-    EXPECT_EQ(stats.pops, pushed);
-    if (count_stats) {
-      EXPECT_EQ(stats.pushes, pushed);
-      EXPECT_GT(stats.overflow_pushes, 0u);
-      std::uint64_t binned = 0;
-      for (const auto bin : stats.residency_log2) binned += bin;
-      EXPECT_EQ(binned, pushed);
-    } else {
-      EXPECT_EQ(stats.pushes, 0u);
-      EXPECT_EQ(stats.overflow_pushes, 0u);
-      for (const auto bin : stats.residency_log2) EXPECT_EQ(bin, 0u);
-    }
-  }
-}
-
 TEST(EventQueueDifferential, PushesStraddleEpochBoundaries) {
   // Every round pushes around the next 2^16-cycle epoch edge (just before,
   // on, and just after it) and half-drains, so the fine wheel keeps
@@ -501,62 +423,28 @@ TEST(EventQueueDifferential, EventsBeyondTheCoarseHorizon) {
   run_differential(script);
 }
 
-TEST(EventQueueDifferential, CascadeInterleavedWithOutOfOrderKeyedPushes) {
-  // push_keyed keys arrive shuffled into the fine wheel, the coarse wheel
-  // (unsorted there) and the heap; cascades must sort each epoch by key
-  // into its one-cycle buckets, including buckets that receive further
-  // keyed pushes after the cascade.
+TEST(EventQueueDifferential, CascadeKeepsSameCycleTiesInPushOrder) {
+  // Bursts of ties on a few cycles of later epochs sit in the coarse wheel
+  // in push order; a cascade must keep that order in each one-cycle bucket,
+  // including buckets that receive further same-cycle pushes after it.
   util::Xoshiro256 rng(412);
-  EventQueue queue;
-  std::vector<std::pair<iba::Cycle, std::uint64_t>> reference;
-  const auto push = [&](iba::Cycle t, std::uint64_t key) {
-    Event e = at(t);
-    e.seq = key;
-    queue.push_keyed(e, 0, /*count_stats=*/false);
-    reference.emplace_back(t, key);
-  };
-  const auto pop_checked = [&]() -> ::testing::AssertionResult {
-    const auto it = std::min_element(reference.begin(), reference.end());
-    const auto want = *it;
-    reference.erase(it);
-    const Event e = queue.pop();
-    if (e.time == want.first && e.seq == want.second)
-      return ::testing::AssertionSuccess();
-    return ::testing::AssertionFailure()
-           << "popped (" << e.time << ", " << e.seq << "), expected ("
-           << want.first << ", " << want.second << ")";
-  };
-
-  std::uint64_t next_key = 1;
+  std::vector<Step> script;
   iba::Cycle base = 100;
   for (int round = 0; round < 60; ++round) {
-    // A handful of cycles: one in this epoch, two in later epochs (coarse),
-    // one past the coarse horizon (heap).
-    const iba::Cycle cycles[] = {
-        base + rng.below(50), base + (2u << 16) + rng.below(4),
-        base + (5u << 16) + rng.below(4),
-        base + (iba::Cycle{1} << 32) + (3u << 16)};
-    std::vector<std::uint64_t> keys(20 + rng.below(30));
-    for (auto& k : keys) k = next_key++;
-    for (std::size_t i = keys.size() - 1; i > 0; --i)
-      std::swap(keys[i], keys[rng.below(i + 1)]);
-    for (const auto k : keys) push(cycles[rng.below(std::size(cycles))], k);
-    const std::size_t n = reference.size() / 2 + 1;
-    for (std::size_t i = 0; i < n; ++i) ASSERT_TRUE(pop_checked());
-    // Keyed pushes into the epoch just cascaded, with smaller keys than
-    // some already there (late arrivals from another creator).
-    if (!reference.empty()) {
-      const auto lo = std::min_element(reference.begin(), reference.end());
-      for (int i = 0; i < 6; ++i) {
-        const std::uint64_t k = next_key + 100 - i * 7;
-        push(lo->first + rng.below(3), k);
-      }
-      next_key += 200;
-    }
+    const iba::Cycle cycles[] = {base + rng.below(50),
+                                 base + (2u << 16) + rng.below(4),
+                                 base + (5u << 16) + rng.below(4)};
+    const auto burst = 20 + rng.below(30);
+    for (std::uint64_t i = 0; i < burst; ++i)
+      script.push_back(Step{false, cycles[rng.below(std::size(cycles))]});
+    for (std::uint64_t i = 0; i < burst / 2 + 1; ++i)
+      script.push_back(Step{true, 0});
+    // More ties on the coarse cycles, pushed after some of them cascaded.
+    for (int i = 0; i < 6; ++i)
+      script.push_back(Step{false, cycles[1 + rng.below(2)]});
     base += 3u << 16;
   }
-  while (!reference.empty()) ASSERT_TRUE(pop_checked());
-  EXPECT_TRUE(queue.empty());
+  run_differential(script);
 }
 
 TEST(EventQueueDifferential, PushesSweepTheStatsHorizon) {

@@ -616,5 +616,48 @@ TEST(Simulator, FourXLinksMoveFourTimesTheData) {
   EXPECT_GT(static_cast<double>(bytes_1x) / 3'000'000.0, 0.9);
 }
 
+TEST(Simulator, RefusesAnyShardCountButOne) {
+  // Runs are sequential: SimConfig::shards survives only as a field the
+  // benchmark sources set, and it must be 1.
+  const auto g = network::gen::line(4, 2);
+  const auto routes = network::compute_routes(g);
+  for (const unsigned shards : {0u, 2u, 4u}) {
+    SimConfig cfg;
+    cfg.shards = shards;
+    EXPECT_THROW(Simulator(g, routes, cfg), std::invalid_argument)
+        << "shards " << shards;
+  }
+  EXPECT_NO_THROW(Simulator(g, routes, SimConfig{}));
+}
+
+TEST(Simulator, ExternalInjectionsAreAllDelivered) {
+  // A four-switch line with a generated flow from every host, and one
+  // external flow whose header-only packets are injected between run_until
+  // slices: every one of the 48 injections must reach its destination.
+  const auto g = network::gen::line(4, 2);
+  const auto routes = network::compute_routes(g);
+  SimConfig cfg;
+  cfg.trace_capacity = 1u << 16;
+  Simulator sim(g, routes, cfg);
+  program_all(sim, g, table_for({{0, 100}}));
+  const auto hosts = g.hosts();
+  FlowSpec ext = cbr(hosts[2], hosts[5], 0, 256, 3'000);
+  ext.external = true;  // payload_bytes stays 256; injections carry none
+  const auto e = sim.add_flow(ext);
+  for (std::size_t h = 0; h < hosts.size(); ++h)
+    sim.add_flow(cbr(hosts[h], hosts[(h + 5) % hosts.size()], 0, 256, 3'000));
+  std::uint32_t seq = 0;
+  for (iba::Cycle t = 5'000; t <= 60'000; t += 5'000) {
+    sim.run_until(t);
+    for (int k = 0; k < 4; ++k)
+      sim.inject_external(e, /*payload_bytes=*/0, seq++, 0, false);
+  }
+  sim.run_until(80'000);
+  std::size_t delivered = 0;
+  for (const TraceRecord& r : sim.trace().chronological())
+    if (r.event == TraceEvent::kDeliver && r.connection == e) ++delivered;
+  EXPECT_EQ(delivered, 48u);
+}
+
 }  // namespace
 }  // namespace ibarb::sim

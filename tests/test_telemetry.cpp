@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/series.hpp"
 #include "util/json_writer.hpp"
 #include "util/parallel.hpp"
 
@@ -209,6 +210,85 @@ TEST(Telemetry, WriteJsonSortsKeys) {
   EXPECT_EQ(json.find("\"gauges\":{}") != std::string::npos ||
                 json.find("\"gauges\": {}") != std::string::npos,
             true);
+}
+
+// Snapshot::merge folds per-run snapshots for --jobs: disjoint keys
+// interleave in sorted key order, histogram bins add, gauges follow their
+// policy.
+
+TEST(SnapshotFold, DisjointKeysInterleaveInSortedOrder) {
+  Snapshot a;
+  a.add_counter("sim.events", 3);
+  a.add_counter("xbar.grants", 10);
+  Snapshot b;
+  b.add_counter("credit.stalls", 7);
+  b.add_counter("queue.pops", 42);
+  const auto merged = Snapshot::merge({a, b});
+  ASSERT_EQ(merged.counters.size(), 4u);
+  // std::map keeps the fold order deterministic: lexicographic, regardless
+  // of which part contributed which key.
+  auto it = merged.counters.begin();
+  EXPECT_EQ(it->first, "credit.stalls");
+  EXPECT_EQ((++it)->first, "queue.pops");
+  EXPECT_EQ((++it)->first, "sim.events");
+  EXPECT_EQ((++it)->first, "xbar.grants");
+  // Part order must not matter for the serialized bytes.
+  EXPECT_EQ(snapshot_json(merged), snapshot_json(Snapshot::merge({b, a})));
+}
+
+TEST(SnapshotFold, SharedKeysAddAndGaugesFollowPolicy) {
+  Snapshot a;
+  a.add_counter("sim.events", 100);
+  a.merge_gauge("queue.peak_size", 4096, MergePolicy::kMax);
+  a.merge_gauge("sim.rate", 1.5, MergePolicy::kSum);
+  const std::uint64_t bins_a[4] = {1, 2, 0, 0};
+  a.add_histogram("queue.residency_log2", bins_a, 4);
+  Snapshot b;
+  b.add_counter("sim.events", 50);
+  b.merge_gauge("queue.peak_size", 8192, MergePolicy::kMax);
+  b.merge_gauge("sim.rate", 0.5, MergePolicy::kSum);
+  const std::uint64_t bins_b[4] = {0, 0, 3, 4};
+  b.add_histogram("queue.residency_log2", bins_b, 4);
+
+  const auto m = Snapshot::merge({a, b});
+  EXPECT_EQ(m.counters.at("sim.events"), 150u);
+  EXPECT_EQ(m.gauges.at("queue.peak_size").first, 8192.0);
+  EXPECT_EQ(m.gauges.at("sim.rate").first, 2.0);
+  const auto& h = m.histograms.at("queue.residency_log2");
+  ASSERT_GE(h.size(), 4u);
+  EXPECT_EQ(h[0], 1u);
+  EXPECT_EQ(h[1], 2u);
+  EXPECT_EQ(h[2], 3u);
+  EXPECT_EQ(h[3], 4u);
+}
+
+// The wall-clock profile.* family is quarantined: published in telemetry,
+// never sampled into series columns.
+
+TEST(Quarantine, ProfileFamilyIsQuarantined) {
+  EXPECT_TRUE(is_quarantined_name("profile.dispatch_ms"));
+  EXPECT_TRUE(is_quarantined_name("profile.series_calls"));
+  EXPECT_FALSE(is_quarantined_name("queue.pops"));
+  EXPECT_FALSE(is_quarantined_name("xbar.grants"));
+  // Prefix match, not substring: the family elsewhere in the name stays in.
+  EXPECT_FALSE(is_quarantined_name("queue.profile.depth"));
+}
+
+TEST(Quarantine, QuarantinedCountersStayOutOfSeriesColumns) {
+  TelemetryRegistry reg;
+  reg.counter("arb.decisions").inc(5);
+  reg.counter("profile.samples").inc(2);
+  SeriesRecorder::Config cfg;
+  cfg.sample_every = 100;
+  SeriesRecorder rec(reg, cfg);
+  rec.advance_to(201);
+  const auto data = rec.finalize(200);
+  std::ostringstream os;
+  util::JsonWriter w(os);
+  data.write_json(w);
+  const auto json = os.str();
+  EXPECT_NE(json.find("arb.decisions"), std::string::npos);
+  EXPECT_EQ(json.find("profile.samples"), std::string::npos);
 }
 
 }  // namespace

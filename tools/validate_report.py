@@ -5,15 +5,11 @@ Stdlib-only (CI must not pip-install anything), so this implements the small
 JSON-Schema subset the checked-in schema actually uses: type, const,
 required, properties, additionalProperties, items, minProperties.
 
-On top of the schema, two semantic checks:
-  * Quarantine: the wall-clock telemetry families (profile.*, shard.*) may
-    appear in the `telemetry` section but must NEVER leak into the `series`
-    section — series output is part of the byte-determinism contract across
-    --jobs and --shards, and wall-clock columns would break it.
-  * shard_* shape: when the shard.* family is present it must carry the
-    shard.count gauge; a shard_balance figure (bench_scaling) must carry
-    per-shard arrays of equal length and a max/min load ratio that is
-    either 0.0 (sequential/no data) or >= 1.0.
+On top of the schema, one semantic check:
+  * Quarantine: the wall-clock telemetry family (profile.*) may appear in
+    the `telemetry` section but must NEVER leak into the `series` section —
+    series output is part of the byte-determinism contract across --jobs,
+    and wall-clock columns would break it.
 
 Usage:  validate_report.py [--schema FILE] report.json [report2.json ...]
         validate_report.py -          # read one report from stdin
@@ -86,9 +82,9 @@ def validate(value, schema, path=""):
             validate(item, schema["items"], f"{path}[{i}]")
 
 
-# Families sampled into telemetry but quarantined out of the deterministic
-# series section (obs::is_quarantined_name mirrors this list in C++).
-QUARANTINED_PREFIXES = ("profile.", "shard.")
+# The family sampled into telemetry but quarantined out of the deterministic
+# series section (obs::is_quarantined_name mirrors this in C++).
+QUARANTINED_PREFIX = "profile."
 
 
 def check_semantics(report):
@@ -97,61 +93,11 @@ def check_semantics(report):
     if isinstance(series, dict):
         for section in ("counters", "gauges"):
             for key in series.get(section, {}):
-                if key.startswith(QUARANTINED_PREFIXES):
+                if key.startswith(QUARANTINED_PREFIX):
                     raise SchemaError(
                         f"series.{section}.{key}",
                         "quarantined wall-clock family leaked into series",
                     )
-
-    telemetry = report.get("telemetry")
-    if isinstance(telemetry, dict):
-        shard_keys = [
-            key
-            for section in ("counters", "gauges", "histograms")
-            for key in telemetry.get(section, {})
-            if key.startswith("shard.")
-        ]
-        if shard_keys and "shard.count" not in telemetry.get("gauges", {}):
-            raise SchemaError(
-                "telemetry.gauges",
-                "shard.* family present but shard.count gauge is missing",
-            )
-
-    balance = report.get("figures", {}).get("shard_balance")
-    if isinstance(balance, dict):
-        for member in (
-            "shards",
-            "effective_shards",
-            "windows",
-            "events_per_shard",
-            "barrier_wait_ns_per_shard",
-            "load_ratio",
-            "barrier_wait_share",
-            "orchestrator_wait_ns",
-        ):
-            if member not in balance:
-                raise SchemaError(
-                    f"figures.shard_balance.{member}", "missing required member"
-                )
-        events = balance["events_per_shard"]
-        waits = balance["barrier_wait_ns_per_shard"]
-        if not isinstance(events, list) or not isinstance(waits, list):
-            raise SchemaError(
-                "figures.shard_balance", "per-shard members must be arrays"
-            )
-        if len(events) != len(waits):
-            raise SchemaError(
-                "figures.shard_balance",
-                f"per-shard array lengths differ ({len(events)} vs {len(waits)})",
-            )
-        ratio = balance["load_ratio"]
-        if not isinstance(ratio, (int, float)) or isinstance(ratio, bool):
-            raise SchemaError("figures.shard_balance.load_ratio", "not a number")
-        if ratio != 0.0 and ratio < 1.0:
-            raise SchemaError(
-                "figures.shard_balance.load_ratio",
-                f"max/min ratio must be 0.0 or >= 1.0, got {ratio}",
-            )
 
 
 def main(argv):
