@@ -42,20 +42,19 @@ int main(int argc, char** argv) try {
       w.begin_array();
       for (const auto& run : sweep.runs) {
         const auto& m = run->sim->metrics();
-        std::uint64_t rx = 0, miss = 0;
-        double delay = 0.0;
+        std::uint64_t rx = 0, miss = 0, delay = 0;
         for (const auto& c : m.connections) {
           if (!c.qos) continue;
           rx += c.rx_packets;
           miss += c.deadline_misses;
-          delay += c.delay.mean() * static_cast<double>(c.rx_packets);
+          delay += c.delay_sum;
         }
         w.begin_object();
         w.kv("buffer_packets",
              static_cast<std::uint64_t>(run->cfg.buffer_packets));
         w.kv("qos_miss_fraction", rx ? double(miss) / double(rx) : 0.0);
         w.kv("qos_mean_delay_us",
-             rx ? delay / double(rx) * iba::kNsPerCycle / 1000.0 : 0.0);
+             rx ? double(delay) / double(rx) * iba::kNsPerCycle / 1000.0 : 0.0);
         w.key("table2");
         bench::write_table2(w, run->table2());
         w.end_object();
@@ -69,13 +68,12 @@ int main(int argc, char** argv) try {
                               "mean delay (us)"});
     for (const auto& run : sweep.runs) {
       const auto& m = run->sim->metrics();
-      std::uint64_t rx = 0, miss = 0;
-      double delay = 0.0;
+      std::uint64_t rx = 0, miss = 0, delay = 0;
       for (const auto& c : m.connections) {
         if (!c.qos) continue;
         rx += c.rx_packets;
         miss += c.deadline_misses;
-        delay += c.delay.mean() * static_cast<double>(c.rx_packets);
+        delay += c.delay_sum;
       }
       const auto t2 = run->table2();
       table.add_row(
@@ -84,7 +82,7 @@ int main(int argc, char** argv) try {
            util::TablePrinter::num(t2.switch_utilization * 100.0, 2),
            util::TablePrinter::pct(rx ? double(miss) / double(rx) : 0.0, 3),
            util::TablePrinter::num(
-               rx ? delay / double(rx) * iba::kNsPerCycle / 1000.0 : 0.0, 1)});
+               rx ? double(delay) / double(rx) * iba::kNsPerCycle / 1000.0 : 0.0, 1)});
       std::cerr << "[depth " << run->cfg.buffer_packets
                 << "] window=" << run->summary.window_cycles
                 << (run->summary.hit_hard_limit ? " (HARD LIMIT)" : "") << "\n";

@@ -31,8 +31,7 @@ LimitRow summarize(const bench::PaperRun& run) {
   const auto& m = run.sim->metrics();
   const auto window = static_cast<double>(m.window_length());
 
-  std::uint64_t qos_rx = 0, qos_miss = 0;
-  double qos_delay = 0.0;
+  std::uint64_t qos_rx = 0, qos_miss = 0, qos_delay = 0;
   std::uint64_t be_bytes = 0;
   double be_delay = 0.0;
   std::uint64_t be_flows = 0;
@@ -40,17 +39,17 @@ LimitRow summarize(const bench::PaperRun& run) {
     if (c.qos) {
       qos_rx += c.rx_packets;
       qos_miss += c.deadline_misses;
-      qos_delay += c.delay.mean() * static_cast<double>(c.rx_packets);
+      qos_delay += c.delay_sum;
     } else {
       be_bytes += c.rx_wire_bytes;
-      be_delay += c.delay.mean();
+      be_delay += c.mean_delay();
       ++be_flows;
     }
   }
   if (qos_rx > 0) {
     row.qos_miss_fraction = double(qos_miss) / double(qos_rx);
     row.qos_mean_delay_us =
-        qos_delay / double(qos_rx) * iba::kNsPerCycle / 1000.0;
+        double(qos_delay) / double(qos_rx) * iba::kNsPerCycle / 1000.0;
   }
   if (window > 0)
     row.be_delivered_mbps_per_host =

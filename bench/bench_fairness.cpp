@@ -201,7 +201,7 @@ Row run_one(sched::CrossbarImpl impl, Pattern pattern, std::uint64_t seed) {
       qos_wire += c.rx_wire_bytes;
       auto& s = row.sl[c.sl % kHosts];
       s.rx += c.rx_packets;
-      s.delay_us = c.delay.mean() * iba::kNsPerCycle / 1000.0;
+      s.delay_us = c.mean_delay() * iba::kNsPerCycle / 1000.0;
     } else {
       be_bytes.push_back(static_cast<double>(c.rx_wire_bytes));
       be_wire += c.rx_wire_bytes;

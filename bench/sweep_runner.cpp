@@ -6,7 +6,6 @@
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/table_printer.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ibarb::bench {
 

@@ -80,7 +80,7 @@ int main() {
     const auto& c = simulator.metrics().connections[*e.flow];
     std::printf("%s: %llu packets, worst delay %.1f us, misses %llu\n", name,
                 (unsigned long long)c.rx_packets,
-                c.delay.max() * iba::kNsPerCycle / 1000.0,
+                c.delay_max * iba::kNsPerCycle / 1000.0,
                 (unsigned long long)c.deadline_misses);
   };
   report("control connection (SL0, d=2)", ctrl_idx);

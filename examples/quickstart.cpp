@@ -76,8 +76,8 @@ int main(int argc, char** argv) try {
     report.figure("connection", [&](util::JsonWriter& w) {
       w.begin_object();
       w.kv("rx_packets", stats.rx_packets);
-      w.kv("mean_delay_us", stats.delay.mean() * iba::kNsPerCycle / 1000.0);
-      w.kv("worst_delay_us", stats.delay.max() * iba::kNsPerCycle / 1000.0);
+      w.kv("mean_delay_us", stats.mean_delay() * iba::kNsPerCycle / 1000.0);
+      w.kv("worst_delay_us", stats.delay_max * iba::kNsPerCycle / 1000.0);
       w.kv("deadline_misses", stats.deadline_misses);
       w.kv("guarantee_held", stats.deadline_misses == 0);
       w.end_object();
@@ -87,8 +87,8 @@ int main(int argc, char** argv) try {
     std::printf("delivered %llu packets, mean delay %.1f us, worst %.1f us, "
                 "deadline misses: %llu\n",
                 static_cast<unsigned long long>(stats.rx_packets),
-                stats.delay.mean() * iba::kNsPerCycle / 1000.0,
-                stats.delay.max() * iba::kNsPerCycle / 1000.0,
+                stats.mean_delay() * iba::kNsPerCycle / 1000.0,
+                stats.delay_max * iba::kNsPerCycle / 1000.0,
                 static_cast<unsigned long long>(stats.deadline_misses));
     std::printf("%s\n", stats.deadline_misses == 0 ? "QoS guarantee held."
                                                    : "QoS guarantee VIOLATED");

@@ -85,7 +85,7 @@ int main() {
     rx += c.rx_packets;
     misses += c.deadline_misses;
     worst_us =
-        std::max(worst_us, c.delay.max() * iba::kNsPerCycle / 1000.0);
+        std::max(worst_us, c.delay_max * iba::kNsPerCycle / 1000.0);
   }
   std::uint64_t be_rx = 0;
   for (const auto& c : simulator.metrics().connections)

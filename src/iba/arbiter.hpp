@@ -71,10 +71,6 @@ class VlArbiter {
 
   const VlArbitrationTable& table() const noexcept { return table_; }
 
-  /// Bit v set when VL v has an active high-priority entry; equals
-  /// table().vl_mask_high() without the scan.
-  std::uint16_t high_vl_mask() const noexcept { return high_index_.vl_mask; }
-
   /// Picks the VL to transmit next, charging weights/limits as if the caller
   /// transmits that VL's head packet. Returns std::nullopt when nothing is
   /// eligible.

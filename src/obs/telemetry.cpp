@@ -25,12 +25,6 @@ void combine_gauge(std::pair<double, MergePolicy>& acc, double v,
 
 }  // namespace
 
-std::uint64_t Histogram::total() const noexcept {
-  std::uint64_t t = 0;
-  for (auto b : bins_) t += b;
-  return t;
-}
-
 void Snapshot::add_counter(std::string_view name, std::uint64_t v) {
   auto it = counters.find(name);
   if (it == counters.end()) {
@@ -67,31 +61,6 @@ void Snapshot::add_histogram(std::string_view name, const std::uint64_t* bins,
   }
 }
 
-Counter& TelemetryRegistry::counter(std::string_view name) {
-  auto it = counters_.find(name);
-  if (it == counters_.end()) {
-    it = counters_.emplace(std::string(name), Counter{}).first;
-  }
-  return it->second;
-}
-
-Gauge& TelemetryRegistry::gauge(std::string_view name, MergePolicy policy) {
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    it = gauges_.emplace(std::string(name), Gauge(policy)).first;
-  }
-  return it->second;
-}
-
-Histogram& TelemetryRegistry::histogram(std::string_view name,
-                                        std::size_t bins) {
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_.emplace(std::string(name), Histogram(bins)).first;
-  }
-  return it->second;
-}
-
 TelemetryRegistry::ProbeId TelemetryRegistry::add_probe(ProbeFn fn) {
   ProbeId id = next_probe_id_++;
   probes_.emplace_back(id, std::move(fn));
@@ -104,13 +73,6 @@ void TelemetryRegistry::remove_probe(ProbeId id) {
 
 Snapshot TelemetryRegistry::snapshot() const {
   Snapshot s;
-  for (const auto& [name, c] : counters_) s.add_counter(name, c.value());
-  for (const auto& [name, g] : gauges_) {
-    s.merge_gauge(name, g.value(), g.policy());
-  }
-  for (const auto& [name, h] : histograms_) {
-    s.add_histogram(name, h.bins().data(), h.bins().size());
-  }
   for (const auto& [id, fn] : probes_) fn(s);
   return s;
 }

@@ -1,6 +1,5 @@
-// TelemetryRegistry: named, typed counters / gauges / histograms that
-// components register into at construction, plus pull-style probes that
-// publish component-held stats at snapshot time.
+// TelemetryRegistry: pull-style probes that publish component-held
+// counters / gauges / histograms into a Snapshot when one is taken.
 //
 // Design notes (docs/OBSERVABILITY.md has the full naming scheme):
 //
@@ -13,16 +12,13 @@
 //    policy-driven for gauges — so merged output is byte-identical for any
 //    --jobs value.
 //
-//  * Two publishing styles:
-//      - push: cold-path code holds Counter&/Gauge&/Histogram& handles from
-//        counter()/gauge()/histogram() and updates them inline;
-//      - pull (probes): hot-path components (EventQueue, VlArbiter) keep
-//        plain uint64 members; a probe registered at construction publishes
-//        them into the Snapshot when one is taken. Probe contributions are
-//        ADDITIVE into the snapshot (gauges combine by policy), so several
-//        publishers of one name — e.g. every RcSession adding into
-//        "rc.packets_sent" — aggregate naturally, and taking two snapshots
-//        never double-counts.
+//  * One publishing style, pull: components (the Simulator's event queue
+//    and arbiters, AdmissionControl, RecoveryCoordinator, ...) keep plain
+//    members; a probe registered at construction publishes them into the
+//    Snapshot when one is taken. Probe contributions are ADDITIVE into the
+//    snapshot (gauges combine by policy), so several publishers of one
+//    name — e.g. every RcSession adding into "rc.packets_sent" — aggregate
+//    naturally, and taking two snapshots never double-counts.
 //
 //  * Snapshots store sorted maps, so emission order never depends on
 //    registration order or map iteration quirks.
@@ -42,55 +38,8 @@ class JsonWriter;
 
 namespace ibarb::obs {
 
-/// Monotonic event count (packets, decisions, stalls, ...).
-class Counter {
- public:
-  void inc(std::uint64_t by = 1) noexcept { value_ += by; }
-  void set(std::uint64_t v) noexcept { value_ = v; }
-  std::uint64_t value() const noexcept { return value_; }
-
- private:
-  std::uint64_t value_ = 0;
-};
-
 /// How a gauge combines across publishers and across runs.
 enum class MergePolicy : std::uint8_t { kSum, kMax, kMin };
-
-/// Point-in-time double (peak occupancy, latency high-water marks, ...).
-class Gauge {
- public:
-  explicit Gauge(MergePolicy policy = MergePolicy::kSum) : policy_(policy) {}
-
-  void set(double v) noexcept { value_ = v; }
-  void set_max(double v) noexcept {
-    if (v > value_) value_ = v;
-  }
-  double value() const noexcept { return value_; }
-  MergePolicy policy() const noexcept { return policy_; }
-
- private:
-  double value_ = 0.0;
-  MergePolicy policy_;
-};
-
-/// Fixed-bin histogram. Bin semantics are up to the registrant (the name
-/// should say — e.g. "...residency_log2" uses bin i = events whose distance
-/// had bit_width i, saturating at the last bin).
-class Histogram {
- public:
-  explicit Histogram(std::size_t bins) : bins_(bins, 0) {}
-
-  void record(std::size_t bin, std::uint64_t by = 1) noexcept {
-    if (bin >= bins_.size()) bin = bins_.size() - 1;
-    bins_[bin] += by;
-  }
-
-  const std::vector<std::uint64_t>& bins() const noexcept { return bins_; }
-  std::uint64_t total() const noexcept;
-
- private:
-  std::vector<std::uint64_t> bins_;
-};
 
 /// Deterministic, self-contained instrument state: plain sorted maps, safe
 /// to move across threads and to merge across runs. Probes accumulate into
@@ -133,27 +82,17 @@ class TelemetryRegistry {
   TelemetryRegistry(const TelemetryRegistry&) = delete;
   TelemetryRegistry& operator=(const TelemetryRegistry&) = delete;
 
-  /// Find-or-create push-style instruments. Returned references stay valid
-  /// for the registry's lifetime (node-based map storage).
-  Counter& counter(std::string_view name);
-  Gauge& gauge(std::string_view name, MergePolicy policy = MergePolicy::kSum);
-  Histogram& histogram(std::string_view name, std::size_t bins);
-
   /// Registers a pull callback run (in registration order) by snapshot().
   /// The caller MUST remove_probe before anything the closure captures
   /// dies — typically in its destructor.
   ProbeId add_probe(ProbeFn fn);
   void remove_probe(ProbeId id);
 
-  /// Copies the push-style instruments into a Snapshot, then runs every
-  /// probe over it. Idempotent: a second snapshot of unchanged state is
-  /// equal to the first.
+  /// Runs every probe over an empty Snapshot. Idempotent: a second snapshot
+  /// of unchanged state is equal to the first.
   Snapshot snapshot() const;
 
  private:
-  std::map<std::string, Counter, std::less<>> counters_;
-  std::map<std::string, Gauge, std::less<>> gauges_;
-  std::map<std::string, Histogram, std::less<>> histograms_;
   std::vector<std::pair<ProbeId, ProbeFn>> probes_;
   ProbeId next_probe_id_ = 0;
 };

@@ -48,7 +48,6 @@ enum class EventType : std::uint8_t {
   kLinkDeliver,   ///< Packet fully received at (node, port) input.
   kTxComplete,    ///< (node, port) finished serializing onto the link.
   kXferComplete,  ///< Crossbar transfer into (node, port) output finished.
-  kProbe,         ///< Periodic bookkeeping (phase control).
   kControl,       ///< Simulator::call_at callback (aux = callback id).
 };
 
@@ -56,11 +55,13 @@ struct Event {
   iba::Cycle time = 0;
   std::uint64_t seq = 0;  ///< Tie-breaker; assigned by the queue.
   iba::NodeId node = iba::kInvalidNode;
-  std::uint32_t aux = 0;  ///< Flow index (kGenerate) / input port (kXfer).
+  /// Flow index (kGenerate), input port (kXferComplete) or callback id
+  /// (kControl).
+  std::uint32_t aux = 0;
   /// kLinkDeliver: the packet on the wire, a handle into the simulator's
   /// pool (sim/packet_pool.hpp).
   PacketHandle pkt = kNoPacket;
-  EventType type = EventType::kProbe;
+  EventType type = EventType::kGenerate;
   iba::PortIndex port = 0;
   iba::VirtualLane vl = 0;
 };

@@ -10,7 +10,6 @@
 
 #include "iba/packet.hpp"
 #include "iba/types.hpp"
-#include "util/stats.hpp"
 
 namespace ibarb::obs {
 class SeriesRecorder;
@@ -45,7 +44,8 @@ struct ConnectionMetrics {
   std::uint64_t tx_wire_bytes = 0;
   std::uint64_t rx_wire_bytes = 0;
   std::uint64_t rx_payload_bytes = 0;
-  util::RunningStats delay;     ///< End-to-end packet delay, cycles.
+  std::uint64_t delay_sum = 0;  ///< Sum of end-to-end delays, cycles.
+  std::uint64_t delay_max = 0;  ///< Largest end-to-end delay, cycles.
   /// rx counts with delay <= deadline / kDelayThresholdDivisors[i].
   std::array<std::uint64_t, kDelayThresholds> within_threshold{};
   std::array<std::uint64_t, kJitterBins> jitter_bins{};
@@ -55,6 +55,13 @@ struct ConnectionMetrics {
   std::uint64_t dropped_packets = 0;
 
   iba::Cycle last_arrival = iba::kNeverCycle;  ///< For jitter pairing.
+
+  /// Mean end-to-end delay in cycles; 0 when nothing was received.
+  double mean_delay() const {
+    return rx_packets ? static_cast<double>(delay_sum) /
+                            static_cast<double>(rx_packets)
+                      : 0.0;
+  }
 
   /// Fraction of received packets meeting deadline/divisor. NaN when the
   /// connection received nothing — "no data" must stay distinguishable from

@@ -528,13 +528,8 @@ void Simulator::on_generate(std::uint32_t flow_index) {
   FlowState& f = flows_[flow_index];
   f.scheduled = false;
   if (f.stopped) return;  // torn down: neither generate nor reschedule
-  const iba::Cycle now = now_;
 
   iba::Packet p;
-  p.connection = flow_index;
-  p.sl = f.sl;
-  p.source = f.src;
-  p.destination = f.dst;
   p.payload_bytes = f.payload_bytes;
   p.sequence = f.next_sequence++;
   // Generated packets derive their id from (flow, sequence), never from a
@@ -543,7 +538,18 @@ void Simulator::on_generate(std::uint32_t flow_index) {
   // below 2^32, so the domains never collide.
   p.id = ((static_cast<std::uint64_t>(flow_index) + 1) << 32) |
          (p.sequence + 1);
-  p.injected_at = now;
+  inject(flow_index, p);
+
+  schedule_flow(flow_index);
+}
+
+void Simulator::inject(std::uint32_t flow_index, iba::Packet& p) {
+  const FlowState& f = flows_[flow_index];
+  p.connection = flow_index;
+  p.sl = f.sl;
+  p.source = f.src;
+  p.destination = f.dst;
+  p.injected_at = now_;
   p.management = f.management;
   p.deadline = metrics_.connections[flow_index].deadline;
 
@@ -553,11 +559,9 @@ void Simulator::on_generate(std::uint32_t flow_index) {
   HostState& host = hosts_[index_[src]];
   const iba::VirtualLane vl =
       f.management ? iba::kManagementVl : host.out.sl_map.map(f.sl);
-  trace_.record(now, TraceEvent::kInject, src, 0, vl, p);
+  trace_.record(now_, TraceEvent::kInject, src, 0, vl, p);
   host.out.queues.push(vl, pool_.park(p), p.wire_bytes());
   try_transmit(src, 0);
-
-  schedule_flow(flow_index);
 }
 
 void Simulator::try_transmit(iba::NodeId node, iba::PortIndex port) {
@@ -721,8 +725,6 @@ void Simulator::handle(const Event& e) {
     case EventType::kXferComplete:
       on_xfer_complete(e);
       break;
-    case EventType::kProbe:
-      break;  // phase control polls state between events
     case EventType::kControl: {
       const auto it = controls_.find(e.aux);
       assert(it != controls_.end() && "control callback fired twice");
@@ -754,29 +756,12 @@ std::uint64_t Simulator::inject_external(std::uint32_t flow_index,
 
   iba::Packet p;
   p.id = next_packet_id_++;
-  p.connection = flow_index;
-  p.sl = f.sl;
-  p.source = f.src;
-  p.destination = f.dst;
   p.payload_bytes = payload_bytes;
   p.sequence = sequence;
-  p.injected_at = now_;
-  p.management = f.management;
   p.rc_op = rc_op;
   p.rc_last = rc_last;
-  p.deadline = metrics_.connections[flow_index].deadline;
-  const auto id = p.id;
-
-  metrics_.record_injection(flow_index, p);
-
-  const iba::NodeId src = node_of(f.src);
-  HostState& host = hosts_[index_[src]];
-  const iba::VirtualLane vl =
-      f.management ? iba::kManagementVl : host.out.sl_map.map(f.sl);
-  trace_.record(now_, TraceEvent::kInject, src, 0, vl, p);
-  host.out.queues.push(vl, pool_.park(p), p.wire_bytes());
-  try_transmit(src, 0);
-  return id;
+  inject(flow_index, p);
+  return p.id;
 }
 
 void Simulator::kick_port(iba::NodeId node, iba::PortIndex port) {

@@ -253,6 +253,10 @@ class Simulator {
  private:
   void handle(const Event& e);
   void on_generate(std::uint32_t flow_index);
+  /// The one injection path (on_generate, inject_external): fills the flow's
+  /// fields into `p`, records it, queues it on the source host's VL and
+  /// tries to transmit.
+  void inject(std::uint32_t flow_index, iba::Packet& p);
   void on_link_deliver(const Event& e);
   void on_tx_complete(iba::NodeId node, iba::PortIndex port);
   void on_xfer_complete(const Event& e);

@@ -1,7 +1,5 @@
 #include "sim/trace.hpp"
 
-#include <ostream>
-
 namespace ibarb::sim {
 
 const char* to_string(TraceEvent e) {
@@ -35,15 +33,6 @@ std::vector<TraceRecord> PacketTrace::journey(std::uint64_t packet_id) const {
   for (const auto& r : chronological())
     if (r.packet == packet_id) out.push_back(r);
   return out;
-}
-
-void PacketTrace::dump_csv(std::ostream& os) const {
-  os << "cycle,event,node,port,vl,packet,connection\n";
-  for (const auto& r : chronological()) {
-    os << r.time << ',' << to_string(r.event) << ',' << r.node << ','
-       << unsigned(r.port) << ',' << unsigned(r.vl) << ',' << r.packet << ','
-       << r.connection << '\n';
-  }
 }
 
 }  // namespace ibarb::sim

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <vector>
 
 #include "iba/packet.hpp"
@@ -63,8 +62,6 @@ class PacketTrace {
 
   std::uint64_t total_recorded() const noexcept { return next_; }
   std::size_t size() const noexcept { return ring_.size(); }
-
-  void dump_csv(std::ostream& os) const;
 
  private:
   std::size_t capacity_ = 0;

@@ -3,8 +3,7 @@
 // BinWriter/BinReader are the one encoding used by the crash-consistent
 // snapshot path (src/control/snapshot.*): fixed-width little-endian
 // integers, doubles bit-cast through uint64 (so round-trips are bit-exact,
-// including NaN payloads and signed zeros), and length-prefixed strings and
-// byte runs. The format is deliberately dumb — no varints, no field tags —
+// including NaN payloads and signed zeros), and length-prefixed byte runs. The format is deliberately dumb — no varints, no field tags —
 // because snapshots must serialize deterministically: identical state in,
 // identical bytes out, on every host and compiler. Versioning and CRC
 // guarding live in the envelope (control/snapshot.hpp), not here.
@@ -15,11 +14,8 @@
 
 #include <bit>
 #include <cstdint>
-#include <cstring>
 #include <span>
 #include <stdexcept>
-#include <string>
-#include <string_view>
 #include <vector>
 
 namespace ibarb::util {
@@ -29,7 +25,6 @@ class BinWriter {
   void put_u8(std::uint8_t v) { bytes_.push_back(v); }
   void put_bool(bool v) { put_u8(v ? 1 : 0); }
 
-  void put_u16(std::uint16_t v) { put_le(v); }
   void put_u32(std::uint32_t v) { put_le(v); }
   void put_u64(std::uint64_t v) { put_le(v); }
 
@@ -39,11 +34,6 @@ class BinWriter {
   void put_bytes(std::span<const std::uint8_t> data) {
     put_u64(data.size());
     bytes_.insert(bytes_.end(), data.begin(), data.end());
-  }
-
-  void put_string(std::string_view s) {
-    put_u64(s.size());
-    bytes_.insert(bytes_.end(), s.begin(), s.end());
   }
 
   const std::vector<std::uint8_t>& bytes() const noexcept { return bytes_; }
@@ -67,7 +57,6 @@ class BinReader {
   std::uint8_t get_u8() { return take_one(); }
   bool get_bool() { return get_u8() != 0; }
 
-  std::uint16_t get_u16() { return get_le<std::uint16_t>(); }
   std::uint32_t get_u32() { return get_le<std::uint32_t>(); }
   std::uint64_t get_u64() { return get_le<std::uint64_t>(); }
 
@@ -77,13 +66,6 @@ class BinReader {
     const auto n = checked_length(get_u64());
     std::vector<std::uint8_t> out(data_.begin() + static_cast<long>(pos_),
                                   data_.begin() + static_cast<long>(pos_ + n));
-    pos_ += n;
-    return out;
-  }
-
-  std::string get_string() {
-    const auto n = checked_length(get_u64());
-    std::string out(reinterpret_cast<const char*>(data_.data()) + pos_, n);
     pos_ += n;
     return out;
   }

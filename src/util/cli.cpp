@@ -8,7 +8,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "util/thread_pool.hpp"
+#include "util/parallel.hpp"
 
 namespace ibarb::util {
 

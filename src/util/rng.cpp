@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cmath>
-#include <numbers>
 
 namespace ibarb::util {
 
@@ -34,13 +33,6 @@ double Xoshiro256::exponential(double mean) noexcept {
   assert(mean > 0.0);
   // 1 - uniform() is in (0, 1], so the log is finite.
   return -mean * std::log(1.0 - uniform());
-}
-
-double Xoshiro256::normal(double mean, double stddev) noexcept {
-  const double u1 = 1.0 - uniform();
-  const double u2 = uniform();
-  const double mag = std::sqrt(-2.0 * std::log(u1));
-  return mean + stddev * mag * std::cos(2.0 * std::numbers::pi * u2);
 }
 
 }  // namespace ibarb::util

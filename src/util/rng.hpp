@@ -84,9 +84,6 @@ class Xoshiro256 {
   /// Exponential variate with the given mean (> 0).
   double exponential(double mean) noexcept;
 
-  /// Standard normal via Box-Muller (no state caching: two uniforms/call).
-  double normal(double mean, double stddev) noexcept;
-
   /// Bernoulli trial.
   bool chance(double probability) noexcept { return uniform() < probability; }
 

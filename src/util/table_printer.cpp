@@ -56,16 +56,4 @@ void TablePrinter::print(std::ostream& os) const {
   rule();
 }
 
-void TablePrinter::print_csv(std::ostream& os) const {
-  const auto emit = [&](const std::vector<std::string>& cells) {
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      if (c) os << ',';
-      os << cells[c];
-    }
-    os << '\n';
-  };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
-}
-
 }  // namespace ibarb::util

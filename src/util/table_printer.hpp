@@ -1,4 +1,4 @@
-// ASCII table and CSV emission for the benchmark harness.
+// ASCII table emission for the benchmark harness.
 //
 // Every bench binary prints the same rows/series as the paper's tables and
 // figures; TablePrinter keeps the formatting consistent across them.
@@ -22,8 +22,7 @@ class TablePrinter {
   static std::string num(double v, int precision = 3);
   static std::string pct(double fraction, int precision = 2);
 
-  void print(std::ostream& os) const;       ///< Boxed ASCII table.
-  void print_csv(std::ostream& os) const;   ///< Same data as CSV.
+  void print(std::ostream& os) const;  ///< Boxed ASCII table.
 
   std::size_t rows() const noexcept { return rows_.size(); }
 

@@ -4,8 +4,6 @@
 
 #include <map>
 
-#include "util/rng.hpp"
-
 namespace ibarb::iba {
 namespace {
 
@@ -232,25 +230,6 @@ TEST(VlArbiter, DistanceBoundsServiceInterval) {
   // one whole-packet overdraft (packets are 1024 B = 16 units).
   EXPECT_LE(worst, 3u * (255u + 16u - 1u) * 64u);
   EXPECT_GT(worst, 0u);
-}
-
-TEST(VlArbiter, HighVlMaskTracksInstalledTable) {
-  // high_vl_mask() is the arbiter's own index; after every reprogramming it
-  // must equal a scan of the installed table's high half.
-  util::Xoshiro256 rng(61);
-  VlArbiter arb;
-  EXPECT_EQ(arb.high_vl_mask(), 0u);
-  VlArbitrationTable t;
-  for (int i = 0; i < 300; ++i) {
-    for (int w = 0, n = static_cast<int>(rng.below(12)); w < n; ++w) {
-      const auto index = static_cast<unsigned>(rng.below(kArbTableEntries));
-      const ArbTableEntry e{static_cast<VirtualLane>(rng.below(kManagementVl)),
-                            static_cast<std::uint8_t>(rng.below(4) * 40)};
-      (rng.chance(0.5) ? t.high() : t.low())[index] = e;  // weight 0 erases
-    }
-    arb.set_table(t);
-    ASSERT_EQ(arb.high_vl_mask(), arb.table().vl_mask_high()) << "step " << i;
-  }
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "paper_runner.hpp"
-#include "util/thread_pool.hpp"
+#include "util/parallel.hpp"
 
 #include <stdexcept>
 #include <string>

@@ -33,32 +33,29 @@ TEST(Binary, RoundTripAllTypes) {
   w.put_u8(0xAB);
   w.put_bool(true);
   w.put_bool(false);
-  w.put_u16(0xBEEF);
   w.put_u32(0xDEADBEEFu);
   w.put_u64(0x0123456789ABCDEFull);
   w.put_double(-1234.5678);
   w.put_bytes(std::vector<std::uint8_t>{1, 2, 3});
-  w.put_string("hello");
 
   util::BinReader r(w.bytes());
   EXPECT_EQ(r.get_u8(), 0xAB);
   EXPECT_TRUE(r.get_bool());
   EXPECT_FALSE(r.get_bool());
-  EXPECT_EQ(r.get_u16(), 0xBEEF);
   EXPECT_EQ(r.get_u32(), 0xDEADBEEFu);
   EXPECT_EQ(r.get_u64(), 0x0123456789ABCDEFull);
   EXPECT_DOUBLE_EQ(r.get_double(), -1234.5678);
   EXPECT_EQ(r.get_bytes(), (std::vector<std::uint8_t>{1, 2, 3}));
-  EXPECT_EQ(r.get_string(), "hello");
   EXPECT_TRUE(r.at_end());
 }
 
 TEST(Binary, UnderrunThrows) {
   util::BinWriter w;
-  w.put_u16(7);
+  w.put_u32(7);
   util::BinReader r(w.bytes());
   (void)r.get_u8();
-  (void)r.get_u8();
+  EXPECT_THROW((void)r.get_u32(), std::runtime_error);
+  for (int i = 0; i < 3; ++i) (void)r.get_u8();
   EXPECT_THROW((void)r.get_u8(), std::runtime_error);
 }
 

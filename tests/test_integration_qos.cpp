@@ -79,7 +79,7 @@ TEST_P(QosIntegration, AllGuaranteedConnectionsMeetDeadlines) {
     total_rx += c.rx_packets;
     EXPECT_EQ(c.deadline_misses, 0u)
         << "SL " << int(ec.sl) << " flow " << ec.flow << " max delay "
-        << c.delay.max() << " vs deadline " << c.deadline;
+        << c.delay_max << " vs deadline " << c.deadline;
     // The D/1 threshold is 100% for every connection (Figure 4's headline).
     EXPECT_DOUBLE_EQ(c.fraction_within(sim::kDelayThresholds - 1), 1.0);
   }
@@ -145,7 +145,7 @@ TEST(QosIntegrationStructured, TheoremOneHoldsOnADragonflyEndToEnd) {
     ASSERT_GE(c.rx_packets, 8u) << "SL " << int(ec.sl);
     EXPECT_EQ(c.deadline_misses, 0u)
         << "SL " << int(ec.sl) << " flow " << ec.flow << " max delay "
-        << c.delay.max() << " vs deadline " << c.deadline;
+        << c.delay_max << " vs deadline " << c.deadline;
     EXPECT_DOUBLE_EQ(c.fraction_within(sim::kDelayThresholds - 1), 1.0);
   }
   EXPECT_TRUE(run->admission->check_all_invariants());

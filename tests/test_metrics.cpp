@@ -66,6 +66,27 @@ TEST(Metrics, ThresholdCountsFollowDeadlineFractions) {
   EXPECT_DOUBLE_EQ(c.fraction_within(kDelayThresholds - 1), 2.0 / 3.0);
 }
 
+TEST(Metrics, DelaySumMaxAndMeanAreExact) {
+  auto m = fresh(/*deadline=*/3000, /*iat=*/0);
+  const auto& c = m.connections[0];
+  EXPECT_EQ(c.mean_delay(), 0.0);  // no rx yet
+  m.record_delivery(0, pkt(10, 0), 999);  // before the window: not counted
+  EXPECT_EQ(c.delay_sum, 0u);
+  EXPECT_EQ(c.delay_max, 0u);
+  EXPECT_EQ(c.mean_delay(), 0.0);
+
+  m.start_window(100);
+  m.record_delivery(0, pkt(10, 100), 107);   // delay 7
+  m.record_delivery(0, pkt(10, 100), 5100);  // delay 5000
+  m.record_delivery(0, pkt(10, 200), 202);   // delay 2
+  m.stop_window(6000);
+  m.record_delivery(0, pkt(10, 0), 90000);   // after the window: not counted
+  EXPECT_EQ(c.rx_packets, 3u);
+  EXPECT_EQ(c.delay_sum, 5009u);
+  EXPECT_EQ(c.delay_max, 5000u);
+  EXPECT_DOUBLE_EQ(c.mean_delay(), 5009.0 / 3.0);
+}
+
 TEST(Metrics, FractionWithinIsNanWithoutReceivedPackets) {
   // "No data" must not read as "every packet missed": an empty cell is NaN
   // (null in JSON, a dash in the table benches), never 0.0.
@@ -134,11 +155,10 @@ TEST(Metrics, DelayStatsAccumulate) {
   m.start_window(0);
   m.record_delivery(0, pkt(10, 100), 150);
   m.record_delivery(0, pkt(10, 100), 250);
-  const auto& d = m.connections[0].delay;
-  EXPECT_EQ(d.count(), 2u);
-  EXPECT_DOUBLE_EQ(d.mean(), 100.0);
-  EXPECT_DOUBLE_EQ(d.min(), 50.0);
-  EXPECT_DOUBLE_EQ(d.max(), 150.0);
+  const auto& c = m.connections[0];
+  EXPECT_EQ(c.rx_packets, 2u);
+  EXPECT_DOUBLE_EQ(c.mean_delay(), 100.0);
+  EXPECT_EQ(c.delay_max, 150u);
 }
 
 TEST(Metrics, PacketDeadlineOverridesConnectionDeadline) {

@@ -72,6 +72,13 @@ SeriesRecorder::Config small_cfg(std::size_t capacity = 8) {
   return cfg;
 }
 
+/// Publishes `value` as counter `name` through a probe, the way production
+/// components publish their plain members.
+void publish(TelemetryRegistry& reg, const char* name,
+             const std::uint64_t& value) {
+  reg.add_probe([name, &value](Snapshot& s) { s.add_counter(name, value); });
+}
+
 TEST(SeriesRecorder, DisabledWhenCadenceZero) {
   TelemetryRegistry reg;
   SeriesRecorder rec(reg, SeriesRecorder::Config{});
@@ -79,15 +86,16 @@ TEST(SeriesRecorder, DisabledWhenCadenceZero) {
 }
 
 TEST(SeriesRecorder, BoundarySampleReflectsEventsAtOrBeforeIt) {
+  std::uint64_t c = 0;
   TelemetryRegistry reg;
-  auto& c = reg.counter("arb.decisions");
+  publish(reg, "arb.decisions", c);
   SeriesRecorder rec(reg, small_cfg());
   EXPECT_TRUE(rec.enabled());
   EXPECT_EQ(rec.next_due(), kEvery);
 
-  c.inc(3);  // happens at some time <= 100
+  c += 3;  // happens at some time <= 100
   rec.advance_to(101);  // first event past the boundary arrives
-  c.inc(2);  // time in (100, 200]
+  c += 2;  // time in (100, 200]
   rec.advance_to(201);
   const auto data = rec.finalize(200);
 
@@ -100,8 +108,9 @@ TEST(SeriesRecorder, BoundarySampleReflectsEventsAtOrBeforeIt) {
 }
 
 TEST(SeriesRecorder, AdvanceToIsIdempotent) {
+  const std::uint64_t c = 1;
   TelemetryRegistry reg;
-  reg.counter("c").inc(1);
+  publish(reg, "c", c);
   SeriesRecorder rec(reg, small_cfg());
   rec.advance_to(301);
   rec.advance_to(301);
@@ -111,11 +120,12 @@ TEST(SeriesRecorder, AdvanceToIsIdempotent) {
 }
 
 TEST(SeriesRecorder, LateAppearingCounterBackfillsZeros) {
+  const std::uint64_t early = 1, late = 7;
   TelemetryRegistry reg;
-  reg.counter("early").inc(1);
+  publish(reg, "early", early);
   SeriesRecorder rec(reg, small_cfg());
   rec.advance_to(101);
-  reg.counter("late").inc(7);  // instrument born in window 2
+  publish(reg, "late", late);  // instrument born in window 2
   rec.advance_to(201);
   const auto data = rec.finalize(200);
   ASSERT_EQ(data.counters.size(), 2u);
@@ -126,9 +136,11 @@ TEST(SeriesRecorder, LateAppearingCounterBackfillsZeros) {
 
 TEST(SeriesRecorder, ProfileInstrumentsAreExcluded) {
   TelemetryRegistry reg;
-  reg.counter("profile.dispatch_calls").inc(5);
-  reg.gauge("profile.dispatch_ms").set(1.25);
-  reg.counter("arb.decisions").inc(1);
+  reg.add_probe([](Snapshot& s) {
+    s.add_counter("profile.dispatch_calls", 5);
+    s.merge_gauge("profile.dispatch_ms", 1.25);
+    s.add_counter("arb.decisions", 1);
+  });
   SeriesRecorder rec(reg, small_cfg());
   rec.advance_to(101);
   const auto data = rec.finalize(100);
@@ -138,17 +150,18 @@ TEST(SeriesRecorder, ProfileInstrumentsAreExcluded) {
 }
 
 TEST(SeriesRecorder, DecimationHalvesWindowsAndDoublesWidth) {
+  std::uint64_t c = 0;
   TelemetryRegistry reg;
-  auto& c = reg.counter("c");
+  publish(reg, "c", c);
   SeriesRecorder rec(reg, small_cfg(/*capacity=*/4));
   // Commit 5 boundaries: the 4th fills the ring, triggering one decimation
   // (4 windows -> 2 at double width); the 5th lands at the coarser cadence.
   for (std::uint64_t b = 1; b <= 4; ++b) {
-    c.inc(1);
+    ++c;
     rec.advance_to(b * kEvery + 1);
   }
   EXPECT_EQ(rec.next_due(), 600u);  // 400 + doubled width
-  c.inc(1);
+  ++c;
   rec.advance_to(601);
   const auto data = rec.finalize(600);
 
@@ -165,15 +178,16 @@ TEST(SeriesRecorder, DecimationIsRunLengthConsistent) {
   // cadence would have produced — the power-of-two alignment guarantee.
   const auto run = [](std::uint64_t every, std::size_t capacity,
                       std::uint64_t boundaries) {
+    std::uint64_t c = 0;
     TelemetryRegistry reg;
-    auto& c = reg.counter("c");
+    publish(reg, "c", c);
     SeriesRecorder::Config cfg;
     cfg.sample_every = every;
     cfg.capacity = capacity;
     SeriesRecorder rec(reg, cfg);
     const std::uint64_t end = every * boundaries;
     for (std::uint64_t t = 50; t <= end; t += 50) {
-      c.inc(1);
+      ++c;
       rec.advance_to(t + 1);
     }
     return rec.finalize(end);
@@ -186,12 +200,13 @@ TEST(SeriesRecorder, DecimationIsRunLengthConsistent) {
 }
 
 TEST(SeriesRecorder, FinalizeFlushesTrailingPartialWindowOnce) {
+  std::uint64_t c = 0;
   TelemetryRegistry reg;
-  auto& c = reg.counter("c");
+  publish(reg, "c", c);
   SeriesRecorder rec(reg, small_cfg());
-  c.inc(1);
+  ++c;
   rec.advance_to(101);
-  c.inc(1);  // lands in the partial window (100, 150]
+  ++c;  // lands in the partial window (100, 150]
   const auto first = rec.finalize(150);
   ASSERT_EQ(first.windows(), 2u);
   EXPECT_EQ(first.time, (std::vector<std::uint64_t>{100, 150}));
@@ -274,13 +289,14 @@ TEST(SeriesRecorder, TransitionsRecordedAndCapped) {
 
 TEST(SeriesRecorder, DeterministicForIdenticalInputs) {
   const auto run = [] {
+    std::uint64_t c = 0;
     TelemetryRegistry reg;
-    auto& c = reg.counter("arb.decisions");
+    publish(reg, "arb.decisions", c);
     SeriesRecorder rec(reg, small_cfg(/*capacity=*/4));
     rec.note_connection(0, 1, true, 80);
     for (std::uint64_t t = 10; t <= 900; t += 10) {
       if (t > rec.next_due()) rec.advance_to(t);
-      c.inc(1);
+      ++c;
       rec.record_delivery(0, 1, t % 120, 80);
       if (t % 300 == 0)
         rec.record_transition(t, SeriesTransition::Kind::kRerouted, 0);
@@ -298,8 +314,9 @@ TEST(SeriesRecorder, DeterministicForIdenticalInputs) {
 }
 
 TEST(SeriesData, CsvExportWritesAllFourFiles) {
+  const std::uint64_t decisions = 2;
   TelemetryRegistry reg;
-  reg.counter("arb.decisions").inc(2);
+  publish(reg, "arb.decisions", decisions);
   SeriesRecorder rec(reg, small_cfg());
   rec.note_connection(0, 1, true, 80);
   rec.record_delivery(0, 1, 40, 80);

@@ -61,7 +61,7 @@ TEST(Simulator, DeliversCbrPackets) {
   EXPECT_GE(c.rx_packets, 95u);
   EXPECT_LE(c.rx_packets, 101u);
   EXPECT_EQ(c.rx_payload_bytes, c.rx_packets * 256u);
-  EXPECT_GT(c.delay.mean(), 0.0);
+  EXPECT_GT(c.mean_delay(), 0.0);
 }
 
 TEST(Simulator, PacketConservation) {
@@ -98,8 +98,8 @@ TEST(Simulator, MultiHopDelayGrowsWithDistance) {
   const auto& m = sim.metrics();
   ASSERT_GT(m.connections[near].rx_packets, 10u);
   ASSERT_GT(m.connections[far].rx_packets, 10u);
-  EXPECT_GT(m.connections[far].delay.mean(),
-            m.connections[near].delay.mean());
+  EXPECT_GT(m.connections[far].mean_delay(),
+            m.connections[near].mean_delay());
 }
 
 TEST(Simulator, ArbitrationWeightsShapeContendedBandwidth) {
@@ -139,7 +139,7 @@ TEST(Simulator, ManagementTrafficPreemptsData) {
   EXPECT_GT(m.connections[data].rx_packets, 100u);
   // Management packets are tiny and few: all of them must get through.
   EXPECT_GE(m.connections[mgmt].rx_packets, 38u);
-  EXPECT_LT(m.connections[mgmt].delay.max(), 100000.0);
+  EXPECT_LT(m.connections[mgmt].delay_max, 100000u);
 }
 
 TEST(Simulator, DeterministicAcrossRuns) {
@@ -166,7 +166,7 @@ TEST(Simulator, DeterministicAcrossRuns) {
     std::uint64_t digest = sim.events_processed();
     for (const auto& c : sim.metrics().connections) {
       digest = digest * 31 + c.rx_packets;
-      digest = digest * 31 + static_cast<std::uint64_t>(c.delay.mean() * 16);
+      digest = digest * 31 + static_cast<std::uint64_t>(c.mean_delay() * 16);
     }
     return digest;
   };

@@ -36,14 +36,6 @@ TEST(TablePrinter, ColumnsAlignToWidestCell) {
   }
 }
 
-TEST(TablePrinter, CsvOutput) {
-  TablePrinter t({"x", "y"});
-  t.add_row({"1", "2"});
-  std::ostringstream os;
-  t.print_csv(os);
-  EXPECT_EQ(os.str(), "x,y\n1,2\n");
-}
-
 TEST(TablePrinter, NumFormatsFixedPrecision) {
   EXPECT_EQ(TablePrinter::num(3.14159, 2), "3.14");
   EXPECT_EQ(TablePrinter::num(2.0, 0), "2");

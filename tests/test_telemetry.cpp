@@ -21,45 +21,16 @@ std::string snapshot_json(const Snapshot& s) {
   return os.str();
 }
 
-TEST(Telemetry, CounterFindOrCreate) {
-  TelemetryRegistry reg;
-  Counter& c = reg.counter("arb.decisions");
-  c.inc();
-  c.inc(4);
-  // Same name returns the same instrument.
-  EXPECT_EQ(&reg.counter("arb.decisions"), &c);
-  EXPECT_EQ(reg.counter("arb.decisions").value(), 5u);
-  const auto snap = reg.snapshot();
-  ASSERT_TRUE(snap.counters.contains("arb.decisions"));
-  EXPECT_EQ(snap.counters.at("arb.decisions"), 5u);
-}
-
 TEST(Telemetry, GaugePolicies) {
   TelemetryRegistry reg;
-  auto& peak = reg.gauge("buf.peak", MergePolicy::kMax);
-  peak.set_max(3.0);
-  peak.set_max(1.0);  // Lower value must not win.
-  EXPECT_DOUBLE_EQ(peak.value(), 3.0);
-  auto& level = reg.gauge("buf.level");  // kSum default.
-  level.set(2.5);
+  reg.add_probe([](Snapshot& s) {
+    s.merge_gauge("buf.peak", 3.0, MergePolicy::kMax);
+    s.merge_gauge("buf.level", 2.5);  // kSum default.
+  });
   const auto snap = reg.snapshot();
   EXPECT_EQ(snap.gauges.at("buf.peak").second, MergePolicy::kMax);
   EXPECT_DOUBLE_EQ(snap.gauges.at("buf.peak").first, 3.0);
   EXPECT_EQ(snap.gauges.at("buf.level").second, MergePolicy::kSum);
-}
-
-TEST(Telemetry, HistogramSaturatesLastBin) {
-  TelemetryRegistry reg;
-  auto& h = reg.histogram("queue.residency_log2", 4);
-  h.record(0);
-  h.record(3, 2);
-  h.record(17);  // Out of range clamps into the last bin.
-  EXPECT_EQ(h.total(), 4u);
-  const auto snap = reg.snapshot();
-  const auto& bins = snap.histograms.at("queue.residency_log2");
-  ASSERT_EQ(bins.size(), 4u);
-  EXPECT_EQ(bins[0], 1u);
-  EXPECT_EQ(bins[3], 3u);
 }
 
 TEST(Telemetry, ProbesAccumulateAdditively) {
@@ -73,18 +44,18 @@ TEST(Telemetry, ProbesAccumulateAdditively) {
 }
 
 TEST(Telemetry, SnapshotIsIdempotent) {
-  TelemetryRegistry reg;
-  reg.counter("c").inc(9);
-  reg.gauge("g", MergePolicy::kMax).set_max(2.0);
   std::uint64_t probe_val = 3;
+  TelemetryRegistry reg;
   reg.add_probe([&](Snapshot& s) {
     s.add_counter("p", probe_val);
     s.merge_gauge("pg", 1.5, MergePolicy::kMax);
   });
+  reg.add_probe([&](Snapshot& s) { s.add_counter("q", probe_val * 3); });
   const auto first = reg.snapshot();
   const auto second = reg.snapshot();
   EXPECT_EQ(first, second);
   EXPECT_EQ(second.counters.at("p"), 3u);
+  EXPECT_EQ(second.counters.at("q"), 9u);
 }
 
 TEST(Telemetry, RemoveProbeStopsPublishing) {
@@ -163,13 +134,18 @@ TEST(Telemetry, MergeDisjointKeySets) {
 }
 
 Snapshot make_run_snapshot(std::size_t i) {
+  // The run's component state, published by a probe as production code does.
+  const std::uint64_t decisions = 100 + i;
+  std::uint64_t residency[4] = {};
+  residency[i % 4] = i + 1;
   TelemetryRegistry reg;
-  reg.counter("arb.decisions").inc(100 + i);
-  reg.gauge("buf.peak", MergePolicy::kMax).set_max(double(i % 3));
-  auto& h = reg.histogram("queue.residency_log2", 4);
-  h.record(i % 4, i + 1);
-  // Instrument present only in some runs: must carry through a merge.
-  if (i % 2 == 0) reg.counter("faults.injected").inc(i);
+  reg.add_probe([&](Snapshot& s) {
+    s.add_counter("arb.decisions", decisions);
+    s.merge_gauge("buf.peak", double(i % 3), MergePolicy::kMax);
+    s.add_histogram("queue.residency_log2", residency, 4);
+    // Instrument present only in some runs: must carry through a merge.
+    if (i % 2 == 0) s.add_counter("faults.injected", i);
+  });
   return reg.snapshot();
 }
 
@@ -276,8 +252,10 @@ TEST(Quarantine, ProfileFamilyIsQuarantined) {
 
 TEST(Quarantine, QuarantinedCountersStayOutOfSeriesColumns) {
   TelemetryRegistry reg;
-  reg.counter("arb.decisions").inc(5);
-  reg.counter("profile.samples").inc(2);
+  reg.add_probe([](Snapshot& s) {
+    s.add_counter("arb.decisions", 5);
+    s.add_counter("profile.samples", 2);
+  });
   SeriesRecorder::Config cfg;
   cfg.sample_every = 100;
   SeriesRecorder rec(reg, cfg);

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "network/topology.hpp"
 #include "sim/simulator.hpp"
 
@@ -57,15 +55,6 @@ TEST(PacketTrace, JourneyFiltersOnePacket) {
   ASSERT_EQ(j.size(), 2u);
   EXPECT_EQ(j[0].event, TraceEvent::kInject);
   EXPECT_EQ(j[1].event, TraceEvent::kDeliver);
-}
-
-TEST(PacketTrace, CsvDump) {
-  PacketTrace t(4);
-  t.record(5, TraceEvent::kDeliver, 2, 1, 3, pkt(42, 9));
-  std::ostringstream os;
-  t.dump_csv(os);
-  EXPECT_NE(os.str().find("cycle,event,node"), std::string::npos);
-  EXPECT_NE(os.str().find("5,deliver,2,1,3,42,9"), std::string::npos);
 }
 
 TEST(PacketTrace, SimulatorJourneyIsPhysicallyOrdered) {
