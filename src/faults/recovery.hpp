@@ -4,8 +4,9 @@
 // trap). After a fixed reaction delay (kSmReactionDelay) it drives the
 // recovery chain:
 //
-//   1. SubnetManager::resweep over the degraded topology — directed-route
-//      SMP discovery, fresh up*/down* routes, LFT reprogramming;
+//   1. SubnetManager::resweep over the degraded topology — a discovery
+//      sweep that counts its directed-route probes, fresh up*/down* routes,
+//      LFT reprogramming;
 //   2. every tracked connection whose reservation path no longer matches
 //      the new routes is released and re-admitted over them — through the
 //      bit-reversal fill, so Theorem-1 invariants hold through the churn;
@@ -39,8 +40,9 @@ inline constexpr std::uint32_t kNoFlow = 0xffffffffu;
 
 /// Trap propagation + SM scheduling latency before the re-sweep starts.
 inline constexpr iba::Cycle kSmReactionDelay = 20'000;
-/// Modeled per-SMP cost added to the recovery-latency metric (the
-/// discovery MADs are executed functionally, not on the simulated wire).
+/// Modeled per-SMP cost added to the recovery-latency metric: the sweep
+/// counts its probes (ResweepReport::smps_sent) but sends none on the
+/// simulated wire.
 inline constexpr iba::Cycle kMadCycles = 16;
 
 struct RecoveryStats {

@@ -26,11 +26,6 @@ constexpr unsigned kUnreached = std::numeric_limits<unsigned>::max();
 class UpdownEngine final : public RoutingEngine {
  public:
   std::string_view name() const noexcept override { return "updown"; }
-  std::string_view description() const noexcept override {
-    return "deadlock-free up*/down* (BFS tree from highest-degree root); "
-           "routes any connected fabric";
-  }
-
   Routes compute(const FabricGraph& g) const override {
     if (!g.connected()) throw std::runtime_error("fabric is disconnected");
 
@@ -188,11 +183,6 @@ class MinimalVlEscapeEngine final : public RoutingEngine {
   std::string_view name() const noexcept override {
     return "minimal-vl-escape";
   }
-  std::string_view description() const noexcept override {
-    return "minimal/dimension-order with dateline (torus) or "
-           "destination-group (dragonfly) escape VLs";
-  }
-
   Routes compute(const FabricGraph& g) const override {
     const auto& hint = g.topology_hint();
     if (hint.family == "mesh2d" || hint.family == "torus2d")
@@ -318,11 +308,6 @@ class MinimalVlEscapeEngine final : public RoutingEngine {
 class FattreeDmodkEngine final : public RoutingEngine {
  public:
   std::string_view name() const noexcept override { return "fattree-dmodk"; }
-  std::string_view description() const noexcept override {
-    return "destination-mod-k up-path selection on k-ary n-trees and "
-           "spine/leaf fat trees";
-  }
-
   Routes compute(const FabricGraph& g) const override {
     const auto& hint = g.topology_hint();
     if (hint.family == "fattree") return route_kary(g, hint);

@@ -35,9 +35,6 @@ class RoutingEngine {
 
   virtual std::string_view name() const noexcept = 0;
 
-  /// One-line human description for --help style listings.
-  virtual std::string_view description() const noexcept = 0;
-
   /// Builds the forwarding tables. Throws std::runtime_error when the graph
   /// cannot be routed (disconnected, or missing the structural hint this
   /// engine needs).

@@ -12,7 +12,7 @@
 namespace ibarb::sched {
 
 /// Which crossbar-scheduler implementation a switch instantiates (built by
-/// sched::make_crossbar — see docs/SCHEDULERS.md).
+/// sched::Crossbar(impl, ports) — see docs/SCHEDULERS.md).
 enum class CrossbarImpl : std::uint8_t {
   kWrr,     ///< Rotating-priority input/VL round-robin (pre-refactor path).
   kIslip,   ///< iSLIP(k): iterative grant/accept with pointer desync.

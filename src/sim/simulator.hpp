@@ -47,7 +47,7 @@ struct SimConfig {
   /// Event-queue implementation. The timing wheel is the only one; the
   /// field remains because the benchmark sources (perfbench/) set it.
   EventQueueImpl queue_impl = EventQueueImpl::kWheel;
-  /// Crossbar matching policy, built by sched::make_crossbar (flag
+  /// Crossbar matching policy, built by sched::Crossbar(impl, ports) (flag
   /// --crossbar). kWrr reproduces the pre-refactor
   /// grant sequence — and so the whole event order — bit-for-bit.
   sched::CrossbarImpl crossbar_impl = sched::CrossbarImpl::kWrr;
@@ -135,7 +135,7 @@ class Simulator {
                               double mbps);
 
   /// Installs a switch's linear forwarding table (indexed by LID, LID =
-  /// node id + 1) — what the subnet manager programs via MADs. Throws
+  /// node id + 1), as the subnet manager programs it. Throws
   /// std::invalid_argument, naming the switch and the LID, unless the table
   /// has node_count() + 1 entries and maps every host LID to a wired port
   /// of the switch. Entries for other LIDs are never read.

@@ -91,7 +91,7 @@ struct SwitchState {
 
   /// Linear forwarding table indexed by destination LID: the output port for
   /// every host LID. Seeded from Routes at construction and overwritten by
-  /// the subnet manager's Set(LinearForwardingTable) MADs.
+  /// the subnet manager (Simulator::set_forwarding).
   std::vector<iba::PortIndex> lft;
 };
 

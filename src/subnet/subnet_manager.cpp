@@ -1,8 +1,6 @@
 #include "subnet/subnet_manager.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <queue>
 #include <sstream>
 #include <stdexcept>
 
@@ -10,87 +8,55 @@ namespace ibarb::subnet {
 
 namespace {
 
-DrSmp node_info_probe(const std::vector<std::uint8_t>& path,
-                      std::uint64_t tid) {
-  DrSmp smp;
-  smp.method = MadMethod::kGet;
-  smp.attribute = SmpAttribute::kNodeInfo;
-  smp.transaction_id = tid;
-  smp.hop_count = static_cast<std::uint8_t>(path.size());
-  for (std::size_t k = 0; k < path.size(); ++k)
-    smp.initial_path[k + 1] = path[k];
-  return smp;
-}
+/// Directed-route depth limit: an SMP's initial path holds at most 63 hops,
+/// so the sweep expands only nodes within 62 hops of the SM.
+constexpr unsigned kMaxDrHops = 64;
 
 }  // namespace
 
-DiscoveryReport SubnetManager::discover(
-    const network::FabricGraph& topology, std::vector<iba::NodeId>& order,
-    std::vector<std::vector<std::uint8_t>>& paths) {
+DiscoveryReport SubnetManager::discover(const network::FabricGraph& topology,
+                                        std::vector<iba::NodeId>& order) {
   DiscoveryReport report;
   order.clear();
-  paths.assign(topology.node_count(), {});
   if (topology.node_count() == 0) {
     report.complete = true;
     return report;
   }
 
-  // Discovery: BFS conducted entirely through directed-route Get(NodeInfo)
-  // SMPs. We start at node 0 (where the SM "runs") and extend every known
-  // node's path by one egress port at a time; a probe that times out
-  // (unwired port — or, on a re-sweep, a port behind a dead link) is simply
-  // dropped, as on a real fabric.
-  DirectedRouteWalker walker(topology);
-  std::vector<bool> seen(topology.node_count(), false);
-  std::uint64_t tid = 1;
-
-  const auto probe = [&](const std::vector<std::uint8_t>& path)
-      -> std::optional<NodeInfo> {
-    DrSmp smp = node_info_probe(path, tid++);
-    ++report.smps_sent;
-    // Encode/decode round trip: the SM talks wire MADs, not structs.
-    const auto wire = encode(smp);
-    auto parsed = decode_smp(wire);
-    assert(parsed.has_value());
-    if (!walker.deliver(0, *parsed)) return std::nullopt;
-    if (parsed->method != MadMethod::kGetResp) return std::nullopt;
-    return read_node_info(
-        std::span<const std::uint8_t, kSmpPayloadBytes>(
-            parsed->payload.data(), kSmpPayloadBytes));
-  };
-
-  std::queue<iba::NodeId> frontier;
-  const auto origin_info = probe({});
-  assert(origin_info.has_value());
-  seen[origin_info->node_guid] = true;
-  frontier.push(origin_info->node_guid);
-
-  while (!frontier.empty()) {
-    const auto at = frontier.front();
-    frontier.pop();
-    order.push_back(at);
+  // Breadth-first from node 0, where the SM runs, counting the directed-route
+  // Get(NodeInfo) probes a real sweep sends: one for the origin, then one per
+  // port of every node it expands, in port order. The probe of port p of a
+  // node at depth d walks d hops to the node and one more if p is wired; a
+  // probe of an unwired port (or, on a re-sweep, of a port behind a dead
+  // link) times out. `order` doubles as the BFS queue.
+  constexpr unsigned kUnseen = ~0u;
+  std::vector<unsigned> depth(topology.node_count(), kUnseen);
+  depth[0] = 0;
+  order.push_back(0);
+  report.smps_sent = 1;
+  for (std::size_t next = 0; next < order.size(); ++next) {
+    const auto at = order[next];
     if (topology.is_switch(at)) {
       ++report.switches;
     } else {
       ++report.hosts;
     }
-    const auto& base_path = paths[at];
-    if (base_path.size() + 1 >= kMaxDrHops) continue;  // DR depth limit
-    for (unsigned p = 0; p < topology.port_count(at); ++p) {
-      auto path = base_path;
-      path.push_back(static_cast<std::uint8_t>(p));
-      const auto info = probe(path);
-      if (!info) continue;  // unwired port: probe timed out
-      ++report.links;       // counted once per direction; halved below
-      if (!seen[info->node_guid]) {
-        seen[info->node_guid] = true;
-        paths[info->node_guid] = std::move(path);
-        frontier.push(info->node_guid);
+    if (depth[at] + 1 >= kMaxDrHops) continue;  // DR depth limit
+    const unsigned ports = topology.port_count(at);
+    report.smps_sent += ports;
+    report.sweep_hops += depth[at] * ports;
+    for (unsigned p = 0; p < ports; ++p) {
+      const auto peer = topology.peer(at, static_cast<iba::PortIndex>(p));
+      if (!peer) continue;  // unwired port: probe timed out
+      ++report.sweep_hops;
+      ++report.links;  // counted once per direction; halved below
+      if (depth[peer->node] == kUnseen) {
+        depth[peer->node] = depth[at] + 1;
+        order.push_back(peer->node);
       }
     }
   }
   report.links /= 2;  // every cable was probed from both ends
-  report.sweep_hops = static_cast<unsigned>(walker.hops_walked());
   report.complete = order.size() == topology.node_count();
   return report;
 }
@@ -98,7 +64,7 @@ DiscoveryReport SubnetManager::discover(
 SubnetManager::SubnetManager(const network::FabricGraph& graph,
                              std::string routing_engine)
     : graph_(graph), engine_(std::move(routing_engine)) {
-  report_ = discover(graph_, sweep_order_, dr_paths_);
+  report_ = discover(graph_, sweep_order_);
   if (graph_.node_count() == 0) return;
   routes_ = network::compute_routes(graph_, engine_);
 }
@@ -130,21 +96,16 @@ ResweepReport SubnetManager::resweep(
       // Each cable once (canonical end).
       if (peer->node < id || (peer->node == id && peer->port <= port))
         continue;
-      if (is_down(id, port) || is_down(peer->node, peer->port)) {
-        ++out.links_down;
-        continue;
-      }
+      if (is_down(id, port) || is_down(peer->node, peer->port)) continue;
       degraded->connect(id, port, peer->node, peer->port,
                         graph_.link(id, port));
     }
   }
 
-  // Re-sweep with real directed-route SMPs over the degraded topology.
+  // Re-sweep over the degraded topology.
   std::vector<iba::NodeId> order;
-  std::vector<std::vector<std::uint8_t>> paths;
-  const auto report = discover(*degraded, order, paths);
+  const auto report = discover(*degraded, order);
   out.smps_sent = report.smps_sent;
-  out.sweep_hops = report.sweep_hops;
   out.complete = report.complete;
   if (!out.complete) return out;  // partitioned: fail-static
 
@@ -173,7 +134,6 @@ ResweepReport SubnetManager::resweep(
   engine_ = std::move(engine);
   report_ = report;
   sweep_order_ = std::move(order);
-  dr_paths_ = std::move(paths);
   routes_ = std::move(routes);
   filtered_ = std::move(degraded);  // routes_ points into this graph
   program_forwarding(sim);
@@ -189,37 +149,14 @@ void SubnetManager::configure_fabric(
 }
 
 void SubnetManager::program_forwarding(sim::Simulator& sim) const {
-  // Program every switch's linear forwarding table, going through the wire
-  // representation (Set(LinearForwardingTable) MAD blocks) exactly as a real
-  // SM would: build blocks, encode, decode, apply.
+  // One LID-indexed linear forwarding table per switch; LIDs that name no
+  // host stay 0xFF. set_forwarding checks every host entry.
   const auto hosts = graph_.hosts();
   const std::size_t lids = graph_.node_count() + 1;  // LID = node id + 1
   for (const auto sw : graph_.switches()) {
     std::vector<iba::PortIndex> lft(lids, 0xFF);
     for (const auto h : hosts) lft[lid(h)] = routes_.out_port(sw, h);
-
-    std::vector<iba::PortIndex> assembled(lids, 0xFF);
-    const auto blocks = (lids + kLftLidsPerBlock - 1) / kLftLidsPerBlock;
-    for (std::size_t b = 0; b < blocks; ++b) {
-      DrSmp smp;
-      smp.method = MadMethod::kSet;
-      smp.attribute = SmpAttribute::kLinearForwardingTable;
-      smp.attribute_modifier = static_cast<std::uint32_t>(b);
-      const auto base = b * kLftLidsPerBlock;
-      const auto count = std::min(kLftLidsPerBlock, lids - base);
-      write_lft_block(std::span<const iba::PortIndex>(&lft[base], count),
-                      std::span<std::uint8_t, kSmpPayloadBytes>(
-                          smp.payload.data(), kSmpPayloadBytes));
-      const auto wire = encode(smp);
-      const auto parsed = decode_smp(wire);
-      assert(parsed.has_value());
-      const auto block = read_lft_block(
-          std::span<const std::uint8_t, kSmpPayloadBytes>(
-              parsed->payload.data(), kSmpPayloadBytes));
-      for (std::size_t i = 0; i < count; ++i)
-        assembled[base + i] = block[i];
-    }
-    sim.set_forwarding(sw, std::move(assembled));
+    sim.set_forwarding(sw, std::move(lft));
   }
 }
 

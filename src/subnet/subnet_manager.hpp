@@ -3,14 +3,14 @@
 // A real IBA subnet manager sweeps the fabric with directed-route SMPs,
 // assigns LIDs, and programs forwarding tables, SLtoVL maps and the
 // VLArbitrationTables of every port. This class performs those steps
-// against the model: discovery really is conducted by Get(NodeInfo)
-// directed-route MADs walked hop by hop (subnet/mad.hpp), LIDs are assigned
-// (host LID = node id + 1, the convention the simulator's data path uses),
-// up*/down* routes are computed, and configure_fabric() programs a
-// simulator in one call.
+// against the model: discovery is a breadth-first sweep that counts the
+// directed-route Get(NodeInfo) probes and hops a real SM would spend, LIDs
+// are assigned (host LID = node id + 1, the convention the simulator's data
+// path uses), routes are computed, and configure_fabric() programs a
+// simulator in one call. The tables are installed directly; the model does
+// not encode management datagrams.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,7 +20,6 @@
 #include "network/routing.hpp"
 #include "qos/admission.hpp"
 #include "sim/simulator.hpp"
-#include "subnet/mad.hpp"
 
 namespace ibarb::subnet {
 
@@ -36,8 +35,6 @@ struct DiscoveryReport {
 /// Outcome of a fault-triggered re-sweep (see SubnetManager::resweep).
 struct ResweepReport {
   unsigned smps_sent = 0;       ///< Directed-route probes of this sweep.
-  unsigned sweep_hops = 0;
-  unsigned links_down = 0;      ///< Links excluded by the health mask.
   bool complete = false;        ///< Sweep still reached every node.
   /// New up*/down* routes were computed and the LFTs reprogrammed. False
   /// when the degraded fabric is partitioned or unroutable — the old
@@ -71,13 +68,6 @@ class SubnetManager {
     return sweep_order_;
   }
 
-  /// The directed-route port list the sweep recorded for a node (empty for
-  /// the origin). Replaying it through a DirectedRouteWalker reaches the
-  /// node — tests rely on this.
-  const std::vector<std::uint8_t>& dr_path(iba::NodeId node) const {
-    return dr_paths_.at(node);
-  }
-
   /// Programs SLtoVL maps on every port (identity over the data VLs) and
   /// the arbitration tables + reservation annotations held by `admission`.
   void configure_fabric(sim::Simulator& sim,
@@ -87,10 +77,9 @@ class SubnetManager {
   /// ports (and their link partners) masked out, recomputes routes on the
   /// degraded topology (falling back to `updown` when the configured
   /// structure-aware engine refuses the now-irregular wiring), and
-  /// reprograms every switch LFT through wire MADs. With an empty mask
-  /// this restores the full-fabric routes (repair path). On
-  /// partition/unroutability the previous routes stay installed and
-  /// routes_changed is false.
+  /// reprograms every switch LFT. With an empty mask this restores the
+  /// full-fabric routes (repair path). On partition/unroutability the
+  /// previous routes stay installed and routes_changed is false.
   ResweepReport resweep(sim::Simulator& sim,
                         const std::vector<network::PortRef>& down_ports);
 
@@ -98,16 +87,14 @@ class SubnetManager {
   std::string describe() const;
 
  private:
-  DiscoveryReport discover(const network::FabricGraph& topology,
-                           std::vector<iba::NodeId>& order,
-                           std::vector<std::vector<std::uint8_t>>& paths);
+  static DiscoveryReport discover(const network::FabricGraph& topology,
+                                  std::vector<iba::NodeId>& order);
   void program_forwarding(sim::Simulator& sim) const;
 
   const network::FabricGraph& graph_;
   std::string engine_;
   DiscoveryReport report_;
   std::vector<iba::NodeId> sweep_order_;
-  std::vector<std::vector<std::uint8_t>> dr_paths_;
   network::Routes routes_;
   /// The degraded-topology copy the current routes_ were computed on (the
   /// Routes object keeps a pointer into its source graph). Null while the

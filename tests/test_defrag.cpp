@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -101,6 +102,43 @@ TEST(Defrag, NoMovesWhenAlreadyPacked) {
   EXPECT_EQ(m.stats().defrag_moves, moves_before)
       << "a bit-reversal-packed table needs no relocation";
   EXPECT_TRUE(m.check_invariants());
+}
+
+TEST(Defrag, PackedTableStaysPutAndFragmentedTableMoves) {
+  // Largest blocks first, each class back to back from buddy address 0: the
+  // layout the walk produces, so a run changes nothing but its count (the
+  // tm.defrag_runs counter and snapshot blobs carry every run).
+  TableManager m(cfg(false));
+  const unsigned distances[] = {4, 8, 8, 16, 32};
+  std::vector<SeqHandle> h;
+  for (const auto d : distances) {
+    const auto got =
+        m.allocate(static_cast<iba::VirtualLane>(1 + h.size()), fat_req(d),
+                   1.0);
+    ASSERT_TRUE(got.has_value());
+    h.push_back(*got);
+  }
+  std::vector<std::uint64_t> slots;
+  for (const auto handle : h) slots.push_back(m.sequence(handle).slots);
+  const auto table = m.table().high();
+
+  m.defragment();
+  EXPECT_EQ(m.stats().defrag_runs, 1u);
+  EXPECT_EQ(m.stats().defrag_moves, 0u);
+  for (std::size_t k = 0; k < h.size(); ++k)
+    EXPECT_EQ(m.sequence(h[k]).slots, slots[k]) << "sequence " << k;
+  EXPECT_EQ(m.table().high(), table);
+  std::string why;
+  ASSERT_TRUE(m.check_invariants(&why)) << why;
+
+  // Freeing the front distance-4 block leaves a hole: all four later blocks
+  // move up, and the run is counted once more.
+  m.release(h[0], fat_req(4), 1.0);
+  m.defragment();
+  EXPECT_EQ(m.stats().defrag_runs, 2u);
+  EXPECT_EQ(m.stats().defrag_moves, 4u);
+  ASSERT_TRUE(m.check_invariants(&why)) << why;
+  EXPECT_TRUE(m.audit_free_set_optimality(&why)) << why;
 }
 
 TEST(Defrag, ExplicitRunIsRenderedOnTheNextRead) {
