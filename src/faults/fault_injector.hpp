@@ -3,17 +3,15 @@
 //
 // Every fault activation/deactivation travels through Simulator::call_at —
 // i.e. through the same deterministic EventQueue as the traffic itself — and
-// all randomness (per-packet corruption coin flips, corrupted bit choice)
-// comes from one seeded stream consumed in event order, so a (plan, seed)
-// pair replays bit-identically.
+// all randomness (per-packet corruption coin flips, damage draws) comes from
+// one seeded stream consumed in event order, so a (plan, seed) pair replays
+// bit-identically.
 //
-// Corruption is physical, not abstract: the packet is serialized to real
-// wire bytes (iba/headers), bits are damaged, and iba::parse_packet — the
-// same ICRC/VCRC validation path the protocol tests exercise — decides
-// whether the receiver detects it. A detected corruption becomes a drop
-// (the RC transport's retransmission recovers it); an escape would be
-// delivered and is counted separately (CRC32+CRC16 make this practically
-// impossible for the damage models used).
+// The simulator carries no wire bytes, so corruption is modeled by its
+// outcome: a damaged packet fails the receiver's CRC or length check and
+// is dropped (the RC transport's retransmission recovers it). Every damage
+// model the injector draws is one the link layer's checks always catch;
+// on_link_rx names the reason for each.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +34,9 @@ struct FaultStats {
   std::uint64_t overload_bursts = 0;
   std::uint64_t corrupt_attempts = 0;  ///< Packets picked for corruption.
   std::uint64_t crc_rejected = 0;      ///< ... detected and dropped.
-  std::uint64_t crc_escaped = 0;       ///< ... delivered despite damage.
+  /// ... delivered despite damage. 0 by construction: every damage model
+  /// is always detected (on_link_rx). Kept in reports and snapshots.
+  std::uint64_t crc_escaped = 0;
   std::uint64_t dropped_packets = 0;   ///< Silent drop-window losses.
   std::uint64_t flushed_packets = 0;   ///< Discarded from downed ports.
 };
@@ -44,7 +44,10 @@ struct FaultStats {
 class FaultInjector final : public sim::FaultHooks {
  public:
   /// Registers a telemetry probe publishing "faults.*" counters into the
-  /// simulator's registry; the destructor removes it.
+  /// simulator's registry; the destructor removes it. Throws
+  /// std::invalid_argument, naming the event, when a port fault targets no
+  /// wired port of `graph` or an overload targets no flow already added to
+  /// `sim`.
   FaultInjector(sim::Simulator& sim, const network::FabricGraph& graph,
                 FaultPlan plan, std::uint64_t seed);
   ~FaultInjector() override;
@@ -84,20 +87,6 @@ class FaultInjector final : public sim::FaultHooks {
                                    iba::Cycle cycles) override;
   RxVerdict on_link_rx(iba::NodeId node, iba::PortIndex port,
                        const iba::Packet& p) override;
-
-  /// The damage models the injector applies to wire images (exposed so
-  /// test_crc proves the CRC path rejects exactly what is injected).
-  enum class Corruption : std::uint8_t { kBitFlip, kTruncate, kBurst };
-
-  /// Applies `how` to the packet's wire image (entropy seeds the damaged
-  /// bit/length choice) and runs it through iba::parse_packet. Returns true
-  /// when the receiver detects the damage (parse fails).
-  static bool corruption_detected(const iba::Packet& p, Corruption how,
-                                  std::uint64_t entropy);
-
-  /// Same damage on a caller-supplied wire image (test helper).
-  static void damage_wire_image(std::vector<std::uint8_t>& image,
-                                Corruption how, std::uint64_t entropy);
 
  private:
   struct PortFaultState {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -46,20 +48,30 @@ std::uint64_t parse_u64(std::string_view s, std::string_view spec) {
   return v;
 }
 
+/// An unsigned integer that must fit its field: no silent narrowing.
+template <typename T>
+T parse_field(std::string_view s, std::string_view spec, const char* why) {
+  const std::uint64_t v = parse_u64(s, spec);
+  if (v > std::numeric_limits<T>::max()) bad_spec(spec, s, why);
+  return static_cast<T>(v);
+}
+
 double parse_double(std::string_view s, std::string_view spec) {
   // std::from_chars for doubles is missing on some libstdc++ versions the
-  // CI matrix uses; stod on a bounded copy is fine off the hot path.
+  // CI matrix uses; stod on a bounded copy is fine off the hot path. The
+  // checks stay outside the try, whose handlers would rename their errors.
+  std::size_t used = 0;
+  double v = 0.0;
   try {
-    std::size_t used = 0;
-    const double v = std::stod(std::string(s), &used);
-    if (used != s.size())
-      bad_spec(spec, s, "trailing characters in number");
-    return v;
+    v = std::stod(std::string(s), &used);
   } catch (const std::invalid_argument&) {
     bad_spec(spec, s, "expected a number");
   } catch (const std::out_of_range&) {
     bad_spec(spec, s, "number out of range");
   }
+  if (used != s.size()) bad_spec(spec, s, "trailing characters in number");
+  if (!std::isfinite(v)) bad_spec(spec, s, "number must be finite");
+  return v;
 }
 
 FaultKind kind_from(std::string_view name, std::string_view spec) {
@@ -89,11 +101,14 @@ FaultEvent parse_event(std::string_view item, std::string_view spec) {
   if (colon == std::string_view::npos) bad_spec(spec, item, "missing target");
   auto when = item.substr(0, colon);
   item.remove_prefix(colon + 1);
+  const auto when_all = when;
   if (const auto plus = when.find('+'); plus != std::string_view::npos) {
     ev.duration = parse_u64(when.substr(plus + 1), spec);
     when = when.substr(0, plus);
   }
   ev.at = parse_u64(when, spec);
+  if (ev.duration > std::numeric_limits<iba::Cycle>::max() - ev.at)
+    bad_spec(spec, when_all, "at + duration overflows the cycle counter");
 
   // target [':' value]
   auto target = item;
@@ -106,15 +121,16 @@ FaultEvent parse_event(std::string_view item, std::string_view spec) {
   if (ev.kind == FaultKind::kOverload) {
     if (target.empty() || target.front() != 'f')
       bad_spec(spec, target, "overload target must be fN");
-    ev.flow = static_cast<std::uint32_t>(parse_u64(target.substr(1), spec));
+    ev.flow = parse_field<std::uint32_t>(target.substr(1), spec,
+                                         "flow index out of range");
   } else {
     const auto dot = target.find('.');
     if (dot == std::string_view::npos)
       bad_spec(spec, target, "port target must be node.port");
-    ev.node = static_cast<iba::NodeId>(
-        parse_u64(target.substr(0, dot), spec));
-    ev.port = static_cast<iba::PortIndex>(
-        parse_u64(target.substr(dot + 1), spec));
+    ev.node = parse_field<iba::NodeId>(target.substr(0, dot), spec,
+                                       "node id out of range");
+    ev.port = parse_field<iba::PortIndex>(target.substr(dot + 1), spec,
+                                          "port index out of range");
   }
   if (has_value_field(ev.kind)) {
     if (value.empty())
@@ -125,7 +141,10 @@ FaultEvent parse_event(std::string_view item, std::string_view spec) {
         bad_spec(spec, value, "probability outside [0, 1]");
       ev.probability = v;
     } else {
-      if (v <= 0.0) bad_spec(spec, value, "factor must be positive");
+      // Below 1 a slowdown never shortens a transmission, so it would do
+      // nothing, and an overload would throttle its source instead; a tiny
+      // one stretches the generator interval past Cycle's range.
+      if (v < 1.0) bad_spec(spec, value, "factor must be at least 1");
       ev.factor = v;
     }
   } else if (!value.empty()) {

@@ -20,7 +20,7 @@ namespace ibarb::faults {
 enum class FaultKind : std::uint8_t {
   kLinkFlap,  ///< Link at (node, port) down at `at`, up after `duration`.
   kCorrupt,   ///< Packets received at (node, port) are corrupted on the wire
-              ///< with `probability`; the CRC check decides their fate.
+              ///< with `probability` and dropped as CRC-detected.
   kDrop,      ///< Packets received at (node, port) vanish with `probability`.
   kStuck,     ///< (node, port) stops transmitting for the window.
   kSlow,      ///< (node, port) serializes `factor` times slower.
@@ -79,7 +79,10 @@ class FaultPlan {
   /// Event:   kind '@' at ['+' duration] ':' target [':' value]
   /// Target:  node '.' port   (port faults)  |  'f' flow  (overload)
   /// Value:   probability (corrupt/drop) or factor (slow/overload).
-  /// Separators: ';' or ','. Throws std::invalid_argument on bad input.
+  /// Separators: ';' or ','. Throws std::invalid_argument, naming the
+  /// token and its offset, on bad input: a number that does not fit its
+  /// field, at + duration past the cycle counter, a NaN or infinite value,
+  /// a probability outside [0, 1] or a factor below 1.
   static FaultPlan parse(std::string_view spec);
 
   /// The plan re-serialized in the parse() grammar (reproduction recipes).

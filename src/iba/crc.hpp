@@ -1,13 +1,10 @@
-// CRC generators used by the IBA link layer (IBA 1.0 §7.8):
+// The IBA link layer's invariant CRC generator (IBA 1.0 §7.8): ICRC,
+// 32 bits, the CRC32 polynomial 0x04C11DB7 (reflected form 0xEDB88320).
+// The simulator builds no wire images, so its one caller is the snapshot
+// envelope (control/snapshot), which seals its payload with it.
 //
-//  * ICRC — invariant CRC, 32 bits, the CRC32 polynomial 0x04C11DB7
-//    (reflected form 0xEDB88320), covering the fields that do not change
-//    hop by hop.
-//  * VCRC — variant CRC, 16 bits, polynomial x^16 + x^12 + x^5 + 1
-//    (CRC-16-CCITT, reflected 0x8408), recomputed at every link.
-//
-// Table-driven, reflected implementations; the tables are built at
-// compile time.
+// Table-driven, reflected implementation; the table is built at compile
+// time.
 #pragma once
 
 #include <array>
@@ -29,20 +26,7 @@ constexpr std::array<std::uint32_t, 256> make_crc32_table() {
   return table;
 }
 
-constexpr std::array<std::uint16_t, 256> make_crc16_table() {
-  std::array<std::uint16_t, 256> table{};
-  for (std::uint16_t i = 0; i < 256; ++i) {
-    std::uint16_t c = i;
-    for (int k = 0; k < 8; ++k)
-      c = (c & 1) ? static_cast<std::uint16_t>(0x8408u ^ (c >> 1))
-                  : static_cast<std::uint16_t>(c >> 1);
-    table[i] = c;
-  }
-  return table;
-}
-
 inline constexpr auto kCrc32Table = make_crc32_table();
-inline constexpr auto kCrc16Table = make_crc16_table();
 
 }  // namespace detail
 
@@ -52,15 +36,6 @@ constexpr std::uint32_t icrc(std::span<const std::uint8_t> data) {
   for (const auto byte : data)
     crc = detail::kCrc32Table[(crc ^ byte) & 0xFF] ^ (crc >> 8);
   return crc ^ 0xFFFFFFFFu;
-}
-
-/// VCRC: reflected CRC-16-CCITT (init 0xFFFF, no final xor).
-constexpr std::uint16_t vcrc(std::span<const std::uint8_t> data) {
-  std::uint16_t crc = 0xFFFFu;
-  for (const auto byte : data)
-    crc = static_cast<std::uint16_t>(
-        detail::kCrc16Table[(crc ^ byte) & 0xFF] ^ (crc >> 8));
-  return crc;
 }
 
 }  // namespace ibarb::iba

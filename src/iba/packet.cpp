@@ -19,13 +19,6 @@ std::vector<std::uint32_t> segment_message(std::uint32_t message_bytes,
   return sizes;
 }
 
-std::uint64_t message_wire_bytes(std::uint32_t message_bytes, Mtu mtu) {
-  std::uint64_t total = 0;
-  for (const auto payload : segment_message(message_bytes, mtu))
-    total += payload + kPacketOverheadBytes;
-  return total;
-}
-
 double mtu_efficiency(Mtu mtu) {
   const double payload = mtu_bytes(mtu);
   return payload / (payload + kPacketOverheadBytes);

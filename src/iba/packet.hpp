@@ -38,7 +38,6 @@ struct Packet {
   std::uint64_t id = 0;             ///< Globally unique, for tracing.
   ConnectionId connection = kInvalidConnection;
   ServiceLevel sl = 0;
-  Lid source = kInvalidLid;
   Lid destination = kInvalidLid;
   std::uint32_t payload_bytes = 0;  ///< Transport payload carried.
   std::uint32_t sequence = 0;       ///< Packet index within its connection.
@@ -72,9 +71,6 @@ struct Packet {
 /// one (header-only) packet, as IBA sends at least one packet per message.
 std::vector<std::uint32_t> segment_message(std::uint32_t message_bytes,
                                            Mtu mtu);
-
-/// Wire bytes for a full back-to-back message transfer (all packets).
-std::uint64_t message_wire_bytes(std::uint32_t message_bytes, Mtu mtu);
 
 /// Efficiency of a given MTU: payload / wire bytes for MTU-sized packets.
 double mtu_efficiency(Mtu mtu);

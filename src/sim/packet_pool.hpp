@@ -19,6 +19,10 @@
 
 namespace ibarb::sim {
 
+// Slab slots are copied on every park() and take(); a field added to
+// iba::Packet costs every packet in flight.
+static_assert(sizeof(iba::Packet) <= 48);
+
 using PacketHandle = std::uint32_t;
 inline constexpr PacketHandle kNoPacket = 0xFFFF'FFFFu;
 

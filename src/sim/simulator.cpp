@@ -547,7 +547,6 @@ void Simulator::inject(std::uint32_t flow_index, iba::Packet& p) {
   const FlowState& f = flows_[flow_index];
   p.connection = flow_index;
   p.sl = f.sl;
-  p.source = f.src;
   p.destination = f.dst;
   p.injected_at = now_;
   p.management = f.management;

@@ -1,6 +1,7 @@
 // Fault-injection & recovery subsystem: plan grammar and storm determinism,
 // end-to-end link-flap recovery (re-sweep, reroute, graceful degradation),
-// CRC-backed corruption recovered by the RC transport, and bit-identical
+// corruption dropped as CRC-detected and recovered by the RC transport,
+// fault targets checked against the fabric, and bit-identical
 // replay of a full faulty run.
 #include <gtest/gtest.h>
 
@@ -46,16 +47,30 @@ TEST(FaultPlan, ParseDescribeRoundTrip) {
 
 TEST(FaultPlan, ParseRejectsMalformedSpecs) {
   for (const auto* bad :
-       {"flap@1:0.0",              // unknown kind
-        "linkflap@:3.2",           // missing time
-        "linkflap@100",            // missing target
-        "corrupt@100:3.2:1.5",     // probability out of range
-        "slow@100:3.2:0",          // non-positive factor
-        "overload@100:3.2:2",      // overload needs an fN target
-        "linkflap@100:f3",         // port fault needs node.port
-        "linkflap@100:3"}) {       // missing port
+       {"flap@1:0.0",                   // unknown kind
+        "linkflap@:3.2",                // missing time
+        "linkflap@100",                 // missing target
+        "corrupt@100:3.2:1.5",          // probability out of range
+        "slow@100:3.2:0",               // non-positive factor
+        "overload@100:3.2:2",           // overload needs an fN target
+        "linkflap@100:f3",              // port fault needs node.port
+        "linkflap@100:3",               // missing port
+        "slow@100+500000:1.1:nan",      // NaN factor
+        "corrupt@100+500000:1.1:nan",   // NaN probability
+        "slow@100+5:1.1:inf",           // infinite factor
+        "overload@100+5:f0:-inf",       // infinite factor
+        "overload@100+5:f0:0.5",        // a factor below 1 throttles
+        "slow@100+5:1.1:1e400",         // beyond double's range
+        "linkflap@100+5:1.257",         // port does not fit 8 bits
+        "linkflap@100+5:4294967296.1",  // node does not fit 32 bits
+        "overload@100+5:f4294967296:2",          // flow does not fit 32 bits
+        "linkflap@18446744073709551615+5:1.1"}) {  // at + duration wraps
     EXPECT_THROW((void)FaultPlan::parse(bad), std::invalid_argument) << bad;
   }
+  // The last representable window and a huge finite factor are accepted.
+  EXPECT_NO_THROW(
+      (void)FaultPlan::parse("linkflap@18446744073709551610+5:1.1"));
+  EXPECT_NO_THROW((void)FaultPlan::parse("slow@100+5:1.255:1e300"));
 }
 
 TEST(FaultPlan, ParseErrorsNameTokenAndOffset) {
@@ -84,6 +99,16 @@ TEST(FaultPlan, ParseErrorsNameTokenAndOffset) {
   EXPECT_NE(msg.find("probability outside [0, 1]"), std::string::npos) << msg;
   EXPECT_NE(msg.find("at offset 18"), std::string::npos) << msg;
   EXPECT_NE(msg.find("'1.5'"), std::string::npos) << msg;
+  // A NaN names its own token, so the user sees which value to fix.
+  msg = message_of("slow@100+500000:1.1:nan");
+  EXPECT_NE(msg.find("number must be finite"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("at offset 20"), std::string::npos) << msg;
+  msg = message_of("slow@100+5:1.1:4x");
+  EXPECT_NE(msg.find("trailing characters in number"), std::string::npos)
+      << msg;
+  msg = message_of("linkflap@100+5:1.257");
+  EXPECT_NE(msg.find("port index out of range"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("at offset 17"), std::string::npos) << msg;
 }
 
 TEST(FaultPlan, RandomStormIsDeterministicAndInBounds) {
@@ -293,6 +318,51 @@ TEST(FaultRecovery, PurgeBarrierDropsStragglersUntilCleared) {
       << "flow must resume once the purge is cleared";
 }
 
+TEST(FaultInjector, RejectsTargetsMissingFromTheFabric) {
+  Rig rig(23);
+  const auto hosts = rig.graph.hosts();
+  rig.add_best_effort(hosts[0], hosts[2], /*sl=*/10, /*mbps=*/40, 300);
+  const auto message_of = [&rig](const char* spec) {
+    try {
+      FaultInjector injector(rig.sim, rig.graph, FaultPlan::parse(spec), 1);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  // A port the node does not have, a node the fabric does not have, and a
+  // flow the simulator does not run: each is refused, naming the event.
+  auto msg = message_of("linkflap@100+5:0.200");
+  EXPECT_NE(msg.find("'linkflap@100+5:0.200'"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("no wired port"), std::string::npos) << msg;
+  msg = message_of("corrupt@100+5:999.1:0.5");
+  EXPECT_NE(msg.find("'corrupt@100+5:999.1:0.5'"), std::string::npos) << msg;
+  msg = message_of("overload@100+50:f99999:2");
+  EXPECT_NE(msg.find("'overload@100+50:f99999:2'"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("no such flow"), std::string::npos) << msg;
+  // Targets that exist are accepted.
+  const std::string ok = "linkflap@100+5:" + std::to_string(hosts[0]) +
+                         ".0;overload@100+50:f" +
+                         std::to_string(rig.be_flows[0]) + ":2";
+  EXPECT_EQ(message_of(ok.c_str()), "");
+}
+
+TEST(FaultInjector, HugeSlowFactorSaturatesTheStretchedTime) {
+  Rig rig(29);
+  const auto host = rig.graph.hosts()[0];
+  FaultInjector injector(
+      rig.sim, rig.graph,
+      FaultPlan::parse("slow@10+1000:" + std::to_string(host) + ".0:1e300"),
+      1);
+  injector.arm();
+  rig.sim.run_until(20);
+  // 100 * 1e300 cycles does not fit a Cycle; the cast must not see it.
+  EXPECT_EQ(injector.stretch_serialization(host, 0, 100),
+            iba::Cycle{1} << 62);
+  rig.sim.run_until(2'000);
+  EXPECT_EQ(injector.stretch_serialization(host, 0, 100), 100u);
+}
+
 TEST(FaultRecovery, CorruptionIsCrcDetectedAndRecoveredByRcRetransmit) {
   Rig rig(13);
   const auto hosts = rig.graph.hosts();
@@ -332,7 +402,7 @@ TEST(FaultRecovery, CorruptionIsCrcDetectedAndRecoveredByRcRetransmit) {
   EXPECT_GT(injector.stats().corrupt_attempts, 0u);
   EXPECT_GT(injector.stats().crc_rejected, 0u);
   EXPECT_EQ(injector.stats().crc_escaped, 0u)
-      << "ICRC+VCRC must catch every injected damage pattern";
+      << "every injected damage pattern is detected by construction";
   EXPECT_EQ(injector.stats().crc_rejected, injector.stats().corrupt_attempts);
 
   EXPECT_FALSE(session.failed()) << "retry budget exhausted";

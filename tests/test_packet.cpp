@@ -60,12 +60,6 @@ TEST(Segmentation, PayloadConserved) {
   }
 }
 
-TEST(Segmentation, WireBytesIncludePerPacketOverhead) {
-  // 512 bytes over 256-MTU: 2 packets -> 2 overheads.
-  EXPECT_EQ(message_wire_bytes(512, Mtu::kMtu256),
-            512u + 2u * kPacketOverheadBytes);
-}
-
 TEST(MtuEfficiency, LargerMtuIsMoreEfficient) {
   EXPECT_LT(mtu_efficiency(Mtu::kMtu256), mtu_efficiency(Mtu::kMtu1024));
   EXPECT_LT(mtu_efficiency(Mtu::kMtu1024), mtu_efficiency(Mtu::kMtu4096));
