@@ -24,18 +24,6 @@ iba::Mtu mtu_from_cli(const util::Cli& cli, iba::Mtu fallback) {
 
 }  // namespace
 
-std::optional<sched::CrossbarImpl> crossbar_from_cli(const util::Cli& cli) {
-  if (!cli.has("crossbar")) return std::nullopt;
-  const auto name = cli.get("crossbar", "");
-  const auto impl = sched::parse_crossbar_impl(name);
-  if (!impl) {
-    throw std::invalid_argument(
-        "flag --crossbar: unknown crossbar scheduler '" + name +
-        "' (expected " + std::string(sched::kCrossbarImplNames) + ")");
-  }
-  return impl;
-}
-
 PaperRunConfig config_from_cli(const util::Cli& cli, PaperRunConfig base) {
   base.switches = static_cast<unsigned>(cli.get_int_in(
       "switches", base.switches, 2, std::numeric_limits<unsigned>::max()));
@@ -52,7 +40,10 @@ PaperRunConfig config_from_cli(const util::Cli& cli, PaperRunConfig base) {
     base.min_rx_packets = 10;
     base.warmup = 500'000;
   }
-  if (const auto impl = crossbar_from_cli(cli)) base.crossbar = *impl;
+  if (cli.has("crossbar"))
+    throw std::invalid_argument(
+        "flag --crossbar is not supported: every switch runs wrr, the one "
+        "crossbar scheduler (docs/SCHEDULERS.md)");
   if (cli.has("shards"))
     throw std::invalid_argument(
         "flag --shards is not supported: runs are sequential (use --jobs to "
@@ -103,7 +94,6 @@ PaperRun::PaperRun(PaperRunConfig c, DeferSim) : cfg(c) {
   sc.max_payload_bytes = iba::mtu_bytes(cfg.mtu);
   sc.buffer_packets = cfg.buffer_packets;
   sc.seed = cfg.seed;
-  sc.crossbar_impl = cfg.crossbar;
   sc.trace_capacity = cfg.trace_capacity;
   sc.sample_every = cfg.sample_every;
   sc.profile = cfg.profile;

@@ -14,7 +14,6 @@
 #include "network/topology.hpp"
 #include "obs/series.hpp"
 #include "qos/admission.hpp"
-#include "sched/crossbar_impl.hpp"
 #include "subnet/subnet_manager.hpp"
 #include "traffic/workload.hpp"
 #include "util/cli.hpp"
@@ -46,8 +45,6 @@ struct PaperRunConfig {
   std::uint64_t sample_every = 0;
   /// Wall-clock self-profiler (--profile); profile.* telemetry only.
   bool profile = false;
-  /// Crossbar scheduler (--crossbar).
-  sched::CrossbarImpl crossbar = sched::CrossbarImpl::kWrr;
   /// Topology spec ("family:k=v,...", network/registry.hpp; --topo). For
   /// the irregular family, --switches/--seed still fill in any parameter
   /// the spec leaves unset, so the pre-registry flags keep working
@@ -59,16 +56,12 @@ struct PaperRunConfig {
 
 /// Applies the common bench flags on top of `base`: the paper knobs
 /// (--switches --mtu --seed --packets --warmup --besteffort-load --quick)
-/// and the run axes (--crossbar --topo --routing). This is the one
-/// parser of each flag: a malformed value throws std::invalid_argument
-/// naming the flag and the values it takes. The retired --shards flag
-/// throws too: runs are sequential.
+/// and the run axes (--topo --routing). This is the one parser of each
+/// flag: a malformed value throws std::invalid_argument naming the flag and
+/// the values it takes. The retired --shards and --crossbar flags throw
+/// too, whatever their value: runs are sequential, and every switch runs
+/// the wrr crossbar.
 PaperRunConfig config_from_cli(const util::Cli& cli, PaperRunConfig base = {});
-
-/// --crossbar on its own: the scheduler it names, or nullopt when absent.
-/// config_from_cli reads the flag through this; bench_fairness calls it
-/// directly because it runs the whole zoo unless the flag is given.
-std::optional<sched::CrossbarImpl> crossbar_from_cli(const util::Cli& cli);
 
 /// The topology spec a config resolves to, with --switches/--seed filled
 /// into an irregular spec's unset parameters. Every fabric a PaperRun

@@ -1,7 +1,7 @@
-// What every crossbar scheduler shares: the port view it schedules over,
-// the round-robin VL scan, and the decision counters.
+// The port view the crossbar scheduler works over, and its round-robin VL
+// scan.
 //
-// Schedulers are templates over the view type, so every query below is a
+// WrrCrossbar is a template over the view type, so every query below is a
 // direct, inlinable call: the simulator's view (sim::XbarView) in the
 // datapath, the mock fabric in tests/test_crossbar.cpp.
 #pragma once
@@ -25,7 +25,6 @@ namespace ibarb::sched {
 ///    v. Meaningful only while input_ready(in).
 ///  * head_output(in, vl) — output port the head packet of (in, vl) is
 ///    routed to.
-///  * head_bytes(in, vl) — wire size of the head packet of (in, vl).
 ///  * output_free(out) — output is not currently receiving a transfer.
 ///  * output_accepts(in, vl, out) — the output queue has room for the head
 ///    of (in, vl) on the VL the output's SLtoVL table assigns it.
@@ -40,7 +39,6 @@ concept CrossbarPorts = requires(P& p, const P& cp, iba::PortIndex port,
   { cp.input_ready(port) } -> std::convertible_to<bool>;
   { cp.input_occupancy(port) } -> std::convertible_to<std::uint16_t>;
   { cp.head_output(port, vl) } -> std::convertible_to<iba::PortIndex>;
-  { cp.head_bytes(port, vl) } -> std::convertible_to<std::uint32_t>;
   { cp.output_free(port) } -> std::convertible_to<bool>;
   { cp.output_accepts(port, vl, port) } -> std::convertible_to<bool>;
   p.grant(port, vl, port);
@@ -70,29 +68,5 @@ class VlRoundRobin {
   std::uint16_t rest_;
   unsigned start_;
 };
-
-/// Base of the three schedulers: the always-on decision accounting, folded
-/// across switches into xbar.* telemetry by the simulator's snapshot probe
-/// (plain increments — the matching loop is a hot path).
-class CrossbarScheduler {
- public:
-  struct Stats {
-    std::uint64_t rounds = 0;      ///< schedule() calls.
-    std::uint64_t grants = 0;      ///< Transfers started.
-    std::uint64_t iterations = 0;  ///< Matching iterations / scan passes.
-    std::uint64_t blocked_output = 0;  ///< Head deferred: output busy.
-    std::uint64_t blocked_space = 0;   ///< Head deferred: output VL full.
-  };
-
-  const Stats& stats() const noexcept { return stats_; }
-
- protected:
-  Stats stats_;
-};
-
-/// Next VL after `vl` in round-robin order.
-constexpr iba::VirtualLane next_vl(iba::VirtualLane vl) noexcept {
-  return static_cast<iba::VirtualLane>((vl + 1) % iba::kMaxVirtualLanes);
-}
 
 }  // namespace ibarb::sched

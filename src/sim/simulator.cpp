@@ -32,7 +32,7 @@ iba::NodeId node_of(iba::Lid lid) { return static_cast<iba::NodeId>(lid) - 1; }
 /// Simulator::try_start_transfer checked and committed, in the same order,
 /// so WrrCrossbar over this view is bit-identical to the old hard-wired
 /// loop (tests/golden/, test_crossbar differential). Built per schedule()
-/// call; the schedulers are templates over it, so every query is a direct
+/// call; WrrCrossbar is a template over it, so every query is a direct
 /// call.
 class XbarView {
  public:
@@ -57,10 +57,6 @@ class XbarView {
     return sim_.route_port(sw_, head(in, vl).destination);
   }
 
-  std::uint32_t head_bytes(iba::PortIndex in, iba::VirtualLane vl) const {
-    return sw_.in[in].buffers.front_bytes(vl);
-  }
-
   bool output_free(iba::PortIndex out) const {
     return !sw_.out[out].xbar_rx_busy;
   }
@@ -71,7 +67,7 @@ class XbarView {
     const OutputPort& op = sw_.out[out];
     const iba::VirtualLane out_vl =
         p.management ? iba::kManagementVl : op.sl_map.map(p.sl);
-    return op.queues.can_accept(out_vl, head_bytes(in, vl));
+    return op.queues.can_accept(out_vl, sw_.in[in].buffers.front_bytes(vl));
   }
 
   void grant(iba::PortIndex in, iba::VirtualLane vl, iba::PortIndex out) {
@@ -163,7 +159,7 @@ Simulator::Simulator(const network::FabricGraph& graph,
                     /*host_interface=*/false);
       }
       switches_.push_back(std::move(sw));
-      xbar_.emplace_back(cfg_.crossbar_impl, ports);
+      xbar_.emplace_back(ports);
     } else {
       index_[id] = static_cast<std::uint32_t>(hosts_.size());
       HostState host;
@@ -255,9 +251,9 @@ Simulator::Simulator(const network::FabricGraph& graph,
                      static_cast<double>(in_peak_bytes),
                      obs::MergePolicy::kMax);
 
-    sched::CrossbarScheduler::Stats xs;
-    for (const sched::Crossbar& x : xbar_) {
-      const sched::CrossbarScheduler::Stats& s = x.stats();
+    sched::WrrCrossbar::Stats xs;
+    for (const sched::WrrCrossbar& x : xbar_) {
+      const sched::WrrCrossbar::Stats& s = x.stats();
       xs.rounds += s.rounds;
       xs.grants += s.grants;
       xs.iterations += s.iterations;
@@ -474,7 +470,10 @@ void Simulator::resume_flow(std::uint32_t flow_index) {
 }
 
 void Simulator::set_flow_overdrive(std::uint32_t flow_index, double factor) {
-  if (factor <= 0.0) throw std::invalid_argument("overdrive must be > 0");
+  // Written so that NaN fails too. A tiny factor would overflow the cast
+  // below.
+  if (!(factor >= 1.0))
+    throw std::invalid_argument("overdrive factor must be at least 1");
   // Misbehaving-source overdrive compresses the generator interval. Factor
   // 1.0 restores the spec's interval in exact integer arithmetic.
   const iba::Cycle nominal = flow_cold_.at(flow_index).interval;

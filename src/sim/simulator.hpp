@@ -19,7 +19,7 @@
 #include "obs/profile.hpp"
 #include "obs/series.hpp"
 #include "obs/telemetry.hpp"
-#include "sched/crossbar.hpp"
+#include "sched/wrr_crossbar.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/host.hpp"
 #include "sim/metrics.hpp"
@@ -47,9 +47,9 @@ struct SimConfig {
   /// Event-queue implementation. The timing wheel is the only one; the
   /// field remains because the benchmark sources (perfbench/) set it.
   EventQueueImpl queue_impl = EventQueueImpl::kWheel;
-  /// Crossbar matching policy, built by sched::Crossbar(impl, ports) (flag
-  /// --crossbar). kWrr reproduces the pre-refactor
-  /// grant sequence — and so the whole event order — bit-for-bit.
+  /// Crossbar policy. sched::WrrCrossbar is the only one and nothing reads
+  /// this field; it remains because the benchmark sources (perfbench/) set
+  /// it, like queue_impl.
   sched::CrossbarImpl crossbar_impl = sched::CrossbarImpl::kWrr;
   /// Must be 1: runs are sequential, and the constructor throws
   /// std::invalid_argument for any other value. The field remains only
@@ -156,6 +156,7 @@ class Simulator {
 
   /// Misbehaving-source dial: the flow generates at `factor` times its
   /// nominal rate until reset to 1.0. Takes effect from the next packet.
+  /// Throws std::invalid_argument unless factor >= 1 (NaN included).
   void set_flow_overdrive(std::uint32_t flow_index, double factor);
 
   // --- Fault injection & transport plumbing -------------------------------
@@ -266,7 +267,7 @@ class Simulator {
   void sample_pending(std::uint64_t pending, iba::Cycle through);
 
   void try_transmit(iba::NodeId node, iba::PortIndex port);
-  /// Runs the switch's crossbar scheduler (sched::CrossbarScheduler) over an
+  /// Runs the switch's crossbar scheduler (sched::WrrCrossbar) over an
   /// XbarView of the ports. `only_input` >= 0 is the cheap single-arrival
   /// trigger hint.
   void schedule_crossbar(std::uint32_t switch_index, int only_input);
@@ -315,8 +316,8 @@ class Simulator {
   std::vector<std::uint32_t> index_;
   std::vector<SwitchState> switches_;
   /// One crossbar scheduler per switch (same index as switches_); owns all
-  /// matching state — pointers, priority matrices, rate counters.
-  std::vector<sched::Crossbar> xbar_;
+  /// matching state (its round-robin pointers).
+  std::vector<sched::WrrCrossbar> xbar_;
   std::vector<HostState> hosts_;
   /// port_base_[node] points at the node's output port 0 (a switch's out
   /// vector, or a host's injection port): output_port in one load.

@@ -66,9 +66,9 @@ struct InputPort {
   PortBuffers buffers;   ///< Finite; capacity == advertised credits.
 };
 
-/// Which (input, VL, output) transfer starts next — and every round-robin /
-/// priority pointer that decision needs — lives in the switch's
-/// sched::Crossbar, not here (see src/sched/crossbar.hpp).
+/// Which (input, VL, output) transfer starts next — and every round-robin
+/// pointer that decision needs — lives in the switch's sched::WrrCrossbar,
+/// not here (see src/sched/wrr_crossbar.hpp).
 struct SwitchState {
   iba::NodeId node = iba::kInvalidNode;
   std::vector<InputPort> in;

@@ -25,9 +25,9 @@ namespace ibarb::util {
 ///                       telemetry; nondeterministic, never byte-compared)
 ///   --quiet             suppress progress/timing chatter on stderr
 ///
-/// The run axes (--crossbar, --topo, --routing) are not part of
-/// this block: bench::config_from_cli parses them, so a bench that never
-/// builds a PaperRun reports them as unused flags.
+/// The run axes (--topo, --routing) are not part of this block:
+/// bench::config_from_cli parses them, so a bench that never builds a
+/// PaperRun reports them as unused flags.
 ///
 /// Boolean flags take a bare `--flag` or one of true|false|1|0|yes|no;
 /// any other value throws. Output-path flags (--trace-out, --series-csv)

@@ -225,10 +225,10 @@ TEST(Cli, StdFlagsMarksBlockAsQueried) {
 TEST(Cli, StdFlagsLeavesTheRunAxesUnused) {
   // The run axes belong to bench::config_from_cli. A bench that only calls
   // std_flags must name them as unused instead of silently ignoring them.
-  const auto cli = make({"--crossbar", "islip", "--topo",
-                         "torus3d:x=3,y=3,z=3", "--routing", "fattree-dmodk"});
+  const auto cli = make(
+      {"--topo", "torus3d:x=3,y=3,z=3", "--routing", "fattree-dmodk"});
   (void)cli.std_flags();
-  EXPECT_EQ(cli.unused_flags(), "--crossbar, --routing, --topo");
+  EXPECT_EQ(cli.unused_flags(), "--routing, --topo");
 }
 
 // --- bench::config_from_cli: the one parser of the paper knobs and run axes.
@@ -246,7 +246,6 @@ std::string config_error(std::vector<const char*> args) {
 
 TEST(ConfigFromCli, DefaultsAreThePaperRun) {
   const auto cfg = bench::config_from_cli(make({}));
-  EXPECT_EQ(cfg.crossbar, sched::CrossbarImpl::kWrr);
   EXPECT_EQ(cfg.topo, "irregular");
   EXPECT_EQ(cfg.routing, "updown");
 }
@@ -285,6 +284,19 @@ TEST(ConfigFromCli, ShardsIsRefused) {
     EXPECT_NE(msg.find("--shards"), std::string::npos) << value << ": " << msg;
     EXPECT_NE(msg.find("sequential"), std::string::npos)
         << value << ": " << msg;
+  }
+}
+
+TEST(ConfigFromCli, CrossbarIsRefused) {
+  // Every switch runs wrr: --crossbar is refused whatever it names, wrr
+  // itself and the retired schedulers included, with a diagnostic that
+  // names the flag and the scheduler that runs.
+  for (const char* value : {"wrr", "abr", "fifo", ""}) {
+    const auto msg = config_error({"--crossbar", value});
+    EXPECT_NE(msg.find("--crossbar"), std::string::npos)
+        << "'" << value << "': " << msg;
+    EXPECT_NE(msg.find("every switch runs wrr"), std::string::npos)
+        << "'" << value << "': " << msg;
   }
 }
 

@@ -193,27 +193,20 @@ TEST(QosIntegrationMisbehavior, OversendingOnlyHurtsItsOwnVl) {
       << "victim SLs on other VLs lost guarantees to a misbehaving SL9";
 }
 
-// One case per run-axis cell: each non-default crossbar on the paper's
-// irregular fabric, and each structured topology on the routing engine built
-// for it. Every cell must finish before the hard limit, admit connections
-// and keep the paper's no-miss guarantee.
+// One case per run-axis cell: each structured topology on the routing engine
+// built for it. Every cell must finish before the hard limit, admit
+// connections and keep the paper's no-miss guarantee.
 
 struct AxisCell {
   const char* name;  ///< Test-name suffix.
-  sched::CrossbarImpl crossbar;
   const char* topo;
   const char* routing;
 };
 
 constexpr AxisCell kAxisCells[] = {
-    {"islip", sched::CrossbarImpl::kIslip, "irregular", "updown"},
-    {"matrix", sched::CrossbarImpl::kMatrix, "irregular", "updown"},
-    {"torus3d", sched::CrossbarImpl::kWrr, "torus3d:x=3,y=3,z=3,hosts=1",
-     "minimal-vl-escape"},
-    {"dragonfly", sched::CrossbarImpl::kWrr, "dragonfly:a=2,h=1,p=1",
-     "minimal-vl-escape"},
-    {"fattree", sched::CrossbarImpl::kWrr, "fattree:k=2,n=3",
-     "fattree-dmodk"},
+    {"torus3d", "torus3d:x=3,y=3,z=3,hosts=1", "minimal-vl-escape"},
+    {"dragonfly", "dragonfly:a=2,h=1,p=1", "minimal-vl-escape"},
+    {"fattree", "fattree:k=2,n=3", "fattree-dmodk"},
 };
 
 /// gtest prints a parameter into the ctest name; the raw bytes of a
@@ -225,11 +218,9 @@ class AxisCellTest : public ::testing::TestWithParam<AxisCell> {};
 TEST_P(AxisCellTest, NoHardLimitHitAndNoDeadlineMiss) {
   const AxisCell& cell = GetParam();
   bench::PaperRunConfig c;
-  c.switches = 4;  // irregular cells only; the other specs pin their size
   c.min_rx_packets = 1;
   c.warmup = 20'000;
   c.hard_limit = 50'000'000;
-  c.crossbar = cell.crossbar;
   c.topo = cell.topo;
   c.routing = cell.routing;
   const auto run = bench::run_paper_experiment(c);

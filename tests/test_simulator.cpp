@@ -532,6 +532,46 @@ TEST(Simulator, FlowGenerateTimesArePinnedThroughStopResumeAndOverdrive) {
             "3 48 2f8c72e82281364a\n");
 }
 
+TEST(Simulator, OverdriveRefusesFactorsBelowOneAndOneRestoresTheRate) {
+  // A factor below 1 (or NaN, which compares false) is refused before it
+  // touches the flow: 1e-300 would overflow the interval's integer cast.
+  // 1.0 after an overdrive restores the nominal interval exactly, so the
+  // injections match a run that never saw either.
+  const auto g = network::gen::single_switch(2);
+  const auto routes = network::compute_routes(g);
+  const auto h = g.hosts();
+  const auto run = [&](const std::function<void(Simulator&, std::uint32_t)>&
+                           dial) {
+    SimConfig cfg;
+    cfg.trace_capacity = 1u << 12;
+    Simulator sim(g, routes, cfg);
+    program_all(sim, g, table_for({{0, 100}}));
+    const auto flow = sim.add_flow(cbr(h[0], h[1], 0, 256, 1500));
+    dial(sim, flow);
+    sim.run_until(60'000);
+    return inject_fingerprint(sim, 1);
+  };
+  const std::string nominal = run([](Simulator&, std::uint32_t) {});
+  EXPECT_EQ(run([](Simulator& sim, std::uint32_t flow) {
+              for (const double bad :
+                   {0.5, 1e-300, std::numeric_limits<double>::quiet_NaN(),
+                    0.0, -1.0})
+                EXPECT_THROW(sim.set_flow_overdrive(flow, bad),
+                             std::invalid_argument)
+                    << bad;
+            }),
+            nominal);
+  EXPECT_EQ(run([](Simulator& sim, std::uint32_t flow) {
+              sim.set_flow_overdrive(flow, 3.0);
+              sim.set_flow_overdrive(flow, 1.0);
+            }),
+            nominal);
+  EXPECT_NE(run([](Simulator& sim, std::uint32_t flow) {
+              sim.set_flow_overdrive(flow, 3.0);
+            }),
+            nominal);
+}
+
 TEST(Simulator, RoutesThroughInputPortsAboveSixtyThree) {
   // A 100-port switch: the crossbar's ready-input mask spans two words.
   // Inputs p and p + 64 carry traffic at once, so a mask that aliased them

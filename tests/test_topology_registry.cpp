@@ -1,6 +1,6 @@
 // The string-keyed topology registry (ISSUE 9): the `--topo` grammar, its
 // parse-time rejection contract (unknown families/keys fail with the valid
-// set, mirroring --crossbar), the per-family defaults, the canonical
+// set, as --routing does), the per-family defaults, the canonical
 // spelling reports echo, and the shapes of the generators it builds —
 // including the new large-scale families (k-ary n-tree, dragonfly, 3-D
 // torus) at their ISSUE 9 acceptance sizes.
